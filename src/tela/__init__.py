@@ -40,11 +40,11 @@ from .acceptance import (
 from .analysis import (
     accepting_lasso,
     accepts,
-    brute_force_empty,
     is_empty,
     sample_lassos,
 )
 from .core import (
+    BudgetExceeded,
     Lasso,
     MAX_AP,
     Tela,
@@ -60,7 +60,6 @@ from .core import (
     sum_gba,
 )
 from .determinize import (
-    BudgetExceeded,
     contains,
     degeneralize,
     determinize_product,

@@ -33,15 +33,6 @@ class NotInDnfError(AcceptanceError):
     pass
 
 
-def mark_set(indices: Iterable[int]) -> int:
-    bits = 0
-    for i in indices:
-        if i < 0:
-            raise AcceptanceError(f"negative mark index {i}")
-        bits |= 1 << i
-    return bits
-
-
 def mark_indices(bits: int) -> Iterator[int]:
     i = 0
     while bits:
@@ -534,7 +525,10 @@ def parse_acceptance(text: str, n_marks: int | None = None) -> Acceptance:
             return Inf(1 << mark) if kind == "Inf" else Fin(1 << mark)
         raise AcceptanceError(f"unexpected token {kind!r} at column {col} in {text!r}")
 
-    result = parse_or()
+    try:
+        result = parse_or()
+    except RecursionError:
+        raise AcceptanceError("acceptance formula nested too deeply") from None
     if pos != len(tokens):
         raise AcceptanceError(
             f"trailing input at column {tokens[pos][1]} in {text!r}"

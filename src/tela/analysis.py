@@ -1,4 +1,4 @@
-"""Language analysis: emptiness, membership, and an independent oracle.
+"""Language analysis: emptiness, accepting lassos and lasso-word membership.
 
 Emptiness works on the DNF of the acceptance condition.  For each disjunct
 the Fin-marked transitions are deleted and the remaining reachable graph is
@@ -14,27 +14,10 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .acceptance import (
-    ALL,
-    Acceptance,
-    And,
-    BoolConst,
-    DnfAcceptance,
-    Fin,
-    Inf,
-    Or,
-    to_dnf,
-)
-from .core import Lasso, Tela, TelaError, Transition, tarjan_scc
-
-ORACLE_STATE_LIMIT = 7
-ORACLE_MARK_LIMIT = 16
+from .acceptance import ALL, DnfAcceptance, to_dnf
+from .core import Lasso, Tela, TelaError, Transition, reachable, tarjan_scc
 
 _dnf_of = lru_cache(maxsize=None)(to_dnf)
-
-
-class OracleLimitError(TelaError):
-    pass
 
 
 def is_empty(a: Tela) -> bool:
@@ -108,77 +91,6 @@ def sample_lassos(
     return out
 
 
-def brute_force_empty(a: Tela) -> bool:
-    """Emptiness oracle by exhaustive enumeration, independent of is_empty.
-
-    The language is non-empty iff some reachable, mutually connected set of
-    transitions has a mark union satisfying the acceptance condition.  All
-    2^n_marks candidate mark unions are tried; connectivity uses a naive
-    transitive closure and satisfaction a local evaluator, sharing nothing
-    with the DNF-based path.
-    """
-    if a.n_states > ORACLE_STATE_LIMIT:
-        raise OracleLimitError(
-            f"oracle limited to {ORACLE_STATE_LIMIT} states, got {a.n_states}"
-        )
-    if a.n_marks > ORACLE_MARK_LIMIT:
-        raise OracleLimitError(
-            f"oracle limited to {ORACLE_MARK_LIMIT} marks, got {a.n_marks}"
-        )
-    reach = set(a.initial)
-    while True:
-        grown = {d for (s, _, d, _) in a.transitions if s in reach} - reach
-        if not grown:
-            break
-        reach |= grown
-    for want in range(1 << a.n_marks):
-        if not _models(want, a.acceptance):
-            continue
-        sub = [
-            t
-            for t in a.transitions
-            if t[0] in reach and not (t[3] & ~want)
-        ]
-        closure = {q: {q} for q in range(a.n_states)}
-        for s, _, d, _ in sub:
-            closure[s].add(d)
-        changed = True
-        while changed:
-            changed = False
-            for q in closure:
-                extra = set()
-                for r in closure[q]:
-                    extra |= closure[r]
-                if not extra <= closure[q]:
-                    closure[q] |= extra
-                    changed = True
-        for q in range(a.n_states):
-            members = {r for r in closure[q] if q in closure[r]}
-            internal = [t for t in sub if t[0] in members and t[2] in members]
-            if not internal:
-                continue
-            got = 0
-            for t in internal:
-                got |= t[3]
-            if got == want:
-                return False
-    return True
-
-
-def _models(seen: int, phi: Acceptance) -> bool:
-    if isinstance(phi, BoolConst):
-        return phi.value
-    if isinstance(phi, Inf):
-        return (seen & phi.marks) != 0
-    if isinstance(phi, Fin):
-        return (seen & phi.marks) == 0
-    if isinstance(phi, And):
-        return all(_models(seen, p) for p in phi.parts)
-    if isinstance(phi, Or):
-        return any(_models(seen, p) for p in phi.parts)
-    raise TelaError(f"not an acceptance formula: {phi!r}")
-
-
 def dnf_witness(
     transitions: tuple[Transition, ...],
     initial: frozenset[int] | set[int],
@@ -190,7 +102,7 @@ def dnf_witness(
 
     Returns (pos disjunct index, transitions of the witness set) or None.
     """
-    reach = _forward_reachable(transitions, initial)
+    reach = reachable(initial, ((s, d) for s, _, d, _ in transitions))
     for di, d in enumerate(pos.disjuncts):
         base = tuple(
             t for t in transitions if t[0] in reach and not (t[3] & d.fin)
@@ -252,25 +164,6 @@ def _scc_transitions(
             out.append((comp, internal))
     out.sort(key=lambda item: min(item[0]))
     return out
-
-
-def _forward_reachable(
-    transitions: tuple[Transition, ...], initial: frozenset[int] | set[int]
-) -> set[int]:
-    succ: dict[int, list[int]] = {}
-    for s, _, d, _ in transitions:
-        succ.setdefault(s, []).append(d)
-    reach = set(initial)
-    frontier = list(initial)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for d in succ.get(q, ()):
-                if d not in reach:
-                    reach.add(d)
-                    nxt.append(d)
-        frontier = nxt
-    return reach
 
 
 def _shortest_path(

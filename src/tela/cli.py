@@ -6,7 +6,9 @@ be chained in shell pipelines.
 
 Exit codes: 0 success; 1 negative answer from a boolean analysis (check
 found the property violated, mc --qual answered zero, bench found language
-mismatches); 2 usage error; 3 malformed or unsuitable input.
+mismatches); 2 usage error; 3 malformed or unsuitable input; 4 internal
+error (an unexpected exception, a bug: its traceback and an "internal
+error:" line go to stderr).
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ from __future__ import annotations
 import argparse
 import random as _random
 import sys
+import traceback
 from pathlib import Path
 
 from .acceptance import AcceptanceError, NotInDnfError
 from .analysis import accepting_lasso
 from .core import TelaError, is_deterministic
-from .determinize import determinize_product, determinize_via_gba
-from .hoaio import HoaParseError, _letter_label, parse_hoa, print_hoa
+from .determinize import DET_METHODS, determinize_by
+from .hoaio import _letter_label, parse_hoa, print_hoa
 from .limitdet import (
     build_gfm,
     build_ld,
@@ -30,7 +33,6 @@ from .limitdet import (
 )
 from .mdp import MdpError, parse_mdp, pr_max_tela, qualitative_positive
 from .randbench import (
-    BenchError,
     format_report,
     format_table,
     parse_bench_config,
@@ -38,10 +40,6 @@ from .randbench import (
     run_benchmark,
 )
 from .transforms import GBA_METHODS, ensure_dnf, to_gba
-
-DET_CLI_METHODS = ("product", "product-nolangcover") + tuple(
-    f"via-gba:{m}" for m in GBA_METHODS
-)
 
 
 def _read_text(path: str) -> str:
@@ -65,15 +63,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_determinize(args) -> int:
-    a = _read_automaton(args.file)
-    cap = args.state_cap
-    if args.method == "product":
-        d = determinize_product(a, langcover=True, state_cap=cap)
-    elif args.method == "product-nolangcover":
-        d = determinize_product(a, langcover=False, state_cap=cap)
-    else:
-        d = determinize_via_gba(a, args.method.removeprefix("via-gba:"), cap)
-    _emit(d)
+    _emit(determinize_by(_read_automaton(args.file), args.method, args.state_cap))
     return 0
 
 
@@ -179,7 +169,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_convert)
 
     p = sub.add_parser("determinize", help="determinize an automaton")
-    p.add_argument("--method", choices=DET_CLI_METHODS, default="product")
+    p.add_argument("--method", choices=DET_METHODS, default="product")
     p.add_argument("--state-cap", type=int, default=None)
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_determinize)
@@ -225,15 +215,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HoaParseError, BenchError) as exc:
+    except (TelaError, MdpError, AcceptanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TelaError, MdpError, AcceptanceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

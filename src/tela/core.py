@@ -6,10 +6,14 @@ the value of ap[i].  Transitions are (src, letter, dst, marks) tuples with
 marks a bitmask of acceptance mark indices.  A run is accepting iff the set
 of marks occurring on infinitely many of its transitions satisfies the
 acceptance condition.
+
+Constructions that explore a new state space on the fly number it through
+`explore`, which owns the numbering, the state cap and the deadline.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -32,6 +36,14 @@ Transition = tuple[int, int, int, int]
 
 class TelaError(ValueError):
     pass
+
+
+class BudgetExceeded(TelaError):
+    """A construction went past its state cap or deadline."""
+
+    def __init__(self, message: str, kind: str):
+        super().__init__(message)
+        self.kind = kind
 
 
 @dataclass(frozen=True)
@@ -306,26 +318,15 @@ def product(a0: Tela, a1: Tela, combinator: str) -> Tela:
                 )
     off = a0.n_marks
     initial_pairs = sorted((q0, q1) for q0 in a0.initial for q1 in a1.initial)
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for pair in initial_pairs:
-        if pair not in index:
-            index[pair] = len(order)
-            order.append(pair)
-    transitions: list[Transition] = []
-    pos = 0
-    while pos < len(order):
-        q0, q1 = order[pos]
-        src = index[(q0, q1)]
+
+    def expand(pair, number):
+        q0, q1 = pair
         for letter in range(a0.n_letters):
             for _, _, d0, m0 in a0.succ(q0, letter):
                 for _, _, d1, m1 in a1.succ(q1, letter):
-                    pair = (d0, d1)
-                    if pair not in index:
-                        index[pair] = len(order)
-                        order.append(pair)
-                    transitions.append((src, letter, index[pair], m0 | (m1 << off)))
-        pos += 1
+                    yield letter, number((d0, d1)), m0 | (m1 << off)
+
+    order, edges = explore(initial_pairs, expand)
     lifted0 = a0.acceptance
     lifted1 = offset_marks(a1.acceptance, off)
     acceptance = (
@@ -334,8 +335,8 @@ def product(a0: Tela, a1: Tela, combinator: str) -> Tela:
     return Tela(
         ap=a0.ap,
         n_states=len(order),
-        initial=frozenset(index[p] for p in initial_pairs),
-        transitions=tuple(transitions),
+        initial=frozenset(range(len(initial_pairs))),
+        transitions=flatten_edges(edges),
         acceptance=acceptance,
         n_marks=a0.n_marks + a1.n_marks,
     )
@@ -351,18 +352,70 @@ def complement_deterministic(a: Tela) -> Tela:
 
 
 def reachable_states(a: Tela) -> frozenset[int]:
-    seen = set(a.initial)
-    frontier = sorted(seen)
-    while frontier:
-        nxt = []
-        for q in frontier:
-            for letter in range(a.n_letters):
-                for _, _, d, _ in a.succ(q, letter):
-                    if d not in seen:
-                        seen.add(d)
-                        nxt.append(d)
-        frontier = sorted(nxt)
-    return frozenset(seen)
+    return frozenset(reachable(a.initial, ((s, d) for s, _, d, _ in a.transitions)))
+
+
+def explore(seeds, expand, state_cap=None, deadline=None, stage="exploration"):
+    """Breadth-first numbering of the states reachable from `seeds`.
+
+    Seeds take the first numbers, duplicates dropped.  `expand(state, number)`
+    runs once per state in numbering order and returns (or yields) that
+    state's edges; it calls `number(t)` to get successor t's number, which
+    numbers t if new.  Returns the states and, in the same order, the list
+    of each state's edges.
+
+    Numbering a new state when `state_cap` states exist already (seeds are
+    always numbered), or expanding a state after `deadline` (a
+    time.perf_counter() value), raises BudgetExceeded naming `stage`.
+    """
+    index: dict = {}
+    order: list = []
+    for s in seeds:
+        if s not in index:
+            index[s] = len(order)
+            order.append(s)
+
+    def number(state) -> int:
+        i = index.get(state)
+        if i is None:
+            if state_cap is not None and len(order) >= state_cap:
+                raise BudgetExceeded(f"{stage} exceeded {state_cap} states", "states")
+            i = index[state] = len(order)
+            order.append(state)
+        return i
+
+    results = []
+    pos = 0
+    while pos < len(order):
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"{stage} deadline exceeded", "time")
+        results.append(list(expand(order[pos], number)))
+        pos += 1
+    return order, results
+
+
+def flatten_edges(results) -> tuple[Transition, ...]:
+    """Transitions from explore results that list (letter, target, marks)."""
+    return tuple(
+        (src, letter, dst, marks)
+        for src, out in enumerate(results)
+        for letter, dst, marks in out
+    )
+
+
+def reachable(seeds, edges) -> set:
+    """The nodes reachable from `seeds` along the (src, dst) pairs `edges`."""
+    adj: dict = {}
+    for s, d in edges:
+        adj.setdefault(s, []).append(d)
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for t in adj.get(stack.pop(), ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return seen
 
 
 def tarjan_scc(nodes, adj) -> list[frozenset]:

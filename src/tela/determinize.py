@@ -16,9 +16,6 @@ union product, skipping parts whose language is already covered.
 
 from __future__ import annotations
 
-import time
-from functools import reduce
-
 from .acceptance import (
     FALSE,
     TRUE,
@@ -35,24 +32,24 @@ from .acceptance import (
 )
 from .analysis import dnf_witness
 from .core import (
+    BudgetExceeded,
     Tela,
     TelaError,
     complement_deterministic,
     complete,
+    explore,
+    flatten_edges,
     is_complete,
     is_deterministic,
     product,
     with_all_mark,
 )
-from .transforms import ensure_dnf, remove_fin, to_gba
+from .transforms import GBA_METHODS, ensure_dnf, remove_fin, to_gba
 
-
-class BudgetExceeded(TelaError):
-    """A construction went past its state cap or deadline."""
-
-    def __init__(self, message: str, kind: str):
-        super().__init__(message)
-        self.kind = kind
+DET_METHODS = tuple(f"via-gba:{m}" for m in GBA_METHODS) + (
+    "product",
+    "product-nolangcover",
+)
 
 
 def degeneralize(g: Tela) -> Tela:
@@ -75,37 +72,24 @@ def degeneralize(g: Tela) -> Tela:
             acceptance=Inf(1),
             n_marks=1,
         )
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for q in sorted(g.initial):
-        index[(q, 0)] = len(order)
-        order.append((q, 0))
-    transitions = []
-    pos = 0
-    while pos < len(order):
-        q, level = order[pos]
-        pos += 1
+
+    def expand(state, number):
+        q, level = state
         for letter in range(g.n_letters):
             for _, _, dst, marks in g.succ(q, letter):
                 if marks & sets[level]:
-                    nxt = level + 1
-                    mark = 0
-                    if nxt == k:
-                        nxt = 0
-                        mark = 1
+                    nxt = (level + 1) % k
+                    mark = 1 if nxt == 0 else 0
                 else:
-                    nxt = level
-                    mark = 0
-                key = (dst, nxt)
-                if key not in index:
-                    index[key] = len(order)
-                    order.append(key)
-                transitions.append((index[(q, level)], letter, index[key], mark))
+                    nxt, mark = level, 0
+                yield letter, number((dst, nxt)), mark
+
+    order, edges = explore([(q, 0) for q in sorted(g.initial)], expand)
     return Tela(
         ap=g.ap,
         n_states=len(order),
         initial=frozenset(range(len(g.initial))),
-        transitions=tuple(transitions),
+        transitions=flatten_edges(edges),
         acceptance=Inf(1),
         n_marks=1,
     )
@@ -145,28 +129,17 @@ def safra_determinize(
                     acc_img.add(dst)
         return img, acc_img
 
-    root0 = (0, tuple(sorted(b.initial)), ())
-    index: dict[_Node, int] = {root0: 0}
-    order: list[_Node] = [root0]
-    transitions = []
     max_name = 0
-    pos = 0
-    while pos < len(order):
-        tree = order[pos]
-        pos += 1
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded("determinization deadline exceeded", "time")
+
+    def expand(tree: _Node, number):
+        nonlocal max_name
         for letter in range(n_letters):
             nxt, marks, top = _safra_step(tree, letter, images)
             max_name = max(max_name, top)
-            if nxt not in index:
-                if state_cap is not None and len(order) >= state_cap:
-                    raise BudgetExceeded(
-                        f"determinization exceeded {state_cap} states", "states"
-                    )
-                index[nxt] = len(order)
-                order.append(nxt)
-            transitions.append((index[tree], letter, index[nxt], marks))
+            yield letter, number(nxt), marks
+
+    root = (0, tuple(sorted(b.initial)), ())
+    order, edges = explore([root], expand, state_cap, deadline, "determinization")
     names = max_name + 1
     acceptance = or_(
         and_([fin_(1 << (2 * n + 1)), inf_(1 << (2 * n))]) for n in range(names)
@@ -175,7 +148,7 @@ def safra_determinize(
         ap=b.ap,
         n_states=len(order),
         initial=frozenset({0}),
-        transitions=tuple(transitions),
+        transitions=flatten_edges(edges),
         acceptance=acceptance,
         n_marks=2 * names,
     )
@@ -274,6 +247,18 @@ def determinize_via_gba(
     """Determinize by translating to generalized Buchi, degeneralizing and
     running the Safra construction."""
     return safra_determinize(degeneralize(to_gba(a, method)), state_cap, deadline)
+
+
+def determinize_by(
+    a: Tela, method: str, state_cap: int | None = None, deadline: float | None = None
+) -> Tela:
+    """Determinize with a method named in DET_METHODS."""
+    if method not in DET_METHODS:
+        raise TelaError(f"unknown determinization method {method!r}")
+    gba_method = method.removeprefix("via-gba:")
+    if gba_method != method:
+        return determinize_via_gba(a, gba_method, state_cap, deadline)
+    return determinize_product(a, method == "product", state_cap, deadline)
 
 
 def determinize_product(

@@ -14,7 +14,12 @@ from __future__ import annotations
 
 import re
 
-from .acceptance import AcceptanceError, format_acceptance, parse_acceptance
+from .acceptance import (
+    AcceptanceError,
+    format_acceptance,
+    mark_indices,
+    parse_acceptance,
+)
 from .core import MAX_AP, Tela, TelaError, Transition, is_deterministic
 
 
@@ -215,7 +220,7 @@ def print_hoa(a: Tela) -> str:
             label = _letter_label(letter, len(a.ap))
             mark_txt = ""
             if marks:
-                indices = " ".join(str(i) for i in _bits(marks))
+                indices = " ".join(str(i) for i in mark_indices(marks))
                 mark_txt = f" {{{indices}}}"
             out.append(f"[{label}] {dst}{mark_txt}")
     out.append("--END--")
@@ -228,15 +233,6 @@ def _letter_label(letter: int, n_ap: int) -> str:
     return "&".join(
         str(i) if letter >> i & 1 else f"!{i}" for i in range(n_ap)
     )
-
-
-def _bits(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
 
 
 def _parse_int(token: str, what: str, lineno: int) -> int:
@@ -302,10 +298,6 @@ def _label_letters(label: str, n_ap: int, lineno: int) -> list[int]:
             return ("ap", idx)
         raise HoaParseError(f"bad token {tok!r} in label {label!r}", lineno)
 
-    tree = parse_or()
-    if pos != len(tokens):
-        raise HoaParseError(f"trailing input in label {label!r}", lineno)
-
     def holds(node, letter: int) -> bool:
         kind = node[0]
         if kind == "const":
@@ -318,7 +310,13 @@ def _label_letters(label: str, n_ap: int, lineno: int) -> list[int]:
             return holds(node[1], letter) and holds(node[2], letter)
         return holds(node[1], letter) or holds(node[2], letter)
 
-    return [letter for letter in range(1 << n_ap) if holds(tree, letter)]
+    try:
+        tree = parse_or()
+        if pos != len(tokens):
+            raise HoaParseError(f"trailing input in label {label!r}", lineno)
+        return [letter for letter in range(1 << n_ap) if holds(tree, letter)]
+    except RecursionError:
+        raise HoaParseError("label nested too deeply", lineno) from None
 
 
 def _tokenize_label(label: str, lineno: int) -> list[str]:

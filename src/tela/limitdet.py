@@ -32,7 +32,16 @@ from functools import reduce
 
 from .acceptance import ALL, Inf, and_, disjunct_formula, dnf_structure
 from .analysis import accepting_lasso
-from .core import Lasso, Tela, TelaError, Transition, sum_automata
+from .core import (
+    Lasso,
+    Tela,
+    TelaError,
+    Transition,
+    explore,
+    flatten_edges,
+    reachable,
+    sum_automata,
+)
 from .determinize import degeneralize, empty_language_automaton, safra_determinize
 from .transforms import ensure_dnf, remove_fin
 
@@ -47,19 +56,8 @@ def canonical_partition(a: Tela) -> tuple[frozenset[int], frozenset[int]]:
         for q in range(a.n_states)
         if any(len(a.succ(q, letter)) > 1 for letter in range(a.n_letters))
     }
-    rev: dict[int, list[int]] = {}
-    for s, _, d, _ in a.transitions:
-        rev.setdefault(d, []).append(s)
-    q_n = set(nondet)
-    frontier = list(nondet)
-    while frontier:
-        q = frontier.pop()
-        for p in rev.get(q, ()):
-            if p not in q_n:
-                q_n.add(p)
-                frontier.append(p)
-    q_d = frozenset(range(a.n_states)) - q_n
-    return frozenset(q_n), q_d
+    q_n = frozenset(reachable(nondet, ((d, s) for s, _, d, _ in a.transitions)))
+    return q_n, frozenset(range(a.n_states)) - q_n
 
 
 def limit_det_violation(a: Tela) -> Lasso | None:
@@ -162,18 +160,9 @@ def _breakpoint_explore(
         if not marks & fin:
             by_src.setdefault((s, letter), []).append((d, marks))
     empty: frozenset[int] = frozenset()
-    index: dict[_BpState, int] = {}
-    order: list[_BpState] = []
-    for r in seed_sets:
-        key = (r, empty, 0)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-    transitions: list[tuple[int, int, int, bool]] = []
-    pos = 0
-    while pos < len(order):
-        r, b, level = order[pos]
-        pos += 1
+
+    def expand(state: _BpState, number):
+        r, b, level = state
         for letter in range(a.n_letters):
             r2: set[int] = set()
             hits: set[int] = set()
@@ -199,11 +188,10 @@ def _breakpoint_explore(
                 else:
                     key = (frozenset(r2), frozenset(b2), level)
                     brk = False
-            if key not in index:
-                index[key] = len(order)
-                order.append(key)
-            transitions.append((index[(r, b, level)], letter, index[key], brk))
-    return order, transitions
+            yield letter, number(key), brk
+
+    order, edges = explore([(r, empty, 0) for r in seed_sets], expand)
+    return order, list(flatten_edges(edges))
 
 
 def breakpoint_component(a: Tela, disjunct_index: int) -> Tela:
@@ -227,30 +215,46 @@ def breakpoint_component(a: Tela, disjunct_index: int) -> Tela:
     )
 
 
-def build_ld(a: Tela) -> Tela:
-    """Limit-deterministic Buchi automaton: the input as nondeterministic
-    part plus per-disjunct breakpoint components entered one step behind
-    any original transition."""
-    dnf = dnf_structure(a.acceptance)
-    n = a.n_states
-    targets = sorted({d for _, _, d, _ in a.transitions})
-    seeds = [frozenset({q}) for q in targets]
-    transitions: list[Transition] = [
-        (s, letter, d, 0) for s, letter, d, _ in a.transitions
-    ]
-    offset = n
-    for disjunct in dnf.disjuncts:
+def _add_breakpoint_parts(
+    a: Tela,
+    seeds: list[frozenset[int]],
+    bridges: list[tuple[int, int, frozenset[int]]],
+    transitions: list[Transition],
+    offset: int,
+) -> int:
+    """Append one breakpoint component per DNF disjunct, numbered from
+    `offset`, and a transition (src, letter) into each component's seed
+    (R, {}, 0) for every bridge (src, letter, R); returns the state count."""
+    empty: frozenset[int] = frozenset()
+    for disjunct in dnf_structure(a.acceptance).disjuncts:
         order, trans = _breakpoint_explore(a, disjunct.fin, disjunct.infs, seeds)
         index = {state: offset + j for j, state in enumerate(order)}
         for si, letter, di, brk in trans:
             transitions.append((offset + si, letter, offset + di, 1 if brk else 0))
-        empty: frozenset[int] = frozenset()
-        for s, letter, d, _ in a.transitions:
-            transitions.append((s, letter, index[(frozenset({d}), empty, 0)], 0))
+        for src, letter, r in bridges:
+            transitions.append((src, letter, index[(r, empty, 0)], 0))
         offset += len(order)
+    return offset
+
+
+def build_ld(a: Tela) -> Tela:
+    """Limit-deterministic Buchi automaton: the input as nondeterministic
+    part plus per-disjunct breakpoint components entered one step behind
+    any original transition."""
+    targets = sorted({d for _, _, d, _ in a.transitions})
+    transitions: list[Transition] = [
+        (s, letter, d, 0) for s, letter, d, _ in a.transitions
+    ]
+    n_states = _add_breakpoint_parts(
+        a,
+        [frozenset({q}) for q in targets],
+        [(s, letter, frozenset({d})) for s, letter, d, _ in a.transitions],
+        transitions,
+        a.n_states,
+    )
     return Tela(
         ap=a.ap,
-        n_states=offset,
+        n_states=n_states,
         initial=a.initial,
         transitions=tuple(dict.fromkeys(transitions)),
         acceptance=Inf(1),
@@ -271,26 +275,17 @@ def build_gfm(a: Tela, singleton_bridges: bool = False) -> Tela:
         raise TelaError(
             f"good-for-MDP construction is limited to {GFM_STATE_LIMIT} states"
         )
-    dnf = dnf_structure(a.acceptance)
-    p0 = frozenset(a.initial)
-    sub_index: dict[frozenset[int], int] = {p0: 0}
-    sub_order: list[frozenset[int]] = [p0]
-    sub_trans: list[tuple[int, int, int]] = []
-    bridge_plans: list[tuple[int, int, list[frozenset[int]]]] = []
-    pos = 0
-    while pos < len(sub_order):
-        p = sub_order[pos]
-        pos += 1
+
+    def expand(p: frozenset[int], number):
         for letter in range(a.n_letters):
-            theta = frozenset(
-                d for q in p for _, _, d, _ in a.succ(q, letter)
-            )
-            if not theta:
-                continue
-            if theta not in sub_index:
-                sub_index[theta] = len(sub_order)
-                sub_order.append(theta)
-            sub_trans.append((sub_index[p], letter, sub_index[theta]))
+            theta = frozenset(d for q in p for _, _, d, _ in a.succ(q, letter))
+            if theta:
+                yield letter, number(theta), theta
+
+    sub_order, sub_edges = explore([frozenset(a.initial)], expand)
+    bridges: list[tuple[int, int, frozenset[int]]] = []
+    for src, out in enumerate(sub_edges):
+        for letter, _, theta in out:
             members = sorted(theta)
             if singleton_bridges:
                 choices = [frozenset({q}) for q in members]
@@ -301,31 +296,16 @@ def build_gfm(a: Tela, singleton_bridges: bool = False) -> Tela:
                     )
                     for mask in range(1, 1 << len(members))
                 ]
-            bridge_plans.append((sub_index[p], letter, choices))
-    seeds: list[frozenset[int]] = []
-    seen: set[frozenset[int]] = set()
-    for _, _, choices in bridge_plans:
-        for r in choices:
-            if r not in seen:
-                seen.add(r)
-                seeds.append(r)
+            bridges += [(src, letter, r) for r in choices]
     transitions: list[Transition] = [
-        (s, letter, d, 0) for s, letter, d in sub_trans
+        (s, letter, d, 0) for s, letter, d, _ in flatten_edges(sub_edges)
     ]
-    offset = len(sub_order)
-    empty: frozenset[int] = frozenset()
-    for disjunct in dnf.disjuncts:
-        order, trans = _breakpoint_explore(a, disjunct.fin, disjunct.infs, seeds)
-        index = {state: offset + j for j, state in enumerate(order)}
-        for si, letter, di, brk in trans:
-            transitions.append((offset + si, letter, offset + di, 1 if brk else 0))
-        for src, letter, choices in bridge_plans:
-            for r in choices:
-                transitions.append((src, letter, index[(r, empty, 0)], 0))
-        offset += len(order)
+    n_states = _add_breakpoint_parts(
+        a, [r for _, _, r in bridges], bridges, transitions, len(sub_order)
+    )
     return Tela(
         ap=a.ap,
-        n_states=offset,
+        n_states=n_states,
         initial=frozenset({0}),
         transitions=tuple(dict.fromkeys(transitions)),
         acceptance=Inf(1),

@@ -33,8 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .acceptance import Acceptance, ALL, dnf_structure, gba_marksets, to_dnf
-from .core import Tela, TelaError, complete, tarjan_scc
+from .acceptance import (
+    ALL,
+    Acceptance,
+    DnfAcceptance,
+    DnfDisjunct,
+    dnf_structure,
+    gba_marksets,
+    to_dnf,
+)
+from .core import Tela, TelaError, complete, explore, reachable, tarjan_scc
 from .limitdet import build_gfm, limit_det_violation
 from .transforms import ensure_dnf
 
@@ -214,22 +222,12 @@ def _state_letters(m: Mdp, a: Tela) -> list[int]:
 
 
 def _explore_product(
-    m: Mdp, a: Tela, aut_initial: list[int], strict: bool
+    m: Mdp, a: Tela, strict: bool
 ) -> tuple[list[tuple[int, int]], list[list[ProductAction]]]:
     letters = _state_letters(m, a)
-    index: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
-    for q in aut_initial:
-        key = (m.initial, q)
-        if key not in index:
-            index[key] = len(order)
-            order.append(key)
-    actions: list[list[ProductAction]] = []
-    pos = 0
-    while pos < len(order):
-        s, q = order[pos]
-        pos += 1
-        here: list[ProductAction] = []
+
+    def expand(state: tuple[int, int], number) -> list[ProductAction]:
+        s, q = state
         moves = a.succ(q, letters[s])
         if not moves and strict:
             label = "{" + ",".join(sorted(m.labels[s])) + "}"
@@ -237,25 +235,22 @@ def _explore_product(
                 f"automaton state {q} has no transition for label {label}; "
                 "complete the automaton first"
             )
-        for act in m.actions[s]:
-            for _, _, q2, marks in moves:
-                dist = []
-                for t, p in act.dist:
-                    key = (t, q2)
-                    if key not in index:
-                        index[key] = len(order)
-                        order.append(key)
-                    dist.append((index[key], p))
-                here.append(ProductAction(act.name, marks, tuple(dist)))
-        actions.append(here)
-    return order, actions
+        return [
+            ProductAction(
+                act.name, marks, tuple((number((t, q2)), p) for t, p in act.dist)
+            )
+            for act in m.actions[s]
+            for _, _, q2, marks in moves
+        ]
+
+    return explore([(m.initial, q) for q in sorted(a.initial)], expand)
 
 
 def mdp_product(m: Mdp, a: Tela) -> ProductMdp:
     """Product of an MDP with an automaton along the generated label word."""
     if len(a.initial) != 1:
         raise MdpError("the product needs exactly one initial automaton state")
-    states, actions = _explore_product(m, a, sorted(a.initial), strict=True)
+    states, actions = _explore_product(m, a, strict=True)
     return ProductMdp(
         states=tuple(states),
         initial=0,
@@ -310,20 +305,14 @@ def _mec_decompose(
             changed = True
         if not changed:
             break
-    adj = {
-        s: sorted({t for support in act[s].values() for t in support})
-        for s in alive
-    }
-    comps = tarjan_scc(sorted(alive), adj)
-    out = []
-    for comp in sorted(comps, key=min):
-        out.append(
-            EndComponent(
-                states=comp,
-                actions={s: tuple(sorted(act[s])) for s in sorted(comp)},
-            )
+    # Nothing changed in the last round, so its components are final.
+    return [
+        EndComponent(
+            states=comp,
+            actions={s: tuple(sorted(act[s])) for s in sorted(comp)},
         )
-    return out
+        for comp in sorted(comps, key=min)
+    ]
 
 
 def mec_decomposition(p: ProductMdp | Mdp) -> list[EndComponent]:
@@ -356,11 +345,18 @@ def qualitative_positive(m: Mdp, a: Tela) -> bool:
     dnf = dnf_structure(a.acceptance)
     if not dnf.disjuncts or not a.initial:
         return False
-    _, actions = _explore_product(m, a, sorted(a.initial), strict=False)
-    by_fin: dict[int, list[int]] = {}
-    for i, d in enumerate(dnf.disjuncts):
-        by_fin.setdefault(d.fin, []).append(i)
-    for fin, disjunct_ids in sorted(by_fin.items()):
+    _, actions = _explore_product(m, a, strict=False)
+    return any(True for _ in _accepting_mecs(actions, dnf))
+
+
+def _accepting_mecs(actions, dnf: DnfAcceptance):
+    """Maximal end components, left after deleting the actions of some
+    disjunct's Fin set, whose action marks meet every Inf set of that
+    disjunct.  Disjuncts with the same Fin set share one decomposition."""
+    by_fin: dict[int, list[DnfDisjunct]] = {}
+    for d in dnf.disjuncts:
+        by_fin.setdefault(d.fin, []).append(d)
+    for fin, disjuncts in sorted(by_fin.items()):
         view = [
             [
                 (i, tuple(t for t, _ in act.dist))
@@ -369,16 +365,13 @@ def qualitative_positive(m: Mdp, a: Tela) -> bool:
             ]
             for acts in actions
         ]
-        mecs = _mec_decompose(len(actions), view)
-        for mec in mecs:
+        for mec in _mec_decompose(len(actions), view):
             marks = 0
             for s, aids in mec.actions.items():
                 for aid in aids:
                     marks |= actions[s][aid].marks
-            for i in disjunct_ids:
-                if all(marks & s for s in dnf.disjuncts[i].infs):
-                    return True
-    return False
+            if any(all(s == ALL or marks & s for s in d.infs) for d in disjuncts):
+                yield mec
 
 
 def _max_reach(
@@ -396,24 +389,13 @@ def _max_reach(
         [(i, tuple(t for t, _ in d)) for i, d in enumerate(state_dists)]
         for state_dists in dists
     ]
-    mecs = _mec_decompose(n, view)
-    node_of = list(range(n))
-    block_of: dict[int, frozenset[int]] = {}
-    for mec in mecs:
-        for s in mec.states:
-            block_of[s] = mec.states
-    nodes: list[frozenset[int]] = []
-    assigned: dict[int, int] = {}
-    for s in range(n):
-        if s in assigned:
-            node_of[s] = assigned[s]
-            continue
-        block = block_of.get(s, frozenset({s}))
-        nid = len(nodes)
-        nodes.append(block)
-        for q in block:
-            assigned[q] = nid
-        node_of[s] = nid
+    block_of = {s: mec.states for mec in _mec_decompose(n, view) for s in mec.states}
+    # Quotient nodes, numbered in order of their smallest state.
+    nodes: dict[frozenset[int], int] = {}
+    node_of = [
+        nodes.setdefault(block_of.get(s, frozenset({s})), len(nodes))
+        for s in range(n)
+    ]
     target_nodes = {node_of[s] for s in target}
     q_actions: list[list[dict[int, float]]] = [[] for _ in nodes]
     for s in range(n):
@@ -427,19 +409,10 @@ def _max_reach(
             if set(agg) == {nid}:
                 continue
             q_actions[nid].append(agg)
-    rev: dict[int, set[int]] = {}
-    for nid, acts in enumerate(q_actions):
-        for agg in acts:
-            for t in agg:
-                rev.setdefault(t, set()).add(nid)
-    can = set(target_nodes)
-    frontier = list(target_nodes)
-    while frontier:
-        t = frontier.pop()
-        for s in rev.get(t, ()):
-            if s not in can:
-                can.add(s)
-                frontier.append(s)
+    can = reachable(
+        target_nodes,
+        ((t, nid) for nid, acts in enumerate(q_actions) for agg in acts for t in agg),
+    )
     lo = [1.0 if nid in target_nodes else 0.0 for nid in range(len(nodes))]
     hi = [1.0 if nid in can else 0.0 for nid in range(len(nodes))]
     free = [
@@ -484,15 +457,14 @@ def pr_max_buchi(p: ProductMdp) -> float:
     sets = gba_marksets(p.acceptance)
     if sets is None or len(sets) != 1:
         raise MdpError("pr_max_buchi needs Buchi acceptance")
-    bits = sets[0]
+    return _pr_max_accepting(p)
+
+
+def _pr_max_accepting(p: ProductMdp) -> float:
+    """Maximal probability of reaching an accepting end component."""
     target: set[int] = set()
-    for mec in mec_decomposition(p):
-        if any(
-            p.actions[s][aid].marks & bits
-            for s, aids in mec.actions.items()
-            for aid in aids
-        ):
-            target |= mec.states
+    for mec in _accepting_mecs(p.actions, to_dnf(p.acceptance)):
+        target |= mec.states
     if not target:
         return 0.0
     return _max_reach(_float_dists(p.actions), p.initial, target)
@@ -511,26 +483,4 @@ def reference_pr_max(m: Mdp, a: Tela) -> float:
     product.  Serves as a cross-check."""
     from .determinize import determinize_product
 
-    d = determinize_product(a)
-    prod = mdp_product(m, d)
-    dnf = to_dnf(d.acceptance)
-    target: set[int] = set()
-    for disjunct in dnf.disjuncts:
-        view = [
-            [
-                (i, tuple(t for t, _ in act.dist))
-                for i, act in enumerate(acts)
-                if not act.marks & disjunct.fin
-            ]
-            for acts in prod.actions
-        ]
-        for mec in _mec_decompose(len(prod.actions), view):
-            marks = 0
-            for s, aids in mec.actions.items():
-                for aid in aids:
-                    marks |= prod.actions[s][aid].marks
-            if all(s == ALL or marks & s for s in disjunct.infs):
-                target |= mec.states
-    if not target:
-        return 0.0
-    return _max_reach(_float_dists(prod.actions), prod.initial, target)
+    return _pr_max_accepting(mdp_product(m, determinize_product(a)))

@@ -34,24 +34,16 @@ from .acceptance import Acceptance, dnf_length, fin_, inf_, and_, or_, to_dnf
 from .analysis import accepts, sample_lassos
 from .core import MAX_AP, Tela, TelaError
 from .determinize import (
+    DET_METHODS,
     BudgetExceeded,
     contains,
     degeneralize,
-    determinize_product,
+    determinize_by,
     safra_determinize,
 )
 from .transforms import GBA_METHODS, to_gba
 
 _AP_NAMES = ("a", "b", "c", "d", "e", "f", "g", "h")
-
-DET_METHODS = (
-    "via-gba:cnf",
-    "via-gba:remfin_split",
-    "via-gba:split_remfin",
-    "via-gba:remfin_rewrite",
-    "product",
-    "product-nolangcover",
-)
 
 
 class BenchError(TelaError):
@@ -326,12 +318,10 @@ def _bench_instances(config: BenchConfig) -> list[Tela]:
 
 
 def _det_method(a: Tela, method: str, cap: int, deadline: float):
-    if method == "product":
-        return determinize_product(a, True, cap, deadline), {}
-    if method == "product-nolangcover":
-        return determinize_product(a, False, cap, deadline), {}
-    sub = method.removeprefix("via-gba:")
-    g = to_gba(a, sub)
+    """Determinize; the via-gba methods also report the GBA they went through."""
+    if not method.startswith("via-gba:"):
+        return determinize_by(a, method, cap, deadline), {}
+    g = to_gba(a, method.removeprefix("via-gba:"))
     d = safra_determinize(degeneralize(g), cap, deadline)
     return d, {"gba_states": g.n_states, "gba_marks": g.n_marks}
 

@@ -42,6 +42,7 @@ from .core import (
     TelaError,
     Transition,
     complete,
+    reachable,
     split,
     sum_gba,
     with_all_mark,
@@ -164,14 +165,7 @@ def _prune_fin_removal(g: Tela, a: Tela, dnf: DnfAcceptance) -> Tela:
     keep = set(range(n))
     for i, disjunct in enumerate(dnf.disjuncts):
         base = (i + 1) * n
-        copy_edges = [
-            (s, d)
-            for s, _, d, marks in a.transitions
-            if not marks & disjunct.fin
-        ]
-        rev: dict[int, list[int]] = {}
-        for s, d in copy_edges:
-            rev.setdefault(d, []).append(s)
+        back = [(d, s) for s, _, d, marks in a.transitions if not marks & disjunct.fin]
         useful = None
         for s_marks in disjunct.infs:
             sources = {
@@ -179,31 +173,14 @@ def _prune_fin_removal(g: Tela, a: Tela, dnf: DnfAcceptance) -> Tela:
                 for s, _, _, marks in a.transitions
                 if not marks & disjunct.fin and marks & s_marks
             }
-            good = set(sources)
-            frontier = list(sources)
-            while frontier:
-                q = frontier.pop()
-                for p in rev.get(q, ()):
-                    if p not in good:
-                        good.add(p)
-                        frontier.append(p)
+            good = reachable(sources, back)
             useful = good if useful is None else useful & good
         for q in useful or ():
             keep.add(base + q)
     transitions = [
         t for t in g.transitions if t[0] in keep and t[2] in keep
     ]
-    reach = set(g.initial)
-    by_src: dict[int, list[Transition]] = {}
-    for t in transitions:
-        by_src.setdefault(t[0], []).append(t)
-    frontier = list(g.initial)
-    while frontier:
-        q = frontier.pop()
-        for t in by_src.get(q, ()):
-            if t[2] not in reach:
-                reach.add(t[2])
-                frontier.append(t[2])
+    reach = reachable(g.initial, ((t[0], t[2]) for t in transitions))
     order = sorted(reach)
     renum = {q: i for i, q in enumerate(order)}
     return Tela(

@@ -3,15 +3,24 @@
 These avoid the library's own algorithms on purpose: formulas are evaluated
 by direct recursion, strongly connected components come from Kosaraju's
 double sweep, and emptiness enumerates the subsets of marks occurring in
-Fin atoms that a run may visit forever.  Membership of an ultimately
-periodic word reduces to emptiness of a lasso-shaped product built here.
+Fin atoms that a run may visit forever.  A second, brute-force emptiness
+check tries every mark union with a naive transitive closure.  Membership
+of an ultimately periodic word reduces to emptiness of a lasso-shaped
+product built here.
 """
 
 from __future__ import annotations
 
 import random
 
-from tela import And, BoolConst, Fin, Inf, Or, Tela
+from tela import And, BoolConst, Fin, Inf, Or, Tela, TelaError
+
+ORACLE_STATE_LIMIT = 7
+ORACLE_MARK_LIMIT = 16
+
+
+class OracleLimitError(TelaError):
+    pass
 
 
 def eval_marks(phi, seen: int) -> bool:
@@ -123,6 +132,63 @@ def oracle_empty(a: Tela) -> bool:
             for t in internal:
                 union |= t[3]
             if eval_marks(a.acceptance, union):
+                return False
+    return True
+
+
+def brute_force_empty(a: Tela) -> bool:
+    """Emptiness oracle by exhaustive enumeration, independent of is_empty.
+
+    The language is non-empty iff some reachable, mutually connected set of
+    transitions has a mark union satisfying the acceptance condition.  All
+    2^n_marks candidate mark unions are tried; connectivity uses a naive
+    transitive closure and satisfaction eval_marks, sharing nothing with
+    the DNF-based path.
+    """
+    if a.n_states > ORACLE_STATE_LIMIT:
+        raise OracleLimitError(
+            f"oracle limited to {ORACLE_STATE_LIMIT} states, got {a.n_states}"
+        )
+    if a.n_marks > ORACLE_MARK_LIMIT:
+        raise OracleLimitError(
+            f"oracle limited to {ORACLE_MARK_LIMIT} marks, got {a.n_marks}"
+        )
+    reach = set(a.initial)
+    while True:
+        grown = {d for (s, _, d, _) in a.transitions if s in reach} - reach
+        if not grown:
+            break
+        reach |= grown
+    for want in range(1 << a.n_marks):
+        if not eval_marks(a.acceptance, want):
+            continue
+        sub = [
+            t
+            for t in a.transitions
+            if t[0] in reach and not (t[3] & ~want)
+        ]
+        closure = {q: {q} for q in range(a.n_states)}
+        for s, _, d, _ in sub:
+            closure[s].add(d)
+        changed = True
+        while changed:
+            changed = False
+            for q in closure:
+                extra = set()
+                for r in closure[q]:
+                    extra |= closure[r]
+                if not extra <= closure[q]:
+                    closure[q] |= extra
+                    changed = True
+        for q in range(a.n_states):
+            members = {r for r in closure[q] if q in closure[r]}
+            internal = [t for t in sub if t[0] in members and t[2] in members]
+            if not internal:
+                continue
+            got = 0
+            for t in internal:
+                got |= t[3]
+            if got == want:
                 return False
     return True
 

@@ -16,7 +16,6 @@ import time
 
 from tela import (
     accepts,
-    brute_force_empty,
     complete,
     is_empty,
     parse_hoa,
@@ -56,7 +55,7 @@ from tela.randbench import cnf_blowup_automaton, parse_bench_config, run_benchma
 from tela.transforms import GBA_METHODS, ensure_dnf, remove_fin, remove_fin_gba, to_gba
 
 from helpers import example_automaton, example_mdp, random_automaton, random_mdp
-from oracles import oracle_accepts, random_word
+from oracles import brute_force_empty, oracle_accepts, random_word
 
 COPY_METHODS = ("remfin_split", "split_remfin", "remfin_rewrite")
 

@@ -11,18 +11,22 @@ from tela import (
     TelaError,
     accepting_lasso,
     accepts,
-    brute_force_empty,
     complete,
     fin_,
     inf_,
     is_empty,
     sample_lassos,
 )
-from tela.analysis import OracleLimitError
 from tela.transforms import ensure_dnf, remove_fin, to_gba
 
 from helpers import example_automaton, random_automaton
-from oracles import oracle_accepts, oracle_empty, random_word
+from oracles import (
+    OracleLimitError,
+    brute_force_empty,
+    oracle_accepts,
+    oracle_empty,
+    random_word,
+)
 
 
 def universal_loop():

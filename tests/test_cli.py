@@ -198,6 +198,36 @@ def test_bad_inputs_exit_3(tmp_path, capsys):
     assert "pipeline" in capsys.readouterr().err
 
 
+def test_deep_nesting_exits_3_with_line(tmp_path, capsys):
+    depth = 5000
+    head = 'HOA: v1\nStates: 1\nStart: 0\nAP: 1 "a"\n'
+    nested = "(" * depth + "{}" + ")" * depth
+    cases = [
+        (f"Acceptance: 1 {nested.format('Inf(0)')}", "[t]", 5),
+        ("Acceptance: 1 Inf(0)", f"[{nested.format('0')}]", 8),
+        ("Acceptance: 1 Inf(0)", f"[{'!' * depth}0]", 8),
+    ]
+    for acceptance, label, line in cases:
+        path = tmp_path / "deep.hoa"
+        path.write_text(
+            f"{head}{acceptance}\n--BODY--\nState: 0\n{label} 0\n--END--\n"
+        )
+        assert main(["check", "empty", str(path)]) == 3
+        assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
+    def broken(a):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("tela.cli.accepting_lasso", broken)
+    path = write_hoa(tmp_path, "uni.hoa", universal_automaton())
+    assert main(["check", "empty", path]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.endswith("\ninternal error: RuntimeError: boom\n")
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", "bogus", "x"])

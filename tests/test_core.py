@@ -1,6 +1,7 @@
 """Tests for the automaton data type and structural operations."""
 
 import random
+import time
 
 import pytest
 
@@ -29,7 +30,7 @@ from tela import (
     sum_automata,
     sum_gba,
 )
-from tela.core import reachable_states, sccs, with_all_mark
+from tela.core import BudgetExceeded, explore, reachable_states, sccs, with_all_mark
 from tela.randbench import cnf_blowup_automaton
 
 from helpers import example_automaton, random_automaton, random_formula
@@ -382,6 +383,38 @@ def test_reachable_states():
         n_marks=0,
     )
     assert reachable_states(island) == frozenset({0, 1})
+
+
+# State 5 points back to seed 2, so revisits happen after the last discovery.
+GRAPH = {2: [0, 4], 0: [1, 3], 4: [2], 1: [5], 3: [], 5: [2]}
+
+
+def explore_graph(seeds, **budget):
+    return explore(
+        seeds, lambda q, number: [number(t) for t in GRAPH[q]], **budget
+    )
+
+
+def test_explore_numbers_seeds_first_then_breadth_first():
+    order, edges = explore_graph([2, 0, 2])
+    assert order == [2, 0, 4, 1, 3, 5]
+    assert edges == [[1, 2], [3, 4], [0], [5], [], [0]]
+
+
+def test_explore_state_cap_counts_only_new_states():
+    order, _ = explore_graph([2], state_cap=6)
+    assert len(order) == 6
+    with pytest.raises(BudgetExceeded) as excinfo:
+        explore_graph([2], state_cap=5, stage="demo")
+    assert excinfo.value.kind == "states"
+    assert str(excinfo.value) == "demo exceeded 5 states"
+
+
+def test_explore_past_deadline_raises_time():
+    with pytest.raises(BudgetExceeded) as excinfo:
+        explore_graph([2], deadline=time.perf_counter() - 1.0, stage="demo")
+    assert excinfo.value.kind == "time"
+    assert str(excinfo.value) == "demo deadline exceeded"
 
 
 def test_sccs_ordered_by_smallest_state():
