@@ -12,6 +12,10 @@ Mark sets are plain ints used as bitmasks.  The constant ALL stands for the
 set of all transitions of the owning automaton (Inf(ALL) holds on every run);
 it appears only inside DnfAcceptance and is materialized as a real mark by
 automaton-level code when needed.
+
+This module owns the HOA Boolean syntax: `parse_formula` reads both
+Acceptance formulas (through `parse_acceptance`) and transition labels
+(through hoaio).
 """
 
 from __future__ import annotations
@@ -464,93 +468,108 @@ def format_acceptance(phi: Acceptance) -> str:
 
 def parse_acceptance(text: str, n_marks: int | None = None) -> Acceptance:
     """Parse the HOA Acceptance formula syntax (t, f, Inf(k), Fin(k), &, |)."""
-    tokens = _tokenize_acceptance(text)
-    pos = 0
+    def leaf(kind: str, k: int | None) -> Acceptance | None:
+        if kind not in ("Inf", "Fin"):
+            return {"t": TRUE, "f": FALSE}.get(kind)
+        if n_marks is not None and k >= n_marks:
+            raise AcceptanceError(
+                f"mark {k} out of range, acceptance declares {n_marks}"
+            )
+        return Inf(1 << k) if kind == "Inf" else Fin(1 << k)
 
-    def peek() -> str | None:
-        return tokens[pos][0] if pos < len(tokens) else None
+    return parse_formula(text, "acceptance formula", leaf, and_, or_)
+
+
+def parse_formula(text: str, what: str, leaf, conj, disj, neg=None):
+    """Fold a formula in the HOA Boolean syntax bottom-up as it is read.
+
+    `|` binds loosest, then `&`, then prefix `!`; an atom is t, f, an
+    integer, Inf(k), Fin(k) or a parenthesized formula.  `leaf(kind, k)` gives
+    an atom's value (kind "t", "f", "int", "Inf" or "Fin"; k None for t and f),
+    or None where that atom is not allowed.  `conj` and `disj` fold the
+    operand lists of & and |, `neg` the operand of ! (None rejects !).
+    Malformed text raises AcceptanceError naming `what`.
+    """
+    tokens = _tokenize(text, what)
+    if not tokens:
+        raise AcceptanceError(f"empty {what}")
+    where = f"in {what} {text!r}"
+    pos = 0
 
     def take() -> tuple[str, int]:
         nonlocal pos
         if pos >= len(tokens):
-            raise AcceptanceError(f"unexpected end of acceptance formula: {text!r}")
-        tok = tokens[pos]
+            raise AcceptanceError(f"{what} {text!r} ends unexpectedly")
         pos += 1
-        return tok
+        return tokens[pos - 1]
 
-    def parse_or() -> Acceptance:
+    def expect(want: str) -> None:
+        tok, col = take()
+        if tok != want:
+            raise AcceptanceError(f"expected {want!r} at column {col} {where}")
+
+    def parse_or():
         parts = [parse_and()]
-        while peek() == "|":
+        while pos < len(tokens) and tokens[pos][0] == "|":
             take()
             parts.append(parse_and())
-        return or_(parts)
+        return disj(parts)
 
-    def parse_and() -> Acceptance:
+    def parse_and():
         parts = [parse_atom()]
-        while peek() == "&":
+        while pos < len(tokens) and tokens[pos][0] == "&":
             take()
             parts.append(parse_atom())
-        return and_(parts)
+        return conj(parts)
 
-    def parse_atom() -> Acceptance:
-        kind, col = take()
-        if kind == "t":
-            return TRUE
-        if kind == "f":
-            return FALSE
-        if kind == "(":
-            inner = parse_or()
-            kind, col = take()
-            if kind != ")":
-                raise AcceptanceError(f"expected ')' at column {col} in {text!r}")
-            return inner
-        if kind in ("Inf", "Fin"):
-            open_, col2 = take()
-            if open_ != "(":
-                raise AcceptanceError(f"expected '(' at column {col2} in {text!r}")
-            num, col3 = take()
+    def parse_atom():
+        tok, col = take()
+        if tok == "!" and neg is not None:
+            return neg(parse_atom())
+        if tok == "(":
+            value = parse_or()
+            expect(")")
+            return value
+        if tok in ("Inf", "Fin"):
+            expect("(")
+            num, num_col = take()
             if not num.isdigit():
                 raise AcceptanceError(
-                    f"expected mark index at column {col3} in {text!r}"
+                    f"expected mark index at column {num_col} {where}"
                     " (negated mark atoms are unsupported)"
                 )
-            close, col4 = take()
-            if close != ")":
-                raise AcceptanceError(f"expected ')' at column {col4} in {text!r}")
-            mark = int(num)
-            if n_marks is not None and mark >= n_marks:
-                raise AcceptanceError(
-                    f"mark {mark} out of range, acceptance declares {n_marks}"
-                )
-            return Inf(1 << mark) if kind == "Inf" else Fin(1 << mark)
-        raise AcceptanceError(f"unexpected token {kind!r} at column {col} in {text!r}")
+            expect(")")
+            value = leaf(tok, int(num))
+        elif tok.isdigit():
+            value = leaf("int", int(tok))
+        else:
+            value = leaf(tok, None) if tok in ("t", "f") else None
+        if value is None:
+            raise AcceptanceError(f"unexpected token {tok!r} at column {col} {where}")
+        return value
 
     try:
         result = parse_or()
     except RecursionError:
-        raise AcceptanceError("acceptance formula nested too deeply") from None
+        raise AcceptanceError(f"{what} nested too deeply") from None
     if pos != len(tokens):
-        raise AcceptanceError(
-            f"trailing input at column {tokens[pos][1]} in {text!r}"
-        )
+        raise AcceptanceError(f"trailing input {where} at column {tokens[pos][1]}")
     return result
 
 
-def _tokenize_acceptance(text: str) -> list[tuple[str, int]]:
+def _tokenize(text: str, what: str) -> list[tuple[str, int]]:
+    """Tokens of the HOA Boolean syntax with their columns."""
     tokens: list[tuple[str, int]] = []
     i = 0
     while i < len(text):
         c = text[i]
         if c.isspace():
             i += 1
-        elif c in "()&|":
+        elif c in "()&|!":
             tokens.append((c, i))
             i += 1
-        elif text.startswith("Inf", i):
-            tokens.append(("Inf", i))
-            i += 3
-        elif text.startswith("Fin", i):
-            tokens.append(("Fin", i))
+        elif text.startswith(("Inf", "Fin"), i):
+            tokens.append((text[i : i + 3], i))
             i += 3
         elif c in "tf" and not text[i + 1 : i + 2].isalnum():
             tokens.append((c, i))
@@ -562,5 +581,7 @@ def _tokenize_acceptance(text: str) -> list[tuple[str, int]]:
             tokens.append((text[i:j], i))
             i = j
         else:
-            raise AcceptanceError(f"bad character {c!r} at column {i} in {text!r}")
+            raise AcceptanceError(
+                f"bad character {c!r} at column {i} in {what} {text!r}"
+            )
     return tokens

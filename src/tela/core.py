@@ -18,12 +18,15 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .acceptance import (
+    ALL,
+    FALSE,
     Acceptance,
     Inf,
     Or,
     and_,
     all_marks,
     evaluate,
+    gba_marksets,
     negate,
     offset_marks,
     or_,
@@ -181,15 +184,12 @@ def complete(a: Tela) -> Tela:
     """
     if is_complete(a):
         return a
-    sink = a.n_states
     acceptance = a.acceptance
-    n_marks = a.n_marks
-    transitions = list(a.transitions)
     if evaluate(0, acceptance):
-        guard = 1 << n_marks
-        transitions = [(s, l, d, m | guard) for (s, l, d, m) in transitions]
-        acceptance = and_([acceptance, Inf(guard)])
-        n_marks += 1
+        a, guard = with_all_mark(a)
+        acceptance = and_([acceptance, Inf(1 << guard)])
+    sink = a.n_states
+    transitions = list(a.transitions)
     present = {(t[0], t[1]) for t in a.transitions}
     for q in range(a.n_states):
         for letter in range(a.n_letters):
@@ -203,7 +203,19 @@ def complete(a: Tela) -> Tela:
         initial=a.initial if a.initial else frozenset({sink}),
         transitions=tuple(transitions),
         acceptance=acceptance,
-        n_marks=n_marks,
+        n_marks=a.n_marks,
+    )
+
+
+def empty_language_automaton(ap: tuple[str, ...]) -> Tela:
+    """A deterministic complete automaton accepting nothing."""
+    return Tela(
+        ap=ap,
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=tuple((0, letter, 0, 0) for letter in range(1 << len(ap))),
+        acceptance=FALSE,
+        n_marks=0,
     )
 
 
@@ -263,8 +275,6 @@ def sum_gba(a0: Tela, a1: Tela) -> Tela:
     component's set j did (or the set is padding).  The result has exactly
     k marks and acceptance /\\ Inf(j).
     """
-    from .acceptance import gba_marksets
-
     _require_same_ap(a0, a1)
     sets0 = gba_marksets(a0.acceptance)
     sets1 = gba_marksets(a1.acceptance)
@@ -276,14 +286,11 @@ def sum_gba(a0: Tela, a1: Tela) -> Tela:
     k = max(len(sets0), len(sets1), 1)
 
     def renumber(a: Tela, sets: list[int], state_off: int) -> list[Transition]:
-        out = []
-        for s, l, d, m in a.transitions:
-            bits = 0
-            for j in range(k):
-                if j >= len(sets) or m & sets[j]:
-                    bits |= 1 << j
-            out.append((s + state_off, l, d + state_off, bits))
-        return out
+        sets = sets + [ALL] * (k - len(sets))
+        return [
+            (s + state_off, l, d + state_off, project_marks(m, sets))
+            for s, l, d, m in a.transitions
+        ]
 
     transitions = renumber(a0, sets0, 0) + renumber(a1, sets1, a0.n_states)
     return Tela(
@@ -294,6 +301,15 @@ def sum_gba(a0: Tela, a1: Tela) -> Tela:
         acceptance=and_([Inf(1 << j) for j in range(k)]),
         n_marks=k,
     )
+
+
+def project_marks(marks: int, sets) -> int:
+    """Bit j is set iff `marks` meets sets[j]; an ALL entry always matches."""
+    bits = 0
+    for j, s in enumerate(sets):
+        if s == ALL or marks & s:
+            bits |= 1 << j
+    return bits
 
 
 def product(a0: Tela, a1: Tela, combinator: str) -> Tela:

@@ -9,15 +9,15 @@ the children and emits a green mark for its name.  A name emits red when it
 vanishes.  The result is deterministic with Rabin acceptance: some name is
 eventually never red and infinitely often green.
 
-determinize_product determinizes each DNF disjunct separately via
-Fin-removal, degeneralization and Safra, and combines the parts with the
-union product, skipping parts whose language is already covered.
+disjunct_determinizations determinizes each DNF disjunct separately via
+Fin-removal, degeneralization and Safra; determinize_product combines the
+parts with the union product, skipping parts whose language is already
+covered.
 """
 
 from __future__ import annotations
 
 from .acceptance import (
-    FALSE,
     TRUE,
     Inf,
     and_,
@@ -37,6 +37,7 @@ from .core import (
     TelaError,
     complement_deterministic,
     complete,
+    empty_language_automaton,
     explore,
     flatten_edges,
     is_complete,
@@ -273,16 +274,8 @@ def determinize_product(
     With langcover enabled, a part whose language is contained in the union
     built so far is skipped.
     """
-    a = ensure_dnf(a)
-    dnf = dnf_structure(a.acceptance)
-    if not dnf.disjuncts:
-        return empty_language_automaton(a.ap)
     acc: Tela | None = None
-    for disjunct in dnf.disjuncts:
-        part = a.with_acceptance(disjunct_formula(disjunct), a.n_marks)
-        det = safra_determinize(
-            degeneralize(remove_fin(part)), state_cap, deadline
-        )
+    for det in disjunct_determinizations(a, state_cap, deadline):
         if acc is None:
             acc = det
         elif langcover and contains(acc, det):
@@ -293,8 +286,19 @@ def determinize_product(
                     f"union product exceeded {state_cap} states", "states"
                 )
             acc = product(acc, det, "or")
-    assert acc is not None
-    return acc
+    return empty_language_automaton(a.ap) if acc is None else acc
+
+
+def disjunct_determinizations(
+    a: Tela, state_cap: int | None = None, deadline: float | None = None
+):
+    """Deterministic automata, one per DNF disjunct of a's acceptance, whose
+    languages together make up a's; each is built by Fin-removal,
+    degeneralization and Safra only when the previous one has been taken."""
+    a = ensure_dnf(a)
+    for disjunct in dnf_structure(a.acceptance).disjuncts:
+        part = a.with_acceptance(disjunct_formula(disjunct), a.n_marks)
+        yield safra_determinize(degeneralize(remove_fin(part)), state_cap, deadline)
 
 
 def contains(p: Tela, d: Tela) -> bool:
@@ -316,15 +320,3 @@ def contains(p: Tela, d: Tela) -> bool:
 def equivalent_deterministic(a: Tela, b: Tela) -> bool:
     """Language equality of two deterministic complete automata."""
     return contains(a, b) and contains(b, a)
-
-
-def empty_language_automaton(ap: tuple[str, ...]) -> Tela:
-    """A deterministic complete automaton accepting nothing."""
-    return Tela(
-        ap=ap,
-        n_states=1,
-        initial=frozenset({0}),
-        transitions=tuple((0, letter, 0, 0) for letter in range(1 << len(ap))),
-        acceptance=FALSE,
-        n_marks=0,
-    )

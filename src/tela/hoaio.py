@@ -8,17 +8,23 @@ state conjunctions are rejected with a diagnostic carrying the line number.
 Printing is canonical and byte-deterministic: fixed header order, states
 ascending, one transition line per letter sorted by (letter, target, marks).
 Parsing the printed form reproduces the automaton structurally.
+
+Header and body lines are read here; Acceptance formulas and transition
+labels go to acceptance.parse_formula, labels folding into letter sets.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from functools import partial, reduce
 
 from .acceptance import (
     AcceptanceError,
     format_acceptance,
     mark_indices,
     parse_acceptance,
+    parse_formula,
 )
 from .core import MAX_AP, Tela, TelaError, Transition, is_deterministic
 
@@ -30,6 +36,15 @@ class HoaParseError(TelaError):
 
 
 _QUOTED = re.compile(r'"([^"]*)"')
+
+# _AP_LETTERS[n][i]: the letters over n APs in which AP i holds, as a bitmask
+# with bit l standing for letter l.
+_AP_LETTERS = [
+    [sum(1 << letter for letter in range(1 << n) if letter >> i & 1) for i in range(n)]
+    for n in range(MAX_AP + 1)
+]
+_INTERSECT = partial(reduce, operator.and_)
+_UNITE = partial(reduce, operator.or_)
 
 
 def parse_hoa(text: str) -> Tela:
@@ -111,7 +126,6 @@ def parse_hoa(text: str) -> Tela:
     if acceptance is None or n_marks is None:
         raise HoaParseError("missing Acceptance header", 1)
 
-    n_letters = 1 << len(ap)
     transitions: list[Transition] = []
     declared: set[int] = set()
     current: int | None = None
@@ -214,9 +228,7 @@ def print_hoa(a: Tela) -> str:
         by_src[t[0]].append(t)
     for q in range(a.n_states):
         out.append(f"State: {q}")
-        for _, letter, dst, marks in sorted(
-            by_src[q], key=lambda t: (t[1], t[2], t[3])
-        ):
+        for _, letter, dst, marks in by_src[q]:
             label = _letter_label(letter, len(a.ap))
             mark_txt = ""
             if marks:
@@ -243,103 +255,19 @@ def _parse_int(token: str, what: str, lineno: int) -> int:
 
 def _label_letters(label: str, n_ap: int, lineno: int) -> list[int]:
     """Letters (assignments) satisfying a HOA label formula over AP indices."""
-    tokens = _tokenize_label(label, lineno)
-    pos = 0
+    every = (1 << (1 << n_ap)) - 1
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise HoaParseError(f"label {label!r} ends unexpectedly", lineno)
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse_or():
-        node = parse_and()
-        while peek() == "|":
-            take()
-            node = ("or", node, parse_and())
-        return node
-
-    def parse_and():
-        node = parse_not()
-        while peek() == "&":
-            take()
-            node = ("and", node, parse_not())
-        return node
-
-    def parse_not():
-        if peek() == "!":
-            take()
-            return ("not", parse_not())
-        return parse_atom()
-
-    def parse_atom():
-        tok = take()
-        if tok == "(":
-            node = parse_or()
-            if take() != ")":
-                raise HoaParseError(f"expected ')' in label {label!r}", lineno)
-            return node
-        if tok == "t":
-            return ("const", True)
-        if tok == "f":
-            return ("const", False)
-        if tok.isdigit():
-            idx = int(tok)
-            if idx >= n_ap:
-                raise HoaParseError(
-                    f"label {label!r} references AP {idx}, only {n_ap} declared",
-                    lineno,
-                )
-            return ("ap", idx)
-        raise HoaParseError(f"bad token {tok!r} in label {label!r}", lineno)
-
-    def holds(node, letter: int) -> bool:
-        kind = node[0]
-        if kind == "const":
-            return node[1]
-        if kind == "ap":
-            return bool(letter >> node[1] & 1)
-        if kind == "not":
-            return not holds(node[1], letter)
-        if kind == "and":
-            return holds(node[1], letter) and holds(node[2], letter)
-        return holds(node[1], letter) or holds(node[2], letter)
+    def leaf(kind: str, k: int | None) -> int | None:
+        if kind != "int":
+            return {"t": every, "f": 0}.get(kind)
+        if k >= n_ap:
+            raise AcceptanceError(
+                f"label {label!r} references AP {k}, only {n_ap} declared"
+            )
+        return _AP_LETTERS[n_ap][k]
 
     try:
-        tree = parse_or()
-        if pos != len(tokens):
-            raise HoaParseError(f"trailing input in label {label!r}", lineno)
-        return [letter for letter in range(1 << n_ap) if holds(tree, letter)]
-    except RecursionError:
-        raise HoaParseError("label nested too deeply", lineno) from None
-
-
-def _tokenize_label(label: str, lineno: int) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(label):
-        c = label[i]
-        if c.isspace():
-            i += 1
-        elif c in "()&|!":
-            tokens.append(c)
-            i += 1
-        elif c in "tf" and not label[i + 1 : i + 2].isalnum():
-            tokens.append(c)
-            i += 1
-        elif c.isdigit():
-            j = i
-            while j < len(label) and label[j].isdigit():
-                j += 1
-            tokens.append(label[i:j])
-            i = j
-        else:
-            raise HoaParseError(f"bad character {c!r} in label {label!r}", lineno)
-    if not tokens:
-        raise HoaParseError("empty label", lineno)
-    return tokens
+        letters = parse_formula(label, "label", leaf, _INTERSECT, _UNITE, every.__xor__)
+    except AcceptanceError as exc:
+        raise HoaParseError(str(exc), lineno) from exc
+    return list(mark_indices(letters))

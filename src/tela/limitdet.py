@@ -30,20 +30,20 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .acceptance import ALL, Inf, and_, disjunct_formula, dnf_structure
+from .acceptance import ALL, Inf, and_, dnf_structure
 from .analysis import accepting_lasso
 from .core import (
     Lasso,
     Tela,
     TelaError,
     Transition,
+    empty_language_automaton,
     explore,
     flatten_edges,
     reachable,
     sum_automata,
 )
-from .determinize import degeneralize, empty_language_automaton, safra_determinize
-from .transforms import ensure_dnf, remove_fin
+from .determinize import disjunct_determinizations
 
 GFM_STATE_LIMIT = 12
 
@@ -131,15 +131,8 @@ def is_syntactically_limit_deterministic(a: Tela) -> bool:
 def limit_det_sum(a: Tela) -> Tela:
     """Limit-deterministic automaton as a disjoint sum of per-disjunct
     determinizations."""
-    a = ensure_dnf(a)
-    dnf = dnf_structure(a.acceptance)
-    if not dnf.disjuncts:
-        return empty_language_automaton(a.ap)
-    parts = []
-    for disjunct in dnf.disjuncts:
-        part = a.with_acceptance(disjunct_formula(disjunct), a.n_marks)
-        parts.append(safra_determinize(degeneralize(remove_fin(part))))
-    return reduce(sum_automata, parts)
+    parts = list(disjunct_determinizations(a))
+    return reduce(sum_automata, parts) if parts else empty_language_automaton(a.ap)
 
 
 _BpState = tuple[frozenset[int], frozenset[int], int]

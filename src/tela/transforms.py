@@ -42,6 +42,8 @@ from .core import (
     TelaError,
     Transition,
     complete,
+    empty_language_automaton,
+    project_marks,
     reachable,
     split,
     sum_gba,
@@ -79,28 +81,18 @@ def remove_fin(a: Tela, prune: bool = True) -> Tela:
     (m+1)*|Q| states.
     """
     dnf = dnf_structure(a.acceptance)
-    offsets = []
+    # Copy i's sets start with one empty set per mark of the copies before
+    # it; empty sets never match, so its marks come after theirs.
+    copy_sets = []
     total = 0
     for d in dnf.disjuncts:
-        offsets.append(total)
+        copy_sets.append((0,) * total + d.infs)
         total += len(d.infs)
-
-    def copy_marks(i: int, orig_marks: int) -> int:
-        d = dnf.disjuncts[i]
-        bits = 0
-        for j, s in enumerate(d.infs):
-            if orig_marks & s:
-                bits |= 1 << (offsets[i] + j)
-        return bits
-
     acceptance = or_(
-        and_(
-            Inf(1 << (offsets[i] + j))
-            for j in range(len(d.infs))
-        )
-        for i, d in enumerate(dnf.disjuncts)
+        and_(Inf(1 << j) for j in range(len(sets) - len(d.infs), len(sets)))
+        for sets, d in zip(copy_sets, dnf.disjuncts)
     )
-    return _fin_removal_structure(a, dnf, copy_marks, acceptance, total, prune)
+    return _fin_removal_structure(a, dnf, copy_sets, acceptance, total, prune)
 
 
 def remove_fin_gba(a: Tela, prune: bool = True) -> Tela:
@@ -113,38 +105,34 @@ def remove_fin_gba(a: Tela, prune: bool = True) -> Tela:
     """
     dnf = dnf_structure(a.acceptance)
     k = max((len(d.infs) for d in dnf.disjuncts), default=0)
-
-    def copy_marks(i: int, orig_marks: int) -> int:
-        d = dnf.disjuncts[i]
-        bits = 0
-        for j in range(k):
-            if j >= len(d.infs) or orig_marks & d.infs[j]:
-                bits |= 1 << j
-        return bits
-
+    copy_sets = [d.infs + (ALL,) * (k - len(d.infs)) for d in dnf.disjuncts]
     acceptance = and_(Inf(1 << j) for j in range(k)) if k else FALSE
-    return _fin_removal_structure(a, dnf, copy_marks, acceptance, k, prune)
+    return _fin_removal_structure(a, dnf, copy_sets, acceptance, k, prune)
 
 
 def _fin_removal_structure(
     a: Tela,
     dnf: DnfAcceptance,
-    copy_marks,
+    copy_sets: list[tuple[int, ...]],
     acceptance,
     n_marks: int,
     prune: bool,
 ) -> Tela:
+    """Main copy plus copy i per disjunct, whose transition marks are the
+    original marks projected onto copy_sets[i]."""
     n = a.n_states
     m = len(dnf.disjuncts)
     transitions: list[Transition] = []
     for s, letter, d, _marks in a.transitions:
         transitions.append((s, letter, d, 0))
-    for i, disjunct in enumerate(dnf.disjuncts):
+    for i, (disjunct, sets) in enumerate(zip(dnf.disjuncts, copy_sets)):
         base = (i + 1) * n
         for s, letter, d, marks in a.transitions:
             transitions.append((s, letter, base + d, 0))
             if not marks & disjunct.fin:
-                transitions.append((base + s, letter, base + d, copy_marks(i, marks)))
+                transitions.append(
+                    (base + s, letter, base + d, project_marks(marks, sets))
+                )
     out = Tela(
         ap=a.ap,
         n_states=(m + 1) * n,
@@ -203,17 +191,14 @@ def to_gba(a: Tela, method: str) -> Tela:
         raise TelaError(f"unknown GBA method {method!r}; choose from {GBA_METHODS}")
     a = ensure_dnf(a)
     if a.acceptance == FALSE:
-        return _empty_gba(a.ap)
+        return empty_language_automaton(a.ap).with_acceptance(Inf(1), 1)
     if method == "cnf":
         g = remove_fin(a)
         clause_sets = finless_to_gba(g.acceptance)
-        transitions = []
-        for s, letter, d, marks in g.transitions:
-            bits = 0
-            for j, clause in enumerate(clause_sets):
-                if marks & clause:
-                    bits |= 1 << j
-            transitions.append((s, letter, d, bits))
+        transitions = [
+            (s, letter, d, project_marks(marks, clause_sets))
+            for s, letter, d, marks in g.transitions
+        ]
         return Tela(
             ap=g.ap,
             n_states=g.n_states,
@@ -229,14 +214,3 @@ def to_gba(a: Tela, method: str) -> Tela:
     else:  # split_remfin
         parts = [complete(remove_fin(part)) for part in split(a)]
     return reduce(sum_gba, parts)
-
-
-def _empty_gba(ap: tuple[str, ...]) -> Tela:
-    return Tela(
-        ap=ap,
-        n_states=1,
-        initial=frozenset({0}),
-        transitions=tuple((0, letter, 0, 0) for letter in range(1 << len(ap))),
-        acceptance=Inf(1),
-        n_marks=1,
-    )

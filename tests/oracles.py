@@ -6,12 +6,14 @@ double sweep, and emptiness enumerates the subsets of marks occurring in
 Fin atoms that a run may visit forever.  A second, brute-force emptiness
 check tries every mark union with a naive transitive closure.  Membership
 of an ultimately periodic word reduces to emptiness of a lasso-shaped
-product built here.
+product built here.  HOA transition labels are rewritten into Python
+expressions and evaluated per letter.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from tela import And, BoolConst, Fin, Inf, Or, Tela, TelaError
 
@@ -222,3 +224,24 @@ def random_word(rng: random.Random, n_letters: int, max_len: int = 4):
     u = tuple(rng.randrange(n_letters) for _ in range(rng.randint(0, max_len)))
     v = tuple(rng.randrange(n_letters) for _ in range(rng.randint(1, max_len)))
     return u, v
+
+
+_LABEL_WORDS = {"t": "True", "f": "False", "!": "not", "&": "and", "|": "or"}
+
+
+def oracle_label_letters(label: str, n_ap: int) -> list[int]:
+    """Letters satisfying a HOA label: the label is rewritten into a Python
+    expression (Python's not/and/or have HOA's precedence) and evaluated
+    for every letter."""
+
+    def word(m: re.Match) -> str:
+        tok = m.group()
+        if tok.isdigit():
+            return f" ((letter >> {tok}) % 2 == 1) "
+        return f" {_LABEL_WORDS[tok]} "
+
+    python = re.sub(r"\d+|[tf!&|]", word, label).strip()
+    expr = compile(python, "<label>", "eval")
+    return [
+        letter for letter in range(1 << n_ap) if eval(expr, {"letter": letter})
+    ]

@@ -13,6 +13,7 @@ from tela.hoaio import HoaParseError
 from tela.randbench import random_tela
 
 from helpers import example_automaton, random_automaton
+from oracles import oracle_label_letters
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -99,6 +100,41 @@ State: 0
     blanket = text.replace("[0 | !1] 0 {0}", "[t] 0 {0}")
     b = parse_hoa(blanket)
     assert sorted(t[1] for t in b.transitions if t[3] == 1) == [0, 1, 2, 3]
+
+
+def random_label(rng: random.Random, n_ap: int, depth: int = 0) -> str:
+    """Label text over n_ap APs with `!`, parentheses, unparenthesized
+    `&`/`|` chains and uneven spacing."""
+
+    def gap() -> str:
+        return rng.choice(["", "", " ", "  "])
+
+    roll = rng.random() if depth < 4 else 0.0
+    if roll < 0.35:
+        atoms = ["t", "f"] + [str(i) for i in range(n_ap)] * 3
+        return rng.choice(atoms)
+    if roll < 0.5:
+        return "!" + gap() + random_label(rng, n_ap, depth + 1)
+    if roll < 0.65:
+        return "(" + gap() + random_label(rng, n_ap, depth + 1) + gap() + ")"
+    op = rng.choice("&|")
+    return gap().join(
+        [random_label(rng, n_ap, depth + 1), op, random_label(rng, n_ap, depth + 1)]
+    )
+
+
+def test_label_expansion_matches_the_oracle():
+    rng = random.Random(3)
+    for _ in range(1000):
+        n_ap = rng.randint(0, 8)
+        label = random_label(rng, n_ap)
+        names = "".join(f' "p{i}"' for i in range(n_ap))
+        text = (
+            f"HOA: v1\nStates: 1\nStart: 0\nAP: {n_ap}{names}\n"
+            f"Acceptance: 1 Inf(0)\n--BODY--\nState: 0\n[{label}] 0\n--END--\n"
+        )
+        letters = [t[1] for t in parse_hoa(text).transitions]
+        assert letters == oracle_label_letters(label, n_ap), label
 
 
 def test_round_trip_reproduces_random_automata():
@@ -205,6 +241,11 @@ PARSE_ERROR_CASES = [
         MINIMAL.replace("Acceptance: 1 Inf(0)", "Acceptance: 1 Inf(3)"),
         5,
         "mark 3 out of range",
+    ),
+    (
+        MINIMAL.replace("Acceptance: 1 Inf(0)", "Acceptance: 1 Inf(!0)"),
+        5,
+        "negated mark atoms are unsupported",
     ),
     (MINIMAL.replace("State: 0", "State: 0 {0}"), 7, "state-based acceptance"),
     (MINIMAL.replace("State: 0", "State: [t] 0"), 7, "state labels are not supported"),
