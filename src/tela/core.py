@@ -297,7 +297,8 @@ def sum_gba(a0: Tela, a1: Tela) -> Tela:
         ap=a0.ap,
         n_states=a0.n_states + a1.n_states,
         initial=a0.initial | frozenset(q + a0.n_states for q in a1.initial),
-        transitions=tuple(transitions),
+        # Parallel transitions whose marks project alike coincide.
+        transitions=tuple(dict.fromkeys(transitions)),
         acceptance=and_([Inf(1 << j) for j in range(k)]),
         n_marks=k,
     )

@@ -26,6 +26,7 @@ from .acceptance import (
     fin_,
     gba_marksets,
     inf_,
+    mark_indices,
     offset_dnf,
     or_,
     to_dnf,
@@ -69,7 +70,9 @@ def degeneralize(g: Tela) -> Tela:
             ap=g.ap,
             n_states=g.n_states,
             initial=g.initial,
-            transitions=tuple((s, letter, d, 1) for s, letter, d, _ in g.transitions),
+            transitions=tuple(
+                dict.fromkeys((s, letter, d, 1) for s, letter, d, _ in g.transitions)
+            ),
             acceptance=Inf(1),
             n_marks=1,
         )
@@ -90,13 +93,14 @@ def degeneralize(g: Tela) -> Tela:
         ap=g.ap,
         n_states=len(order),
         initial=frozenset(range(len(g.initial))),
-        transitions=flatten_edges(edges),
+        # Parallel transitions that both miss the level's set coincide.
+        transitions=tuple(dict.fromkeys(flatten_edges(edges))),
         acceptance=Inf(1),
         n_marks=1,
     )
 
 
-_Node = tuple[int, tuple[int, ...], tuple]  # name, label, children
+_Node = tuple[int, int, tuple]  # name, label (a bitmask of states), children
 
 
 def safra_determinize(
@@ -116,32 +120,22 @@ def safra_determinize(
         raise TelaError("Safra determinization needs Buchi acceptance")
     accbits = accsets[0]
     b = complete(b)
-
-    succ = b.succ
-    n_letters = b.n_letters
-
-    def images(label: tuple[int, ...], letter: int) -> tuple[set[int], set[int]]:
-        img: set[int] = set()
-        acc_img: set[int] = set()
-        for q in label:
-            for _, _, dst, marks in succ(q, letter):
-                img.add(dst)
-                if marks & accbits:
-                    acc_img.add(dst)
-        return img, acc_img
-
-    max_name = 0
+    # post[letter][q]: the states q reaches on the letter, and those it
+    # reaches through an accepting transition, as bitmasks.
+    post = [[(0, 0)] * b.n_states for _ in range(b.n_letters)]
+    for s, letter, d, marks in b.transitions:
+        img, acc = post[letter][s]
+        bit = 1 << d
+        post[letter][s] = (img | bit, (acc | bit) if marks & accbits else acc)
 
     def expand(tree: _Node, number):
-        nonlocal max_name
-        for letter in range(n_letters):
-            nxt, marks, top = _safra_step(tree, letter, images)
-            max_name = max(max_name, top)
+        for letter, row in enumerate(post):
+            nxt, marks = _safra_step(tree, row)
             yield letter, number(nxt), marks
 
-    root = (0, tuple(sorted(b.initial)), ())
+    root = (0, sum(1 << q for q in b.initial), ())
     order, edges = explore([root], expand, state_cap, deadline, "determinization")
-    names = max_name + 1
+    names = 1 + max(max(_names(tree)) for tree in order)
     acceptance = or_(
         and_([fin_(1 << (2 * n + 1)), inf_(1 << (2 * n))]) for n in range(names)
     )
@@ -155,90 +149,63 @@ def safra_determinize(
     )
 
 
-def _safra_step(tree: _Node, letter: int, images) -> tuple[_Node, int, int]:
-    """One deterministic Safra-tree transition.
+def _names(node: _Node):
+    """The names of a Safra tree, in pre-order."""
+    yield node[0]
+    for child in node[2]:
+        yield from _names(child)
 
-    Returns the successor tree, the mark bits (greens and reds), and the
-    largest name mentioned in either tree.
+
+def _safra_step(tree: _Node, post) -> tuple[_Node, int]:
+    """One deterministic Safra-tree transition on the letter for which post[q]
+    holds q's successor and accepting-successor bitmasks: the successor tree
+    and its green and red mark bits.
+
+    step(node, allowed) rewrites a node in one post-order pass.  Its label
+    becomes the image of its old label within `allowed`, the parent's new
+    label minus what older siblings kept, and children left empty are
+    dropped.  If the old label has accepting successors, the node then takes
+    the smallest name that is neither in the old tree nor taken earlier in
+    this step, so after all of its descendants, and spawns a youngest child
+    labelled with the accepting successors no child kept; the name stays
+    taken even when that child comes out empty.  A node whose children cover
+    its label drops them and their greens and is green itself.  Names of the
+    old tree missing from the new one are red.
     """
-    old_names: set[int] = set()
+    old = set(_names(tree))
+    taken = set(old)
 
-    def collect(node: _Node) -> None:
-        old_names.add(node[0])
-        for c in node[2]:
-            collect(c)
-
-    collect(tree)
-    used = set(old_names)
-
-    def build(node: _Node) -> list:
+    def step(node: _Node, allowed: int) -> tuple[_Node, int]:
         name, label, children = node
-        img, acc_img = images(label, letter)
-        new_children = [build(c) for c in children]
-        if acc_img:
+        img = acc = 0
+        for q in mark_indices(label):
+            img |= post[q][0]
+            acc |= post[q][1]
+        label = free = img & allowed
+        kept = []
+        greens = 0
+        for child in children:
+            new, child_greens = step(child, free)
+            if new[1]:
+                kept.append(new)
+                greens |= child_greens
+                free &= ~new[1]
+        if acc:
             fresh = 0
-            while fresh in used:
+            while fresh in taken:
                 fresh += 1
-            used.add(fresh)
-            new_children.append([fresh, set(acc_img), []])
-        return [name, img, new_children]
+            taken.add(fresh)
+            if acc & free:
+                kept.append((fresh, acc & free, ()))
+                free &= ~acc
+        if kept and not free:
+            return (name, label, ()), 1 << (2 * name)
+        return (name, label, tuple(kept)), greens
 
-    root = build(tree)
-
-    def restrict(node: list, allowed: set[int]) -> None:
-        node[1] &= allowed
-        for c in node[2]:
-            restrict(c, node[1])
-
-    def horizontal(node: list) -> None:
-        seen: set[int] = set()
-        for c in node[2]:
-            c[1] -= seen
-            seen |= c[1]
-            restrict(c, c[1])
-            horizontal(c)
-
-    horizontal(root)
-
-    def prune(node: list) -> None:
-        node[2] = [c for c in node[2] if c[1]]
-        for c in node[2]:
-            prune(c)
-
-    prune(root)
-
-    greens: list[int] = []
-
-    def vertical(node: list) -> None:
-        covered: set[int] = set()
-        for c in node[2]:
-            covered |= c[1]
-        if node[2] and covered == node[1]:
-            greens.append(node[0])
-            node[2] = []
-        else:
-            for c in node[2]:
-                vertical(c)
-
-    survivors: set[int] = set()
-
-    def freeze(node: list) -> _Node:
-        survivors.add(node[0])
-        return (node[0], tuple(sorted(node[1])), tuple(freeze(c) for c in node[2]))
-
-    if root[1]:
-        vertical(root)
-        frozen = freeze(root)
-    else:
-        frozen = (tree[0], (), ())
-        survivors.add(tree[0])
-    marks = 0
-    for g in greens:
-        marks |= 1 << (2 * g)
-    for r in old_names - survivors:
+    new, marks = step(tree, -1)
+    for r in old.difference(_names(new)):
         marks |= 1 << (2 * r + 1)
-    top = max(max(old_names), max(survivors), *(greens or (0,)))
-    return frozen, marks, top
+    return new, marks
 
 
 def determinize_via_gba(

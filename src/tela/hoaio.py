@@ -128,6 +128,8 @@ def parse_hoa(text: str) -> Tela:
 
     transitions: list[Transition] = []
     declared: set[int] = set()
+    # Printed automata repeat a few labels on every state; parse each once.
+    label_letters: dict[str, list[int]] = {}
     current: int | None = None
     ended = False
 
@@ -192,7 +194,10 @@ def parse_hoa(text: str) -> Tela:
         dst = int(rest)
         if dst >= n_states:
             raise HoaParseError(f"state {dst} out of range", lineno)
-        for letter in _label_letters(label, len(ap), lineno):
+        letters = label_letters.get(label)
+        if letters is None:
+            letters = label_letters[label] = _label_letters(label, len(ap), lineno)
+        for letter in letters:
             transitions.append((current, letter, dst, marks))
     if not ended:
         raise HoaParseError("missing --END--", len(lines))

@@ -40,7 +40,6 @@ from .acceptance import (
 from .core import (
     Tela,
     TelaError,
-    Transition,
     complete,
     empty_language_automaton,
     project_marks,
@@ -119,69 +118,50 @@ def _fin_removal_structure(
     prune: bool,
 ) -> Tela:
     """Main copy plus copy i per disjunct, whose transition marks are the
-    original marks projected onto copy_sets[i]."""
+    original marks projected onto copy_sets[i].
+
+    Pruning keeps the main copy and, in copy i, the states from which every
+    Inf set of disjunct i is reachable over the transitions that avoid its
+    Fin set; it then restricts to the part reachable from the initial states
+    and renumbers it in ascending state order.
+    """
     n = a.n_states
-    m = len(dnf.disjuncts)
-    transitions: list[Transition] = []
-    for s, letter, d, _marks in a.transitions:
-        transitions.append((s, letter, d, 0))
+    transitions = [(s, letter, d, 0) for s, letter, d, _ in a.transitions]
     for i, (disjunct, sets) in enumerate(zip(dnf.disjuncts, copy_sets)):
         base = (i + 1) * n
-        for s, letter, d, marks in a.transitions:
-            transitions.append((s, letter, base + d, 0))
-            if not marks & disjunct.fin:
-                transitions.append(
-                    (base + s, letter, base + d, project_marks(marks, sets))
-                )
-    out = Tela(
+        inner = [t for t in a.transitions if not t[3] & disjunct.fin]
+        useful = set(range(n))
+        if prune:
+            back = [(d, s) for s, _, d, _ in inner]
+            for inf in disjunct.infs:
+                useful &= reachable({s for s, _, _, m in inner if m & inf}, back)
+        transitions += [
+            (s, letter, base + d, 0) for s, letter, d, _ in a.transitions if d in useful
+        ]
+        transitions += [
+            (base + s, letter, base + d, project_marks(m, sets))
+            for s, letter, d, m in inner
+            if s in useful and d in useful
+        ]
+    n_states, initial = (len(dnf.disjuncts) + 1) * n, a.initial
+    if prune:
+        order = sorted(reachable(initial, ((t[0], t[2]) for t in transitions)))
+        renum = {q: i for i, q in enumerate(order)}
+        n_states, initial = len(order), frozenset(renum[q] for q in initial)
+        transitions = [
+            (renum[s], letter, renum[d], m)
+            for s, letter, d, m in transitions
+            if s in renum
+        ]
+    return Tela(
         ap=a.ap,
-        n_states=(m + 1) * n,
-        initial=a.initial,
-        transitions=tuple(transitions),
+        n_states=n_states,
+        initial=initial,
+        # Parallel transitions that differ only in marks can coincide in the
+        # main copy, in the bridges and after the projection.
+        transitions=tuple(dict.fromkeys(transitions)),
         acceptance=acceptance,
         n_marks=n_marks,
-    )
-    if prune:
-        out = _prune_fin_removal(out, a, dnf)
-    return out
-
-
-def _prune_fin_removal(g: Tela, a: Tela, dnf: DnfAcceptance) -> Tela:
-    """Drop copy states that cannot see all of their disjunct's Inf sets, then
-    restrict to the reachable part and renumber in ascending state order."""
-    n = a.n_states
-    keep = set(range(n))
-    for i, disjunct in enumerate(dnf.disjuncts):
-        base = (i + 1) * n
-        back = [(d, s) for s, _, d, marks in a.transitions if not marks & disjunct.fin]
-        useful = None
-        for s_marks in disjunct.infs:
-            sources = {
-                s
-                for s, _, _, marks in a.transitions
-                if not marks & disjunct.fin and marks & s_marks
-            }
-            good = reachable(sources, back)
-            useful = good if useful is None else useful & good
-        for q in useful or ():
-            keep.add(base + q)
-    transitions = [
-        t for t in g.transitions if t[0] in keep and t[2] in keep
-    ]
-    reach = reachable(g.initial, ((t[0], t[2]) for t in transitions))
-    order = sorted(reach)
-    renum = {q: i for i, q in enumerate(order)}
-    return Tela(
-        ap=g.ap,
-        n_states=len(order),
-        initial=frozenset(renum[q] for q in g.initial if q in reach),
-        transitions=tuple(
-            (renum[s], letter, renum[d], marks)
-            for (s, letter, d, marks) in transitions
-            if s in reach and d in reach
-        ),
-        acceptance=g.acceptance,
-        n_marks=g.n_marks,
     )
 
 

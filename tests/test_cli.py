@@ -5,14 +5,14 @@ import sys
 
 import pytest
 
-from tela import FALSE, Tela, inf_, parse_hoa, print_hoa
+from tela import FALSE, Tela, accepts, inf_, parse_hoa, print_hoa
 from tela.acceptance import gba_marksets
 from tela.cli import main
 from tela.core import is_complete, is_deterministic
-from tela.determinize import empty_language_automaton
+from tela.determinize import DET_METHODS, empty_language_automaton
 from tela.limitdet import build_gfm
 from tela.randbench import cnf_blowup_automaton, random_tela
-from tela.transforms import ensure_dnf
+from tela.transforms import GBA_METHODS, ensure_dnf
 
 from helpers import EXAMPLE_MDP, example_automaton
 
@@ -181,6 +181,35 @@ def test_bench_report_to_file(tmp_path, capsys):
     assert table.splitlines()[0].startswith("method")
     assert "0 mismatches" in table
     assert report.read_text().startswith("telabench 1\n")
+
+
+# Two transitions that differ only in their marks: infinitely many !a.
+PARALLEL_HOA = """\
+HOA: v1
+States: 1
+Start: 0
+AP: 1 "a"
+Acceptance: 2 Fin(0) & Inf(1)
+--BODY--
+State: 0
+[!0] 0 {0}
+[!0] 0 {1}
+[0] 0
+--END--
+"""
+
+
+def test_parallel_transitions_through_every_command(tmp_path, capsys):
+    path = tmp_path / "parallel.hoa"
+    path.write_text(PARALLEL_HOA)
+    assert main(["check", "empty", str(path)]) == 1
+    assert capsys.readouterr().out == "| !0\n"
+    commands = [["determinize", "--method", m] for m in DET_METHODS]
+    commands += [["convert", "--to", "gba", "--method", m] for m in GBA_METHODS]
+    for command in commands:
+        assert main(command + [str(path)]) == 0, command
+        out = parse_hoa(capsys.readouterr().out)
+        assert accepts(out, (1,), (0, 1)) and not accepts(out, (0,), (1,)), command
 
 
 def test_bad_inputs_exit_3(tmp_path, capsys):

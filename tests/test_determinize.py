@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -26,7 +27,7 @@ from tela import (
     safra_determinize,
     sample_lassos,
 )
-from tela.determinize import empty_language_automaton
+from tela.determinize import DET_METHODS, determinize_by, empty_language_automaton
 from tela.randbench import cnf_blowup_automaton
 from tela.transforms import GBA_METHODS, to_gba
 
@@ -55,6 +56,16 @@ def finitely_many_a_nba():
         acceptance=inf_(1),
         n_marks=1,
     )
+
+
+def with_parallel_transitions(rng, a, extra=3):
+    """a plus one to `extra` transitions that copy one of its transitions
+    with one mark flipped."""
+    transitions = list(a.transitions)
+    for _ in range(rng.randint(1, extra)):
+        s, letter, d, marks = rng.choice(transitions)
+        transitions.append((s, letter, d, marks ^ (1 << rng.randrange(a.n_marks))))
+    return replace(a, transitions=tuple(dict.fromkeys(transitions)))
 
 
 def random_buchi(rng, **kw):
@@ -222,6 +233,29 @@ def test_determinizers_agree_with_each_other():
         except BudgetExceeded:
             continue
         assert equivalent_deterministic(d_prod, d_gba)
+        done += 1
+
+
+def test_parallel_transitions_through_every_construction():
+    # Fin-removal, the GBA sum and degeneralization can map parallel
+    # transitions that differ only in marks onto one transition.
+    rng = random.Random(446)
+    done = 0
+    while done < 6:
+        a = random_automaton(rng, n_marks=3, ap=("a",))
+        a = with_parallel_transitions(rng, a)
+        outputs = [(m, to_gba(a, m)) for m in GBA_METHODS]
+        try:
+            outputs += [(m, determinize_by(a, m, state_cap=300)) for m in DET_METHODS]
+        except BudgetExceeded:
+            continue
+        every_run = a.with_acceptance(TRUE, a.n_marks)
+        for _ in range(10):
+            u, v = random_word(rng, a.n_letters)
+            expected = accepts(a, u, v)
+            for method, out in outputs:
+                assert accepts(out, u, v) == expected, (method, u, v)
+            assert accepts(degeneralize(every_run), u, v) == accepts(every_run, u, v)
         done += 1
 
 
