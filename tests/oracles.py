@@ -245,3 +245,45 @@ def oracle_label_letters(label: str, n_ap: int) -> list[int]:
     return [
         letter for letter in range(1 << n_ap) if eval(expr, {"letter": letter})
     ]
+
+
+def oracle_mecs(m) -> list[tuple[frozenset[int], dict[int, tuple[int, ...]]]]:
+    """Maximal end components of an MDP by trying every state subset.
+
+    A subset C is an end component when every state of C keeps an action
+    whose support stays in C and those actions make C strongly connected
+    (one Kosaraju component); the maximal ones under inclusion are the
+    MECs.  Each comes with its states' kept action indices, ordered by the
+    smallest state.
+    """
+    n = len(m.actions)
+    ends = []
+    for bits in range(1, 1 << n):
+        members = [s for s in range(n) if bits >> s & 1]
+        local = {s: i for i, s in enumerate(members)}
+        kept = {
+            s: tuple(
+                aid
+                for aid, act in enumerate(m.actions[s])
+                if all(t in local for t, _ in act.dist)
+            )
+            for s in members
+        }
+        if not all(kept.values()):
+            continue
+        edges = [
+            (local[s], local[t])
+            for s, aids in kept.items()
+            for aid in aids
+            for t, _ in m.actions[s][aid].dist
+        ]
+        if len(kosaraju(len(members), edges)) == 1:
+            ends.append((frozenset(members), kept))
+    return sorted(
+        (
+            (states, kept)
+            for states, kept in ends
+            if not any(states < other for other, _ in ends)
+        ),
+        key=lambda mec: min(mec[0]),
+    )

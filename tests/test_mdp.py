@@ -28,6 +28,7 @@ from tela.limitdet import breakpoint_component, canonical_partition
 from tela.mdp import MdpAction
 
 from helpers import example_automaton, example_mdp, random_automaton, random_mdp
+from oracles import oracle_mecs
 
 
 def a_loop_mdp():
@@ -234,6 +235,14 @@ def test_mec_invariants_on_random_mdps():
                 for aid in aids:
                     support = {t for t, _ in m.actions[s][aid].dist}
                     assert support <= mec.states
+
+
+def test_mecs_match_the_subset_oracle():
+    rng = random.Random(463)
+    for _ in range(300):
+        m = random_mdp(rng, max_states=5)
+        got = [(mec.states, mec.actions) for mec in mec_decomposition(m)]
+        assert got == oracle_mecs(m)
 
 
 def test_qualitative_positive_basics():
