@@ -257,6 +257,10 @@ class DnfDisjunct:
     fin: int
     infs: tuple[int, ...]
 
+    def holds(self, marks: int) -> bool:
+        """Truth for a run whose infinitely recurring marks are `marks`."""
+        return not marks & self.fin and all(s == ALL or marks & s for s in self.infs)
+
 
 @dataclass(frozen=True)
 class DnfAcceptance:
@@ -309,10 +313,7 @@ def to_dnf(phi: Acceptance) -> DnfAcceptance:
 
 
 def evaluate_dnf(seen: int, dnf: DnfAcceptance) -> bool:
-    return any(
-        not seen & d.fin and all(s == ALL or seen & s for s in d.infs)
-        for d in dnf.disjuncts
-    )
+    return any(d.holds(seen) for d in dnf.disjuncts)
 
 
 def dnf_length(dnf: DnfAcceptance) -> int:

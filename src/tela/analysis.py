@@ -2,11 +2,13 @@
 
 Emptiness works on the DNF of the acceptance condition.  For each disjunct
 the Fin-marked transitions are deleted and the remaining reachable graph is
-searched for a strongly connected set of transitions meeting every Inf set.
-The same search core optionally takes a second DNF that the witness must
-*violate*, which is what deterministic containment needs: there the witness
-set is refined by deleting one Inf set of a satisfied negative disjunct and
-recursing into the sub-SCCs (the standard Streett-style restriction).
+searched for a strongly connected set of transitions meeting every Inf set;
+`core.scc_split`, the one SCC split, gives the components with the
+transitions inside each.  The same search core optionally takes a second
+DNF that the witness must *violate*, which is what deterministic containment
+needs: there the witness set is refined by deleting one Inf set of a
+satisfied negative disjunct and recursing into the sub-SCCs (the standard
+Streett-style restriction).
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .acceptance import ALL, DnfAcceptance, to_dnf
-from .core import Lasso, Tela, TelaError, Transition, reachable, tarjan_scc
+from .acceptance import ALL, DnfAcceptance, DnfDisjunct, to_dnf
+from .core import Lasso, Tela, TelaError, Transition, reachable, scc_split
 
 _dnf_of = lru_cache(maxsize=None)(to_dnf)
 
@@ -107,8 +109,8 @@ def dnf_witness(
         base = tuple(
             t for t in transitions if t[0] in reach and not (t[3] & d.fin)
         )
-        for _, internal in _scc_transitions(base):
-            found = _refine(internal, d.infs, neg)
+        for _, internal in scc_split(base, lambda t: (t[2],)):
+            found = _refine(internal, d, neg)
             if found is not None:
                 return di, found
     return None
@@ -116,54 +118,26 @@ def dnf_witness(
 
 def _refine(
     ts: tuple[Transition, ...],
-    infs: tuple[int, ...],
+    d: DnfDisjunct,
     neg: DnfAcceptance,
 ) -> tuple[Transition, ...] | None:
+    """A sub-SCC of `ts` satisfying `d` and no disjunct of `neg`; the Fin
+    transitions of `d` are already deleted."""
     marks = 0
     for t in ts:
         marks |= t[3]
-    satisfied = None
-    for nd in neg.disjuncts:
-        if not (marks & nd.fin) and all(s == ALL or marks & s for s in nd.infs):
-            satisfied = nd
-            break
+    satisfied = next((nd for nd in neg.disjuncts if nd.holds(marks)), None)
     if satisfied is None:
-        if all(s == ALL or marks & s for s in infs):
-            return ts
-        return None
+        return ts if d.holds(marks) else None
     for s in satisfied.infs:
         if s == ALL:
             continue
         sub = tuple(t for t in ts if not (t[3] & s))
-        for _, internal in _scc_transitions(sub):
-            found = _refine(internal, infs, neg)
+        for _, internal in scc_split(sub, lambda t: (t[2],)):
+            found = _refine(internal, d, neg)
             if found is not None:
                 return found
     return None
-
-
-def _scc_transitions(
-    transitions: tuple[Transition, ...],
-) -> list[tuple[frozenset[int], tuple[Transition, ...]]]:
-    """Strongly connected components of the graph induced by the transitions,
-    with their internal transitions; components without transitions dropped."""
-    nodes: list[int] = []
-    seen = set()
-    adj: dict[int, list[int]] = {}
-    for s, _, d, _ in transitions:
-        for q in (s, d):
-            if q not in seen:
-                seen.add(q)
-                nodes.append(q)
-                adj[q] = []
-        adj[s].append(d)
-    out = []
-    for comp in tarjan_scc(nodes, adj):
-        internal = tuple(t for t in transitions if t[0] in comp and t[2] in comp)
-        if internal:
-            out.append((comp, internal))
-    out.sort(key=lambda item: min(item[0]))
-    return out
 
 
 def _shortest_path(

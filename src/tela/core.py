@@ -9,6 +9,9 @@ acceptance condition.
 
 Constructions that explore a new state space on the fly number it through
 `explore`, which owns the numbering, the state cap and the deadline.
+`scc_split` is the one split of a graph into strongly connected components
+with the edges kept inside each; emptiness, containment and maximal end
+components all run on it.
 """
 
 from __future__ import annotations
@@ -486,6 +489,33 @@ def tarjan_scc(nodes, adj) -> list[frozenset]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
     return components
+
+
+def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
+    """Split items into strongly connected components, one Tarjan pass.
+
+    Each item is an edge from its first entry, the source node, to every
+    node of `targets(item)`.  Returns (component, items inside it) pairs:
+    an item is inside when all its targets lie in its source's component.
+    Items keep their input order, components come in order of their
+    smallest node, and components with no item inside are dropped.
+    """
+    adj: dict = {}
+    for item in items:
+        adj.setdefault(item[0], []).extend(targets(item))
+    comp_of: dict = {}
+    for comp in tarjan_scc(list(adj), adj):
+        for q in comp:
+            comp_of[q] = comp
+    inside: dict[frozenset, list] = {}
+    for item in items:
+        comp = comp_of[item[0]]
+        if all(t in comp for t in targets(item)):
+            inside.setdefault(comp, []).append(item)
+    return sorted(
+        ((comp, tuple(kept)) for comp, kept in inside.items()),
+        key=lambda part: min(part[0]),
+    )
 
 
 def sccs(a: Tela) -> list[frozenset[int]]:

@@ -35,7 +35,9 @@ class HoaParseError(TelaError):
         self.line = line
 
 
-_QUOTED = re.compile(r'"([^"]*)"')
+# A HOA string; inside it a backslash escapes the next character.
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_ESCAPE = re.compile(r"\\(.)")
 
 # _AP_LETTERS[n][i]: the letters over n APs in which AP i holds, as a bitmask
 # with bit l standing for letter l.
@@ -91,7 +93,10 @@ def parse_hoa(text: str) -> Tela:
                 raise HoaParseError("duplicate AP header", lineno)
             parts = rest.split(None, 1)
             count = _parse_int(parts[0] if parts else "", "AP count", lineno)
-            names = _QUOTED.findall(parts[1] if len(parts) > 1 else "")
+            names = [
+                _ESCAPE.sub(r"\1", name)
+                for name in _QUOTED.findall(parts[1] if len(parts) > 1 else "")
+            ]
             if len(names) != count:
                 raise HoaParseError(
                     f"AP header declares {count} names but lists {len(names)}", lineno
@@ -222,7 +227,8 @@ def print_hoa(a: Tela) -> str:
     out = ["HOA: v1", f"States: {a.n_states}"]
     for q in sorted(a.initial):
         out.append(f"Start: {q}")
-    names = " ".join(f'"{name}"' for name in a.ap)
+    escaped = (name.replace("\\", "\\\\").replace('"', '\\"') for name in a.ap)
+    names = " ".join(f'"{name}"' for name in escaped)
     out.append(f"AP: {len(a.ap)}" + (f" {names}" if names else ""))
     out.append(f"Acceptance: {a.n_marks} {format_acceptance(a.acceptance)}")
     if is_deterministic(a):

@@ -16,10 +16,11 @@ sum to one.  States without a `label` line carry the empty label.
 The product with an automaton reads the label of the current MDP state:
 a product action pairs an MDP action with one automaton transition over
 that letter, so a strategy resolves both kinds of nondeterminism.  Maximal
-end components are computed by the usual iteration that prunes actions
-leaving the candidate component.  Maximal reachability probabilities come
-from interval iteration on the MEC quotient, which is free of end
-components, so both value bounds converge; iteration stops at width 1e-9.
+end components come from `core.scc_split`, the one SCC split, run over
+(state, action id, support) items and again on the items it keeps until it
+drops none.  Maximal reachability probabilities come from interval iteration
+on the MEC quotient, which is free of end components, so both value bounds
+converge; iteration stops at width 1e-9.
 
 qualitative_positive decides whether the maximal probability of the
 automaton's language is positive; it needs a limit-deterministic automaton.
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .acceptance import (
-    ALL,
     Acceptance,
     DnfAcceptance,
     DnfDisjunct,
@@ -42,7 +42,7 @@ from .acceptance import (
     gba_marksets,
     to_dnf,
 )
-from .core import Tela, TelaError, complete, explore, reachable, tarjan_scc
+from .core import Tela, TelaError, complete, explore, reachable, scc_split
 from .limitdet import build_gfm, limit_det_violation
 from .transforms import ensure_dnf
 
@@ -266,63 +266,42 @@ class EndComponent:
     actions: dict[int, tuple[int, ...]]
 
 
-def _mec_decompose(
-    n_states: int, enabled: list[list[tuple[int, tuple[int, ...]]]]
-) -> list[EndComponent]:
-    """Maximal end components of an action view.
+def _mec_decompose(items) -> list[EndComponent]:
+    """Maximal end components of (state, action id, support) items.
 
-    enabled[s] lists (action id, successor states).  States may have no
-    actions; they simply belong to no end component.
+    Split the items into strongly connected components and keep the ones
+    inside, until nothing is dropped; then every component is a maximal
+    end component with its items.  States without items belong to none.
     """
-    alive = set(range(n_states))
-    act: dict[int, dict[int, tuple[int, ...]]] = {
-        s: {aid: support for aid, support in enabled[s]} for s in range(n_states)
-    }
     while True:
-        changed = False
-        for s in sorted(alive):
-            for aid in list(act[s]):
-                if any(t not in alive for t in act[s][aid]):
-                    del act[s][aid]
-                    changed = True
-        adj = {
-            s: sorted({t for support in act[s].values() for t in support})
-            for s in alive
-        }
-        comps = tarjan_scc(sorted(alive), adj)
-        comp_of: dict[int, frozenset[int]] = {}
-        for comp in comps:
-            for s in comp:
-                comp_of[s] = comp
-        for s in sorted(alive):
-            for aid in list(act[s]):
-                if any(t not in comp_of[s] for t in act[s][aid]):
-                    del act[s][aid]
-                    changed = True
-        dead = {s for s in alive if not act[s]}
-        if dead:
-            alive -= dead
-            changed = True
-        if not changed:
+        parts = scc_split(items, lambda item: item[2])
+        kept = [item for _, inside in parts for item in inside]
+        if len(kept) == len(items):
             break
-    # Nothing changed in the last round, so its components are final.
+        items = kept
+    mecs = []
+    for comp, inside in parts:
+        actions: dict[int, tuple[int, ...]] = {}
+        for s, aid, _ in inside:
+            actions[s] = actions.get(s, ()) + (aid,)
+        mecs.append(EndComponent(comp, actions))
+    return mecs
+
+
+def _action_items(actions, fin: int = 0) -> list[tuple[int, int, tuple[int, ...]]]:
+    """(state, action id, support) of every action whose marks avoid `fin`."""
     return [
-        EndComponent(
-            states=comp,
-            actions={s: tuple(sorted(act[s])) for s in sorted(comp)},
-        )
-        for comp in sorted(comps, key=min)
+        (s, aid, tuple(t for t, _ in act.dist))
+        for s, acts in enumerate(actions)
+        for aid, act in enumerate(acts)
+        if not (fin and act.marks & fin)
     ]
 
 
 def mec_decomposition(p: ProductMdp | Mdp) -> list[EndComponent]:
     """Maximal end components, with actions given as indices into each
     state's action tuple."""
-    view = [
-        [(i, tuple(t for t, _ in act.dist)) for i, act in enumerate(acts)]
-        for acts in p.actions
-    ]
-    return _mec_decompose(len(p.actions), view)
+    return _mec_decompose(_action_items(p.actions))
 
 
 def qualitative_positive(m: Mdp, a: Tela) -> bool:
@@ -357,39 +336,28 @@ def _accepting_mecs(actions, dnf: DnfAcceptance):
     for d in dnf.disjuncts:
         by_fin.setdefault(d.fin, []).append(d)
     for fin, disjuncts in sorted(by_fin.items()):
-        view = [
-            [
-                (i, tuple(t for t, _ in act.dist))
-                for i, act in enumerate(acts)
-                if not act.marks & fin
-            ]
-            for acts in actions
-        ]
-        for mec in _mec_decompose(len(actions), view):
+        for mec in _mec_decompose(_action_items(actions, fin)):
             marks = 0
             for s, aids in mec.actions.items():
                 for aid in aids:
                     marks |= actions[s][aid].marks
-            if any(all(s == ALL or marks & s for s in d.infs) for d in disjuncts):
+            if any(d.holds(marks) for d in disjuncts):
                 yield mec
 
 
 def _max_reach(
-    dists: list[list[tuple[tuple[int, float], ...]]],
+    actions: tuple[tuple[ProductAction, ...], ...],
     initial: int,
     target: set[int],
     tol: float = REACH_TOLERANCE,
 ) -> float:
     """Maximal probability of reaching the target set, by interval iteration
     on the MEC quotient."""
-    n = len(dists)
+    n = len(actions)
     if initial in target:
         return 1.0
-    view = [
-        [(i, tuple(t for t, _ in d)) for i, d in enumerate(state_dists)]
-        for state_dists in dists
-    ]
-    block_of = {s: mec.states for mec in _mec_decompose(n, view) for s in mec.states}
+    mecs = _mec_decompose(_action_items(actions))
+    block_of = {s: mec.states for mec in mecs for s in mec.states}
     # Quotient nodes, numbered in order of their smallest state.
     nodes: dict[frozenset[int], int] = {}
     node_of = [
@@ -402,10 +370,10 @@ def _max_reach(
         nid = node_of[s]
         if nid in target_nodes:
             continue
-        for d in dists[s]:
+        for act in actions[s]:
             agg: dict[int, float] = {}
-            for t, p in d:
-                agg[node_of[t]] = agg.get(node_of[t], 0.0) + p
+            for t, p in act.dist:
+                agg[node_of[t]] = agg.get(node_of[t], 0.0) + float(p)
             if set(agg) == {nid}:
                 continue
             q_actions[nid].append(agg)
@@ -439,15 +407,6 @@ def _max_reach(
     return (lo[node] + hi[node]) / 2
 
 
-def _float_dists(
-    actions: tuple[tuple[ProductAction, ...], ...]
-) -> list[list[tuple[tuple[int, float], ...]]]:
-    return [
-        [tuple((t, float(p)) for t, p in act.dist) for act in acts]
-        for acts in actions
-    ]
-
-
 def pr_max_buchi(p: ProductMdp) -> float:
     """Maximal probability of seeing an accepting mark infinitely often.
 
@@ -467,7 +426,7 @@ def _pr_max_accepting(p: ProductMdp) -> float:
         target |= mec.states
     if not target:
         return 0.0
-    return _max_reach(_float_dists(p.actions), p.initial, target)
+    return _max_reach(p.actions, p.initial, target)
 
 
 def pr_max_tela(m: Mdp, a: Tela) -> float:

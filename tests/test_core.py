@@ -30,7 +30,14 @@ from tela import (
     sum_automata,
     sum_gba,
 )
-from tela.core import BudgetExceeded, explore, reachable_states, sccs, with_all_mark
+from tela.core import (
+    BudgetExceeded,
+    explore,
+    reachable_states,
+    scc_split,
+    sccs,
+    with_all_mark,
+)
 from tela.randbench import cnf_blowup_automaton
 
 from helpers import example_automaton, random_automaton, random_formula
@@ -436,6 +443,32 @@ def test_sccs_ordered_by_smallest_state():
         n_marks=0,
     )
     assert sccs(cyc) == [frozenset({0, 1}), frozenset({2})]
+
+
+def test_scc_split_keeps_inside_items_in_input_order():
+    items = [
+        (5, "a", 3),
+        (7, "b", 5),
+        (3, "c", 5),
+        (3, "d", 8),
+        (1, "e", 1),
+        (5, "f", 5),
+    ]
+    assert scc_split(items, lambda item: (item[2],)) == [
+        # {1} comes first although its item comes late; {7} and {8} have
+        # no item inside and are dropped, as are the edges leaving {3, 5}.
+        (frozenset({1}), ((1, "e", 1),)),
+        (frozenset({3, 5}), ((5, "a", 3), (3, "c", 5), (5, "f", 5))),
+    ]
+
+
+def test_scc_split_with_several_targets_per_item():
+    items = [(2, (0, 3)), (0, (1, 2)), (1, (0,)), (3, (3,)), (4, (4, 2))]
+    assert scc_split(items, lambda item: item[1]) == [
+        (frozenset({0, 1, 2}), ((0, (1, 2)), (1, (0,)))),
+        (frozenset({3}), ((3, (3,)),)),
+    ]
+    assert scc_split([], lambda item: item[1]) == []
 
 
 def test_with_all_mark():

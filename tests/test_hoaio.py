@@ -73,6 +73,22 @@ def test_parse_accepts_quoted_state_names():
     assert parse_hoa(text) == parse_hoa(MINIMAL)
 
 
+def test_quotes_and_backslashes_in_names_round_trip():
+    a = Tela(
+        ap=('say "hi"', "back\\slash"),
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=((0, 3, 0, 1),),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    out = print_hoa(a)
+    assert 'AP: 2 "say \\"hi\\"" "back\\\\slash"\n' in out
+    assert parse_hoa(out) == a
+    named = out.replace("State: 0", 'State: 0 "a \\"quoted\\" \\\\ name"')
+    assert parse_hoa(named) == a
+
+
 def test_parse_dedupes_repeated_transitions():
     text = MINIMAL.replace("[t] 1", "[t] 1\n[0] 1\n[!0] 1")
     a = parse_hoa(text)

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tela"
 
@@ -54,3 +55,51 @@ def test_every_traced_function_exists():
         if not hasattr(importlib.import_module(f"tela.{module}"), name)
     ]
     assert not missing, "traced names missing from the library:\n" + "\n".join(missing)
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level `_name` functions, classes and assignments."""
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defs[target.id] = node
+    return {
+        name: node
+        for name, node in defs.items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    counts = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            counts[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            counts[sub.attr] += 1
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            counts.update(alias.name for alias in sub.names)
+    return counts
+
+
+def test_every_private_helper_is_referenced():
+    """Each private helper is read somewhere in the library outside its own
+    definition, so a recursive helper nobody calls counts as dead too."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    dead = [
+        f"{module}:{node.lineno}: {name}"
+        for module, tree in trees.items()
+        for name, node in private_definitions(tree).items()
+        if used[name] <= references(node)[name]
+    ]
+    assert not dead, "unreferenced private helpers:\n" + "\n".join(dead)
