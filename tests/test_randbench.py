@@ -1,6 +1,8 @@
 """Tests for random automaton generation and the benchmark harness."""
 
+import hashlib
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -254,3 +256,30 @@ def test_report_formats():
     table = format_table(report)
     assert table.splitlines()[0].startswith("method")
     assert "0 mismatches" in table
+
+
+# Four small configs: pooled workers, det memouts under a low state budget, the
+# dnf family, and fig2 with custom methods and baseline.
+PINNED_CONFIGS = (
+    "pipeline=gba\nfamily=random\ninstances=6\nstates=4..5\nmarks=4\nseed=5\n"
+    "validate_words=5\nworkers=2\n",
+    "pipeline=det\nfamily=random\ninstances=6\nstates=4..5\nmarks=4\nap=1\nseed=2\n"
+    "state_budget=80\n",
+    "pipeline=gba\nfamily=dnf\ninstances=4\nstates=4..5\nmarks=5\nseed=7\n"
+    "validate_words=4\n",
+    "pipeline=det\nfamily=fig2\nfig2=1..2\n"
+    "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
+)
+PINNED_REPORT_DIGEST = (
+    "4854aad54bbe4bc404af34a8109a900ef71f90b12c75b21659f763735028d757"
+)
+
+
+def test_bench_reports_match_the_pinned_digest():
+    """Every report line but the timings is pinned, so a harness rewrite must
+    reproduce statuses, sizes, ratios, checks and mismatches exactly."""
+    digest = hashlib.sha256()
+    for text in PINNED_CONFIGS:
+        report = format_report(run_benchmark(parse_bench_config(text)))
+        digest.update(re.sub(r"(\s)(median_time|time)=\S+", r"\1\2=*", report).encode())
+    assert digest.hexdigest() == PINNED_REPORT_DIGEST
