@@ -9,13 +9,16 @@ length between 2 and 21; `dnf` draws 2-3 disjuncts with 2-3 Inf atoms and
 0-1 Fin atoms each, over distinct marks.
 
 The harness runs a method set over seeded instances under per-instance
-time and state budgets, cross-validates the outputs' languages, and
-reports lower medians where timeouts count as larger than every finite
-value.  Ratio tables against a baseline use the conventions: baseline
-failed -> 0, method failed -> infinity, both failed -> instance skipped.
-Two pipelines: `gba` compares the TELA-to-GBA translations (validated by
-sampled lasso words against the input), `det` compares full
-determinizations (validated by containment both ways between outputs).
+time and state budgets.  Each instance is one unit of work, done in one
+pass by one worker: it runs every method, cross-validates the outputs it
+still holds, and hands back only the per-method records (status, time,
+sizes), the number of checks and the mismatch texts.  Two pipelines: `gba`
+compares the TELA-to-GBA translations (validated by sampled lasso words
+against the input), `det` compares full determinizations (validated by
+language equality with the first method's output).  The parent aggregates:
+lower medians where timeouts count as larger than every finite value, and
+ratio tables against a baseline with the conventions baseline failed -> 0,
+method failed -> infinity, both failed -> instance skipped.
 
 Reports have a line-oriented machine format with the schema header
 `telabench 1`, plus a human-readable table.
@@ -26,6 +29,8 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
+from itertools import product
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -36,9 +41,9 @@ from .core import MAX_AP, Tela, TelaError
 from .determinize import (
     DET_METHODS,
     BudgetExceeded,
-    contains,
     degeneralize,
     determinize_by,
+    equivalent_deterministic,
     safra_determinize,
 )
 from .transforms import GBA_METHODS, to_gba
@@ -193,10 +198,14 @@ class BenchConfig:
     report_path: str = "telabench-report.txt"
 
     def resolved_methods(self) -> tuple[str, ...]:
-        methods = self.methods or (
-            GBA_METHODS if self.pipeline == "gba" else DET_METHODS
-        )
-        return tuple(methods)
+        """The methods to run; a name outside the pipeline raises BenchError."""
+        known = GBA_METHODS if self.pipeline == "gba" else DET_METHODS
+        for m in self.methods:
+            if m not in known:
+                raise BenchError(
+                    f"method {m!r} not available in {self.pipeline} pipeline"
+                )
+        return self.methods or known
 
     def resolved_baseline(self) -> str:
         return self.baseline or self.resolved_methods()[0]
@@ -213,6 +222,27 @@ def _parse_range(value: str, key: str) -> tuple[int, int]:
     return lo, hi
 
 
+# Keys that set one BenchConfig field to their converted value.
+_FIELD_KEYS = {
+    "instances": ("instances", int),
+    "seed": ("seed", int),
+    "marks": ("n_marks", int),
+    "ap": ("n_ap", int),
+    "mark_prob": ("mark_prob", float),
+    "baseline": ("baseline", str),
+    "time_budget": ("time_budget", float),
+    "state_budget": ("state_budget", int),
+    "validate_words": ("validate_words", int),
+    "workers": ("workers", int),
+    "report": ("report_path", str),
+}
+
+# Every key `parse_bench_config` accepts.
+CONFIG_KEYS = (
+    "pipeline", "family", "states", "density", "fig2", "methods", *_FIELD_KEYS
+)
+
+
 def parse_bench_config(text: str) -> BenchConfig:
     """key=value per line; `#` comments; unknown keys rejected."""
     config = BenchConfig()
@@ -224,7 +254,10 @@ def parse_bench_config(text: str) -> BenchConfig:
             raise BenchError(f"line {lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         try:
-            if key == "pipeline":
+            if key in _FIELD_KEYS:
+                name, convert = _FIELD_KEYS[key]
+                setattr(config, name, convert(value))
+            elif key == "pipeline":
                 if value not in ("gba", "det"):
                     raise ValueError("pipeline must be gba or det")
                 config.pipeline = value
@@ -232,50 +265,22 @@ def parse_bench_config(text: str) -> BenchConfig:
                 if value not in ("random", "dnf", "fig2"):
                     raise ValueError("family must be random, dnf or fig2")
                 config.family = value
-            elif key == "instances":
-                config.instances = int(value)
-            elif key == "seed":
-                config.seed = int(value)
             elif key == "states":
                 config.states_min, config.states_max = _parse_range(value, key)
-            elif key == "marks":
-                config.n_marks = int(value)
-            elif key == "ap":
-                config.n_ap = int(value)
             elif key == "density":
                 config.edge_density = None if value == "auto" else float(value)
-            elif key == "mark_prob":
-                config.mark_prob = float(value)
             elif key == "fig2":
                 config.fig2_min, config.fig2_max = _parse_range(value, key)
             elif key == "methods":
                 config.methods = tuple(
                     m.strip() for m in value.split(",") if m.strip()
                 )
-            elif key == "baseline":
-                config.baseline = value
-            elif key == "time_budget":
-                config.time_budget = float(value)
-            elif key == "state_budget":
-                config.state_budget = int(value)
-            elif key == "validate_words":
-                config.validate_words = int(value)
-            elif key == "workers":
-                config.workers = int(value)
-            elif key == "report":
-                config.report_path = value
             else:
                 raise ValueError(f"unknown key {key!r}")
         except BenchError:
             raise
         except ValueError as exc:
             raise BenchError(f"line {lineno}: {exc}") from exc
-    known = (
-        GBA_METHODS if config.pipeline == "gba" else DET_METHODS
-    )
-    for m in config.resolved_methods():
-        if m not in known:
-            raise BenchError(f"method {m!r} not available in {config.pipeline} pipeline")
     if config.resolved_baseline() not in config.resolved_methods():
         raise BenchError("baseline must be one of the methods")
     return config
@@ -317,44 +322,68 @@ def _bench_instances(config: BenchConfig) -> list[Tela]:
     return out
 
 
-def _det_method(a: Tela, method: str, cap: int, deadline: float):
-    """Determinize; the via-gba methods also report the GBA they went through."""
+def _run_method(a: Tela, method: str, config: BenchConfig, deadline: float):
+    """One method's output and its extra record fields: the via-gba
+    determinizations also report the GBA they went through."""
+    if config.pipeline == "gba":
+        return to_gba(a, method), {}
     if not method.startswith("via-gba:"):
-        return determinize_by(a, method, cap, deadline), {}
+        return determinize_by(a, method, config.state_budget, deadline), {}
     g = to_gba(a, method.removeprefix("via-gba:"))
-    d = safra_determinize(degeneralize(g), cap, deadline)
+    d = safra_determinize(degeneralize(g), config.state_budget, deadline)
     return d, {"gba_states": g.n_states, "gba_marks": g.n_marks}
 
 
-def _bench_worker(payload):
-    idx, a, pipeline, methods, time_budget, state_budget = payload
-    out = {}
-    for method in methods:
+def _validate(
+    idx: int, a: Tela, outputs: list[tuple[str, Tela]], config: BenchConfig
+) -> tuple[int, list[str]]:
+    """Check count and mismatch texts: det outputs must equal the first one's
+    language; gba outputs must agree with the input on the sampled lasso words
+    (a method's first disagreement is reported and ends its checks)."""
+    if config.pipeline == "det":
+        rest = outputs[1:]
+        return len(rest), [
+            f"instance {idx}: {name} differs from {outputs[0][0]}"
+            for name, out in rest
+            if not equivalent_deterministic(outputs[0][1], out)
+        ]
+    words = sample_lassos(a, config.validate_words, config.seed + idx)
+    expected = [accepts(a, u, v) for u, v in words]
+    checks, mismatches = 0, []
+    for name, out in outputs:
+        for (u, v), want in zip(words, expected):
+            checks += 1
+            if accepts(out, u, v) != want:
+                mismatches.append(
+                    f"instance {idx}: {name} differs from the input on {u} | {v}"
+                )
+                break
+    return checks, mismatches
+
+
+def _bench_worker(payload) -> tuple[dict[str, dict], int, list[str]]:
+    """All of one instance's work: every method's record, then the validation
+    of the outputs, which never leave this process."""
+    idx, a, config = payload
+    records: dict[str, dict] = {}
+    outputs: list[tuple[str, Tela]] = []
+    for method in config.resolved_methods():
         start = time.perf_counter()
         try:
-            if pipeline == "gba":
-                result, extra = to_gba(a, method), {}
-            else:
-                result, extra = _det_method(
-                    a, method, state_budget, start + time_budget
-                )
-            elapsed = time.perf_counter() - start
-            if elapsed > time_budget:
-                out[method] = {"status": "timeout", "time": elapsed}
-                continue
-            record = {
-                "status": "ok",
-                "time": elapsed,
-                "states": result.n_states,
-                "marks": result.n_marks,
-                "automaton": result,
-            }
-            record.update(extra)
-            out[method] = record
+            result, extra = _run_method(a, method, config, start + config.time_budget)
+            status = "ok"
         except BudgetExceeded as exc:
             status = "timeout" if exc.kind == "time" else "memout"
-            out[method] = {"status": status, "time": time.perf_counter() - start}
-    return idx, out
+        elapsed = time.perf_counter() - start
+        if status == "ok" and elapsed > config.time_budget:
+            status = "timeout"
+        records[method] = {"status": status, "time": elapsed}
+        if status == "ok":
+            records[method].update(
+                states=result.n_states, marks=result.n_marks, **extra
+            )
+            outputs.append((method, result))
+    return (records, *_validate(idx, a, outputs, config))
 
 
 def _lower_median(values: list[float]) -> float:
@@ -381,76 +410,55 @@ def _group_key(config: BenchConfig, a: Tela) -> str | None:
     return f"{band}.{size}"
 
 
+def _ratio(rm: dict, rb: dict, key: str) -> float | None:
+    """Method record over baseline record on one instance: baseline failed
+    -> 0, method failed -> infinity, both failed -> None (skipped)."""
+    if rb["status"] != "ok":
+        return 0.0 if rm["status"] == "ok" else None
+    if rm["status"] != "ok":
+        return math.inf
+    if rb[key]:
+        return rm[key] / rb[key]
+    return math.inf if rm[key] else 0.0
+
+
 def run_benchmark(config: BenchConfig) -> BenchReport:
     methods = config.resolved_methods()
     baseline = config.resolved_baseline()
     instances = _bench_instances(config)
-    payloads = [
-        (i, a, config.pipeline, methods, config.time_budget, config.state_budget)
-        for i, a in enumerate(instances)
-    ]
+    payloads = [(idx, a, config) for idx, a in enumerate(instances)]
     if config.workers > 1 and payloads:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            merged = dict(pool.map(_bench_worker, payloads))
+            outcomes = list(pool.map(_bench_worker, payloads))
     else:
-        merged = dict(map(_bench_worker, payloads))
-    results = [merged[i] for i in range(len(instances))]
+        outcomes = list(map(_bench_worker, payloads))
+    results = [records for records, _, _ in outcomes]
 
-    info = []
-    for a in instances:
-        info.append(
-            {
-                "states": a.n_states,
-                "marks": a.n_marks,
-                "dnf_len": dnf_length(to_dnf(a.acceptance)),
-                "nondet": str(nondeterminism_amount(a)),
-                "group": _group_key(config, a),
-            }
-        )
+    info = [
+        {
+            "states": a.n_states,
+            "marks": a.n_marks,
+            "dnf_len": dnf_length(to_dnf(a.acceptance)),
+            "nondet": str(nondeterminism_amount(a)),
+            "group": _group_key(config, a),
+        }
+        for a in instances
+    ]
 
-    checks = 0
-    mismatches = []
-    for idx, a in enumerate(instances):
-        oks = [
-            (m, results[idx][m]["automaton"])
-            for m in methods
-            if results[idx][m]["status"] == "ok"
-        ]
-        if config.pipeline == "det":
-            if len(oks) < 2:
-                continue
-            ref_name, ref = oks[0]
-            for name, out in oks[1:]:
-                checks += 1
-                if not (contains(ref, out) and contains(out, ref)):
-                    mismatches.append(
-                        f"instance {idx}: {name} differs from {ref_name}"
-                    )
-        else:
-            words = sample_lassos(a, config.validate_words, config.seed + idx)
-            for name, out in oks:
-                for u, v in words:
-                    checks += 1
-                    if accepts(a, u, v) != accepts(out, u, v):
-                        mismatches.append(
-                            f"instance {idx}: {name} differs from the input "
-                            f"on {u} | {v}"
-                        )
-                        break
-
+    rows = {m: [per_method[m] for per_method in results] for m in methods}
     method_stats = {}
-    for method in methods:
-        rows = [results[idx][method] for idx in range(len(instances))]
-        times = [r["time"] if r["status"] == "ok" else math.inf for r in rows]
-        states = [r.get("states", math.inf) if r["status"] == "ok" else math.inf for r in rows]
-        marks = [r.get("marks", math.inf) if r["status"] == "ok" else math.inf for r in rows]
+    for method, rs in rows.items():
+        status = Counter(r["status"] for r in rs)
         method_stats[method] = {
-            "ok": sum(r["status"] == "ok" for r in rows),
-            "timeouts": sum(r["status"] == "timeout" for r in rows),
-            "memouts": sum(r["status"] == "memout" for r in rows),
-            "median_time": _lower_median(times),
-            "median_states": _lower_median(states),
-            "median_marks": _lower_median(marks),
+            "ok": status["ok"],
+            "timeouts": status["timeout"],
+            "memouts": status["memout"],
+            **{
+                f"median_{key}": _lower_median(
+                    [r[key] if r["status"] == "ok" else math.inf for r in rs]
+                )
+                for key in ("time", "states", "marks")
+            },
         }
 
     groups: dict[str, list[int]] = {"all": list(range(len(instances)))}
@@ -459,32 +467,12 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             groups.setdefault(row["group"], []).append(idx)
     ratios: dict[str, dict[str, dict[str, float]]] = {}
     for group, idxs in groups.items():
-        per_method: dict[str, dict[str, float]] = {}
-        for method in methods:
-            metrics: dict[str, float] = {}
-            for metric in ("states", "time", "marks"):
-                field = "time" if metric == "time" else metric
-                vals = []
-                for idx in idxs:
-                    rm = results[idx][method]
-                    rb = results[idx][baseline]
-                    ok_m = rm["status"] == "ok"
-                    ok_b = rb["status"] == "ok"
-                    if not ok_m and not ok_b:
-                        continue
-                    if not ok_m:
-                        vals.append(math.inf)
-                    elif not ok_b:
-                        vals.append(0.0)
-                    else:
-                        denom = rb[field]
-                        if denom:
-                            vals.append(rm[field] / denom)
-                        else:
-                            vals.append(0.0 if not rm[field] else math.inf)
-                metrics[metric] = _lower_median(vals)
-            per_method[method] = metrics
-        ratios[group] = per_method
+        ratios[group] = {method: {} for method in methods}
+        for method, metric in product(methods, ("states", "time", "marks")):
+            vals = [_ratio(rows[method][i], rows[baseline][i], metric) for i in idxs]
+            ratios[group][method][metric] = _lower_median(
+                [v for v in vals if v is not None]
+            )
 
     return BenchReport(
         config=config,
@@ -492,8 +480,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         results=results,
         method_stats=method_stats,
         ratios=ratios,
-        language_checks=checks,
-        mismatches=mismatches,
+        language_checks=sum(checks for _, checks, _ in outcomes),
+        mismatches=[text for _, _, texts in outcomes for text in texts],
     )
 
 
