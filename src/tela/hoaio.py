@@ -38,6 +38,8 @@ class HoaParseError(TelaError):
 # A HOA string; inside it a backslash escapes the next character.
 _QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _ESCAPE = re.compile(r"\\(.)")
+# The names of an AP header: HOA strings separated by whitespace, nothing else.
+_AP_NAMES = re.compile(rf"(?:{_QUOTED.pattern}(?:\s+{_QUOTED.pattern})*)?")
 
 # _AP_LETTERS[n][i]: the letters over n APs in which AP i holds, as a bitmask
 # with bit l standing for letter l.
@@ -93,10 +95,14 @@ def parse_hoa(text: str) -> Tela:
                 raise HoaParseError("duplicate AP header", lineno)
             parts = rest.split(None, 1)
             count = _parse_int(parts[0] if parts else "", "AP count", lineno)
-            names = [
-                _ESCAPE.sub(r"\1", name)
-                for name in _QUOTED.findall(parts[1] if len(parts) > 1 else "")
-            ]
+            listed = parts[1] if len(parts) > 1 else ""
+            if not _AP_NAMES.fullmatch(listed):
+                raise HoaParseError(
+                    f"AP names must be quoted strings separated by whitespace, "
+                    f"got {listed!r}",
+                    lineno,
+                )
+            names = [_ESCAPE.sub(r"\1", name) for name in _QUOTED.findall(listed)]
             if len(names) != count:
                 raise HoaParseError(
                     f"AP header declares {count} names but lists {len(names)}", lineno

@@ -246,6 +246,11 @@ PARSE_ERROR_CASES = [
     (MINIMAL.replace("Start: 0", "Start: 5"), 1, "initial state 5 out of range"),
     (MINIMAL.replace('AP: 1 "a"', 'AP: 2 "a"'), 4, "declares 2 names but lists 1"),
     (
+        MINIMAL.replace('AP: 1 "a"', 'AP: 2 "a" junk, "b" )'),
+        4,
+        "AP names must be quoted strings separated by whitespace",
+    ),
+    (
         MINIMAL.replace('AP: 1 "a"', 'AP: 9 "a" "b" "c" "d" "e" "f" "g" "h" "i"'),
         4,
         "at most 8 atomic propositions",
