@@ -92,31 +92,39 @@ class Mdp:
             if not acts:
                 raise MdpError(f"state {s} has no action")
             for act in acts:
-                total = Fraction(0)
-                seen: set[int] = set()
-                for t, p in act.dist:
-                    if not 0 <= t < self.n_states:
-                        raise MdpError(f"transition target {t} out of range")
-                    if t in seen:
-                        raise MdpError(
-                            f"duplicate target {t} in {s} --{act.name}-->"
-                        )
-                    seen.add(t)
-                    if p <= 0:
-                        raise MdpError("probabilities must be positive")
-                    total += p
-                if total != 1:
-                    raise MdpError(
-                        f"distribution of {s} --{act.name}--> sums to {total}"
-                    )
+                _check_action(s, act, self.n_states, lambda msg, _: MdpError(msg))
+
+
+def _check_action(s: int, act: MdpAction, n_states: int, error) -> None:
+    """Raise `error(message, entry)` at the first fault of state s's action:
+    entry is the index of the faulty (target, probability) pair, or None when
+    the distribution does not sum to one."""
+    total = Fraction(0)
+    seen: set[int] = set()
+    for i, (t, p) in enumerate(act.dist):
+        if not 0 <= t < n_states:
+            raise error(f"transition target {t} out of range", i)
+        if t in seen:
+            raise error(f"duplicate target {t} in {s} --{act.name}-->", i)
+        seen.add(t)
+        if p <= 0:
+            raise error("probabilities must be positive", i)
+        total += p
+    if total != 1:
+        raise error(f"distribution of {s} --{act.name}--> sums to {total}", None)
 
 
 def parse_mdp(text: str) -> Mdp:
+    """Parse the text format; every error, syntactic or semantic, names the
+    line it is on (the `states` line for a state without actions, the first
+    `trans` line of an action for its source or its sum)."""
     n_states: int | None = None
-    initial = 0
+    states_line = 0
+    initial, initial_line = 0, 0
     labels: dict[int, frozenset[str]] = {}
-    order: list[tuple[int, str]] = []
-    dists: dict[tuple[int, str], list[tuple[int, Fraction]]] = {}
+    label_lines: dict[int, int] = {}
+    # (source, action name) -> (line, target, probability) in input order
+    dists: dict[tuple[int, str], list[tuple[int, int, Fraction]]] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -127,9 +135,11 @@ def parse_mdp(text: str) -> Mdp:
             if kind == "states":
                 if n_states is not None:
                     raise ValueError("duplicate states line")
-                n_states = int(parts[1])
+                n_states, states_line = int(parts[1]), lineno
+                if n_states <= 0:
+                    raise ValueError("an MDP needs at least one state")
             elif kind == "initial":
-                initial = int(parts[1])
+                initial, initial_line = int(parts[1]), lineno
             elif kind == "label":
                 s = int(parts[1])
                 body = line.split(None, 2)[2]
@@ -141,23 +151,13 @@ def parse_mdp(text: str) -> Mdp:
                 names = [x.strip() for x in inner.split(",")] if inner else []
                 if any(not x for x in names):
                     raise ValueError("empty atomic proposition name")
-                labels[s] = frozenset(names)
+                labels[s], label_lines[s] = frozenset(names), lineno
             elif kind == "trans":
                 if len(parts) != 5:
                     raise ValueError("trans needs: source action target prob")
-                s = int(parts[1])
-                name = parts[2]
-                t = int(parts[3])
-                p = Fraction(parts[4])
-                key = (s, name)
-                if key not in dists:
-                    dists[key] = []
-                    order.append(key)
-                if any(t == t0 for t0, _ in dists[key]):
-                    raise ValueError(
-                        f"duplicate transition {s} --{name}--> {t}"
-                    )
-                dists[key].append((t, p))
+                s, name = int(parts[1]), parts[2]
+                t, p = int(parts[3]), Fraction(parts[4])
+                dists.setdefault((s, name), []).append((lineno, t, p))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
         except MdpParseError:
@@ -166,14 +166,23 @@ def parse_mdp(text: str) -> Mdp:
             raise MdpParseError(lineno, str(exc) or "malformed line") from exc
     if n_states is None:
         raise MdpParseError(0, "missing states line")
+    if not 0 <= initial < n_states:
+        raise MdpParseError(initial_line, f"initial state {initial} out of range")
+    for s, lineno in label_lines.items():
+        if not 0 <= s < n_states:
+            raise MdpParseError(lineno, f"label for unknown state {s}")
     actions: list[list[MdpAction]] = [[] for _ in range(n_states)]
-    for s, name in order:
+    for (s, name), entries in dists.items():
         if not 0 <= s < n_states:
-            raise MdpError(f"transition source {s} out of range")
-        actions[s].append(MdpAction(name, tuple(dists[(s, name)])))
-    for s in labels:
-        if not 0 <= s < n_states:
-            raise MdpError(f"label for unknown state {s}")
+            raise MdpParseError(entries[0][0], f"transition source {s} out of range")
+        act = MdpAction(name, tuple((t, p) for _, t, p in entries))
+        _check_action(
+            s, act, n_states, lambda msg, i: MdpParseError(entries[i or 0][0], msg)
+        )
+        actions[s].append(act)
+    for s, acts in enumerate(actions):
+        if not acts:
+            raise MdpParseError(states_line, f"state {s} has no action")
     return Mdp(
         n_states=n_states,
         initial=initial,

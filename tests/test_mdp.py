@@ -116,6 +116,24 @@ def test_parse_mdp_semantic_errors():
         )
 
 
+def test_parse_mdp_semantic_errors_name_their_line():
+    cases = [
+        ("states 1\ntrans 0 a 0 1/2\n", 2, "sums to 1/2"),
+        ("states 1\ntrans 0 a 0 0\ntrans 0 a 0 1\n", 2, "must be positive"),
+        ("states 2\ntrans 0 a 0 1\n", 1, "state 1 has no action"),
+        ("states 1\ninitial 3\ntrans 0 a 0 1\n", 2, "initial state 3"),
+        ("states 1\ntrans 1 a 1 1\n", 2, "transition source 1"),
+        ("states 1\nlabel 4 {a}\ntrans 0 a 0 1\n", 2, "unknown state 4"),
+        ("states 2\ntrans 1 a 1 1\ntrans 0 a 0 1/2\ntrans 0 a 5 1/2\n", 4, "target 5"),
+    ]
+    for text, lineno, fragment in cases:
+        with pytest.raises(MdpParseError) as info:
+            parse_mdp(text)
+        assert info.value.lineno == lineno, text
+        assert str(info.value).startswith(f"line {lineno}: "), text
+        assert fragment in str(info.value), text
+
+
 def test_mdp_product_requires_single_initial_state():
     with pytest.raises(MdpError):
         mdp_product(example_mdp(), example_automaton())
