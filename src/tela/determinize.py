@@ -36,7 +36,6 @@ from .core import (
     BudgetExceeded,
     Tela,
     TelaError,
-    complement_deterministic,
     complete,
     empty_language_automaton,
     explore,
@@ -271,14 +270,15 @@ def disjunct_determinizations(
 def contains(p: Tela, d: Tela) -> bool:
     """Whether the deterministic automaton p's language contains d's.
 
-    Checks emptiness of the product of d with the complement of p, keeping
-    the two acceptance conditions as separate DNFs rather than rewriting
-    their conjunction.
+    Searches the product of d with p for a cycle that satisfies d's
+    acceptance and violates p's, keeping the two conditions as separate
+    DNFs rather than rewriting the conjunction of d's with the complement
+    of p's.
     """
     for label, x in (("container", p), ("contained", d)):
         if not is_deterministic(x) or not is_complete(x):
             raise TelaError(f"containment needs a deterministic complete {label}")
-    prod = product(d, complement_deterministic(p), "and")
+    prod = product(d, p, "and")
     pos = to_dnf(d.acceptance)
     neg = offset_dnf(to_dnf(p.acceptance), d.n_marks)
     return dnf_witness(prod.transitions, prod.initial, pos, neg) is None

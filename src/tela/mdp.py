@@ -358,7 +358,6 @@ def _max_reach(
     actions: tuple[tuple[ProductAction, ...], ...],
     initial: int,
     target: set[int],
-    tol: float = REACH_TOLERANCE,
 ) -> float:
     """Maximal probability of reaching the target set, by interval iteration
     on the MEC quotient."""
@@ -408,7 +407,7 @@ def _max_reach(
             lo[nid] = best_lo
             hi[nid] = best_hi
             width = max(width, hi[nid] - lo[nid])
-        if width < tol:
+        if width < REACH_TOLERANCE:
             break
     else:
         raise MdpError("value iteration did not converge")
