@@ -4,11 +4,13 @@ import hashlib
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from tela import Tela, TelaError, inf_
 from tela.randbench import (
+    CONFIG_KEYS,
     BenchConfig,
     BenchError,
     DET_METHODS,
@@ -283,3 +285,12 @@ def test_bench_reports_match_the_pinned_digest():
         report = format_report(run_benchmark(parse_bench_config(text)))
         digest.update(re.sub(r"(\s)(median_time|time)=\S+", r"\1\2=*", report).encode())
     assert digest.hexdigest() == PINNED_REPORT_DIGEST
+
+
+def test_readme_lists_every_config_key_with_its_default():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Benchmark configuration", 1)[1]
+    block = section.split("```\n", 2)[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
+    assert sorted(keys) == sorted(CONFIG_KEYS)
+    assert parse_bench_config(block) == BenchConfig()
