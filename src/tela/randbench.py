@@ -30,7 +30,6 @@ import math
 import random
 import time
 from collections import Counter
-from itertools import product
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -467,12 +466,15 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             groups.setdefault(row["group"], []).append(idx)
     ratios: dict[str, dict[str, dict[str, float]]] = {}
     for group, idxs in groups.items():
-        ratios[group] = {method: {} for method in methods}
-        for method, metric in product(methods, ("states", "time", "marks")):
-            vals = [_ratio(rows[method][i], rows[baseline][i], metric) for i in idxs]
-            ratios[group][method][metric] = _lower_median(
-                [v for v in vals if v is not None]
-            )
+        ratios[group] = {}
+        for method in methods:
+            pairs = [(rows[method][i], rows[baseline][i]) for i in idxs]
+            ratios[group][method] = {}
+            for metric in ("states", "time", "marks"):
+                vals = [_ratio(rm, rb, metric) for rm, rb in pairs]
+                ratios[group][method][metric] = _lower_median(
+                    [v for v in vals if v is not None]
+                )
 
     return BenchReport(
         config=config,
