@@ -7,13 +7,17 @@ Fin atoms that a run may visit forever.  A second, brute-force emptiness
 check tries every mark union with a naive transitive closure.  Membership
 of an ultimately periodic word reduces to emptiness of a lasso-shaped
 product built here.  HOA transition labels are rewritten into Python
-expressions and evaluated per letter.
+expressions and evaluated per letter.  Maximal reachability probabilities
+come from every memoryless deterministic scheduler, each induced Markov
+chain solved exactly by Gaussian elimination over fractions.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
+from fractions import Fraction
 
 from tela import And, BoolConst, Fin, Inf, Or, Tela, TelaError
 
@@ -287,3 +291,55 @@ def oracle_mecs(m) -> list[tuple[frozenset[int], dict[int, tuple[int, ...]]]]:
         ),
         key=lambda mec: min(mec[0]),
     )
+
+
+def oracle_max_reach(actions, initial: int, target) -> Fraction:
+    """Exact maximal probability of reaching `target` from `initial`.
+
+    `actions[s]` lists state s's actions, each with a `dist` of (successor,
+    probability) pairs.  Memoryless deterministic schedulers suffice for
+    maximal reachability, so try every one: in its Markov chain, states that
+    cannot reach the target get 0, target states 1, and the others solve
+    x_s = sum_t p(s, t) x_t, which has one solution there.
+    """
+    n = len(actions)
+    best = Fraction(0)
+    for choice in itertools.product(*(range(len(acts)) for acts in actions)):
+        dist = [dict(actions[s][choice[s]].dist) for s in range(n)]
+        alive = set(target)
+        grew = True
+        while grew:
+            grew = False
+            for s in range(n):
+                if s not in alive and any(t in alive for t in dist[s]):
+                    alive.add(s)
+                    grew = True
+        free = sorted(alive - set(target))
+        col = {s: i for i, s in enumerate(free)}
+        # Rows of [I - P restricted to free | P into the target].
+        rows = []
+        for s in free:
+            row = [Fraction(0)] * (len(free) + 1)
+            row[col[s]] += 1
+            for t, p in dist[s].items():
+                if t in col:
+                    row[col[t]] -= p
+                elif t in target:
+                    row[-1] += p
+            rows.append(row)
+        for i in range(len(free)):
+            pivot = next(r for r in range(i, len(free)) if rows[r][i] != 0)
+            rows[i], rows[pivot] = rows[pivot], rows[i]
+            for r in range(len(free)):
+                if r != i and rows[r][i] != 0:
+                    f = rows[r][i] / rows[i][i]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[i])]
+        if initial in target:
+            value = Fraction(1)
+        elif initial in col:
+            i = col[initial]
+            value = rows[i][-1] / rows[i][i]
+        else:
+            value = Fraction(0)
+        best = max(best, value)
+    return best

@@ -124,6 +124,25 @@ def test_mc_quantitative(tmp_path, capsys):
     assert capsys.readouterr().out == "1.000000000000\n"
 
 
+def test_mc_quantitative_prints_an_exact_one(tmp_path, capsys):
+    mdp = tmp_path / "m.mdp"
+    mdp.write_text(
+        "states 2\nlabel 1 {a}\n"
+        "trans 0 go 0 1/2\ntrans 0 go 1 1/2\ntrans 1 stay 1 1\n"
+    )
+    inf_a = Tela(
+        ap=("a",),
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 0), (0, 1, 0, 1)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    aut = write_hoa(tmp_path, "inf_a.hoa", inf_a)
+    assert main(["mc", "--mdp", str(mdp), "--aut", aut, "--quant"]) == 0
+    assert capsys.readouterr().out == "1.000000000000\n"
+
+
 def test_mc_qualitative(tmp_path, capsys):
     mdp = tmp_path / "m.mdp"
     mdp.write_text(EXAMPLE_MDP)

@@ -25,10 +25,10 @@ from tela import (
     reference_pr_max,
 )
 from tela.limitdet import breakpoint_component, canonical_partition
-from tela.mdp import MdpAction
+from tela.mdp import MdpAction, _max_reach
 
 from helpers import example_automaton, example_mdp, random_automaton, random_mdp
-from oracles import oracle_mecs
+from oracles import oracle_max_reach, oracle_mecs
 
 
 def a_loop_mdp():
@@ -287,6 +287,70 @@ def test_pr_max_buchi_extremes():
     prod = mdp_product(m, det_letter_watcher(1))
     assert pr_max_buchi(prod) == 1.0
     assert pr_max_buchi(mdp_product(m, det_letter_watcher(0))) == 0.0
+
+
+def half_loop_then_a_mdp():
+    """State 0 stays with probability 1/2 and moves to an a-loop with 1/2."""
+    return parse_mdp(
+        "states 2\n"
+        "label 1 {a}\n"
+        "trans 0 go 0 1/2\n"
+        "trans 0 go 1 1/2\n"
+        "trans 1 stay 1 1\n"
+    )
+
+
+def test_pr_max_buchi_is_exactly_one_on_a_self_loop_with_exit():
+    prod = mdp_product(half_loop_then_a_mdp(), det_letter_watcher(1))
+    assert pr_max_buchi(prod) == 1.0
+
+
+def test_max_reach_matches_the_exact_oracle():
+    rng = random.Random(464)
+    for _ in range(300):
+        m = random_mdp(rng, max_states=5)
+        target = {s for s in range(m.n_states) if rng.random() < 0.3}
+        got = _max_reach(m.actions, m.initial, target)
+        want = oracle_max_reach(m.actions, m.initial, target)
+        if want in (0, 1):
+            assert got == want
+        else:
+            assert abs(got - float(want)) <= 1e-9
+
+
+def trap_mdp(rng: random.Random) -> Mdp:
+    """Random MDP whose last two states are absorbing, with random weights,
+    so that maximal probabilities of reaching the last state are mostly
+    strictly between 0 and 1."""
+    n = rng.randint(3, 6)
+    actions = []
+    for s in range(n - 2):
+        acts = []
+        for i in range(rng.randint(1, 2)):
+            succ = rng.sample(range(n), rng.randint(1, 3))
+            weights = [rng.randint(1, 3) for _ in succ]
+            dist = tuple((t, Fraction(w, sum(weights))) for t, w in zip(succ, weights))
+            acts.append(MdpAction(f"a{i}", dist))
+        actions.append(tuple(acts))
+    for s in (n - 2, n - 1):
+        actions.append((MdpAction("stay", ((s, Fraction(1)),)),))
+    return Mdp(n, 0, (frozenset(),) * n, tuple(actions))
+
+
+def test_max_reach_matches_the_exact_oracle_between_0_and_1():
+    rng = random.Random(465)
+    strictly_between = 0
+    for _ in range(300):
+        m = trap_mdp(rng)
+        target = {m.n_states - 1}
+        got = _max_reach(m.actions, m.initial, target)
+        want = oracle_max_reach(m.actions, m.initial, target)
+        strictly_between += 0 < want < 1
+        if want in (0, 1):
+            assert got == want
+        else:
+            assert abs(got - float(want)) <= 1e-9
+    assert strictly_between >= 100
 
 
 def test_pr_max_buchi_requires_buchi():
