@@ -42,7 +42,7 @@ from .acceptance import (
     gba_marksets,
     to_dnf,
 )
-from .core import Tela, TelaError, complete, explore, reachable, scc_split
+from .core import Tela, TelaError, complete, explore, scc_split
 from .limitdet import build_gfm, limit_det_violation
 from .transforms import ensure_dnf
 
@@ -354,17 +354,63 @@ def _accepting_mecs(actions, dnf: DnfAcceptance):
                 yield mec
 
 
+def _prob01e(actions, target: set[int]) -> tuple[set[int], set[int]]:
+    """(states that can reach the target, Prob1E): the complement of Prob0E
+    and the states with a scheduler reaching the target with probability 1.
+
+    Prob1E is the greatest fixpoint over U of the least fixpoint R: the
+    target plus every state of U with an action whose support lies in U and
+    meets R.  Each R grows backwards along predecessor lists; the states U
+    loses disable the actions that lead to them.  The first R, with every
+    action enabled, is the set that can reach the target.
+    """
+    pred: list[list[tuple[int, int]]] = [[] for _ in actions]
+    for s, acts in enumerate(actions):
+        for aid, act in enumerate(acts):
+            for t, _ in act.dist:
+                pred[t].append((s, aid))
+    disabled: set[tuple[int, int]] = set()
+    u = set(range(len(actions)))
+    can = None
+    while True:
+        r = set(target)
+        stack = list(target)
+        while stack:
+            for s, aid in pred[stack.pop()]:
+                if s not in r and s in u and (s, aid) not in disabled:
+                    r.add(s)
+                    stack.append(s)
+        if can is None:
+            can = r
+        if len(r) == len(u):
+            return can, r
+        for t in u - r:
+            disabled.update(pred[t])
+        u = r
+
+
 def _max_reach(
     actions: tuple[tuple[ProductAction, ...], ...],
     initial: int,
     target: set[int],
 ) -> float:
-    """Maximal probability of reaching the target set, by interval iteration
-    on the MEC quotient."""
+    """Maximal probability of reaching the target set.
+
+    Graph fixpoints decide Prob0E and Prob1E first (`_prob01e`), so answers
+    of 0 and 1 are exact.  The states left undecided go to interval
+    iteration on their MEC quotient, which is free of end components, so
+    both value bounds converge; iteration stops at width 1e-9.
+    """
     n = len(actions)
-    if initial in target:
+    can, sure = _prob01e(actions, target)
+    if initial in sure:
         return 1.0
-    mecs = _mec_decompose(_action_items(actions))
+    if initial not in can:
+        return 0.0
+    undecided = can - sure
+    mecs = _mec_decompose(
+        [item for item in _action_items(actions) if item[0] in undecided]
+    )
     block_of = {s: mec.states for mec in mecs for s in mec.states}
     # Quotient nodes, numbered in order of their smallest state.
     nodes: dict[frozenset[int], int] = {}
@@ -372,12 +418,11 @@ def _max_reach(
         nodes.setdefault(block_of.get(s, frozenset({s})), len(nodes))
         for s in range(n)
     ]
-    target_nodes = {node_of[s] for s in target}
     q_actions: list[list[dict[int, float]]] = [[] for _ in nodes]
     for s in range(n):
-        nid = node_of[s]
-        if nid in target_nodes:
+        if s not in undecided:
             continue
+        nid = node_of[s]
         for act in actions[s]:
             agg: dict[int, float] = {}
             for t, p in act.dist:
@@ -385,17 +430,13 @@ def _max_reach(
             if set(agg) == {nid}:
                 continue
             q_actions[nid].append(agg)
-    can = reachable(
-        target_nodes,
-        ((t, nid) for nid, acts in enumerate(q_actions) for agg in acts for t in agg),
-    )
-    lo = [1.0 if nid in target_nodes else 0.0 for nid in range(len(nodes))]
-    hi = [1.0 if nid in can else 0.0 for nid in range(len(nodes))]
-    free = [
-        nid
-        for nid in range(len(nodes))
-        if nid in can and nid not in target_nodes
-    ]
+    free = sorted({node_of[s] for s in undecided})
+    lo = [0.0] * len(nodes)
+    for s in sure:
+        lo[node_of[s]] = 1.0
+    hi = lo[:]
+    for nid in free:
+        hi[nid] = 1.0
     for _ in range(1_000_000):
         width = 0.0
         for nid in free:
