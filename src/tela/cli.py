@@ -70,7 +70,7 @@ def _cmd_determinize(args) -> int:
 def _cmd_limitdet(args) -> int:
     a = _read_automaton(args.file)
     if args.method == "sum":
-        out = limit_det_sum(a)
+        out = limit_det_sum(a, args.state_cap)
     elif args.method == "ld":
         out = build_ld(ensure_dnf(a))
     else:
@@ -176,6 +176,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limitdet", help="build a limit-deterministic automaton")
     p.add_argument("--method", choices=["sum", "ld", "gfm"], default="sum")
+    p.add_argument("--state-cap", type=int, default=None,
+                   help="fail when a Safra run of --method sum passes this")
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_limitdet)
 

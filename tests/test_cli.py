@@ -81,6 +81,18 @@ def test_limitdet_methods_output_limit_deterministic(tmp_path, capsys):
         assert capsys.readouterr().out == "SYNTACTIC\n"
 
 
+def test_limitdet_sum_state_cap_exits_3(tmp_path, capsys):
+    a = random_tela(
+        n_states=4, n_marks=4, edge_density=0.4, mark_prob=0.3, acc="dnf",
+        seed=7, n_ap=1,
+    )
+    path = write_hoa(tmp_path, "big.hoa", a)
+    assert main(["limitdet", "--method", "sum", "--state-cap", "100", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 def test_check_empty(tmp_path, capsys):
     uni = universal_automaton()
     empty_path = write_hoa(tmp_path, "empty.hoa", uni.with_acceptance(FALSE, 1))

@@ -1,10 +1,12 @@
 """Tests for limit-deterministic and good-for-MDP constructions."""
 
 import random
+import time
 
 import pytest
 
 from tela import (
+    BudgetExceeded,
     Tela,
     TelaError,
     accepts,
@@ -19,6 +21,7 @@ from tela import (
     is_limit_deterministic,
     is_syntactically_limit_deterministic,
     limit_det_sum,
+    random_tela,
     sample_lassos,
 )
 from tela.acceptance import dnf_structure, to_dnf
@@ -280,6 +283,18 @@ def test_limit_det_sum_single_disjunct_is_deterministic():
     out = limit_det_sum(ensure_dnf(a))
     assert is_deterministic(out)
     assert is_limit_deterministic(out)
+
+
+def test_limit_det_sum_stops_at_its_state_cap():
+    # Uncapped, limit_det_sum builds 49121 states on this input.
+    a = random_tela(
+        n_states=4, n_marks=4, edge_density=0.4, mark_prob=0.3, acc="dnf",
+        seed=7, n_ap=1,
+    )
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        limit_det_sum(a, state_cap=100)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_limit_det_sum_properties():
