@@ -18,9 +18,12 @@ a product action pairs an MDP action with one automaton transition over
 that letter, so a strategy resolves both kinds of nondeterminism.  Maximal
 end components come from `core.scc_split`, the one SCC split, run over
 (state, action id, support) items and again on the items it keeps until it
-drops none.  Maximal reachability probabilities come from interval iteration
-on the MEC quotient, which is free of end components, so both value bounds
-converge; iteration stops at width 1e-9.
+drops none.  Maximal reachability probabilities are decided first by graph
+fixpoints: Prob0E (no scheduler reaches the target) and Prob1E (some
+scheduler reaches it with probability 1), so answers of 0 and 1 are exact.
+Only the states left undecided go to interval iteration on their MEC
+quotient, which is free of end components, so both value bounds converge;
+iteration stops at width 1e-9.
 
 qualitative_positive decides whether the maximal probability of the
 automaton's language is positive; it needs a limit-deterministic automaton.
