@@ -289,20 +289,28 @@ def test_pr_max_buchi_extremes():
     assert pr_max_buchi(mdp_product(m, det_letter_watcher(0))) == 0.0
 
 
-def half_loop_then_a_mdp():
-    """State 0 stays with probability 1/2 and moves to an a-loop with 1/2."""
-    return parse_mdp(
+def test_pr_max_buchi_is_exactly_one_on_a_self_loop_with_exit():
+    # State 0 stays with probability 1/2 and moves to an a-loop with 1/2.
+    m = parse_mdp(
         "states 2\n"
         "label 1 {a}\n"
         "trans 0 go 0 1/2\n"
         "trans 0 go 1 1/2\n"
         "trans 1 stay 1 1\n"
     )
+    assert pr_max_buchi(mdp_product(m, det_letter_watcher(1))) == 1.0
 
 
-def test_pr_max_buchi_is_exactly_one_on_a_self_loop_with_exit():
-    prod = mdp_product(half_loop_then_a_mdp(), det_letter_watcher(1))
-    assert pr_max_buchi(prod) == 1.0
+def assert_max_reach_matches_the_oracle(m: Mdp, target: set[int]) -> Fraction:
+    """Compare _max_reach with the exact oracle: equal where the oracle
+    gives 0 or 1, within 1e-9 elsewhere.  Returns the oracle's value."""
+    got = _max_reach(m.actions, m.initial, target)
+    want = oracle_max_reach(m.actions, m.initial, target)
+    if want in (0, 1):
+        assert got == want
+    else:
+        assert abs(got - float(want)) <= 1e-9
+    return want
 
 
 def test_max_reach_matches_the_exact_oracle():
@@ -310,21 +318,16 @@ def test_max_reach_matches_the_exact_oracle():
     for _ in range(300):
         m = random_mdp(rng, max_states=5)
         target = {s for s in range(m.n_states) if rng.random() < 0.3}
-        got = _max_reach(m.actions, m.initial, target)
-        want = oracle_max_reach(m.actions, m.initial, target)
-        if want in (0, 1):
-            assert got == want
-        else:
-            assert abs(got - float(want)) <= 1e-9
+        assert_max_reach_matches_the_oracle(m, target)
 
 
 def trap_mdp(rng: random.Random) -> Mdp:
     """Random MDP whose last two states are absorbing, with random weights,
-    so that maximal probabilities of reaching the last state are mostly
+    so that the maximal probability of reaching the last state often lies
     strictly between 0 and 1."""
     n = rng.randint(3, 6)
     actions = []
-    for s in range(n - 2):
+    for _ in range(n - 2):
         acts = []
         for i in range(rng.randint(1, 2)):
             succ = rng.sample(range(n), rng.randint(1, 3))
@@ -342,14 +345,8 @@ def test_max_reach_matches_the_exact_oracle_between_0_and_1():
     strictly_between = 0
     for _ in range(300):
         m = trap_mdp(rng)
-        target = {m.n_states - 1}
-        got = _max_reach(m.actions, m.initial, target)
-        want = oracle_max_reach(m.actions, m.initial, target)
+        want = assert_max_reach_matches_the_oracle(m, {m.n_states - 1})
         strictly_between += 0 < want < 1
-        if want in (0, 1):
-            assert got == want
-        else:
-            assert abs(got - float(want)) <= 1e-9
     assert strictly_between >= 100
 
 
