@@ -214,7 +214,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    limitdet = args.command == "limitdet"
+    if limitdet and args.state_cap is not None and args.method != "sum":
+        parser.error("--state-cap applies only to limitdet --method sum")
     try:
         return args.func(args)
     except (TelaError, MdpError, AcceptanceError, OSError) as exc:

@@ -128,13 +128,11 @@ def is_syntactically_limit_deterministic(a: Tela) -> bool:
     return True
 
 
-def limit_det_sum(
-    a: Tela, state_cap: int | None = None, deadline: float | None = None
-) -> Tela:
+def limit_det_sum(a: Tela, state_cap: int | None = None) -> Tela:
     """Limit-deterministic automaton as a disjoint sum of per-disjunct
-    determinizations; each Safra run stops at `state_cap` states or at the
-    `deadline` with BudgetExceeded."""
-    parts = list(disjunct_determinizations(a, state_cap, deadline))
+    determinizations; each Safra run stops at `state_cap` states with
+    BudgetExceeded."""
+    parts = list(disjunct_determinizations(a, state_cap))
     return reduce(sum_automata, parts) if parts else empty_language_automaton(a.ap)
 
 

@@ -45,7 +45,7 @@ from .acceptance import (
     gba_marksets,
     to_dnf,
 )
-from .core import Tela, TelaError, complete, explore, scc_split
+from .core import Tela, TelaError, complete, explore, reachable, scc_split
 from .limitdet import build_gfm, limit_det_violation
 from .transforms import ensure_dnf
 
@@ -363,33 +363,23 @@ def _prob01e(actions, target: set[int]) -> tuple[set[int], set[int]]:
 
     Prob1E is the greatest fixpoint over U of the least fixpoint R: the
     target plus every state of U with an action whose support lies in U and
-    meets R.  Each R grows backwards along predecessor lists; the states U
-    loses disable the actions that lead to them.  The first R, with every
-    action enabled, is the set that can reach the target.
+    meets R.  Each round walks back from the target along the actions still
+    inside U, then drops the actions that leave the new U.  The first R,
+    with U all states, is the set that can reach the target.
     """
-    pred: list[list[tuple[int, int]]] = [[] for _ in actions]
-    for s, acts in enumerate(actions):
-        for aid, act in enumerate(acts):
-            for t, _ in act.dist:
-                pred[t].append((s, aid))
-    disabled: set[tuple[int, int]] = set()
+    live = [
+        (s, {t for t, _ in act.dist}) for s, acts in enumerate(actions) for act in acts
+    ]
     u = set(range(len(actions)))
     can = None
     while True:
-        r = set(target)
-        stack = list(target)
-        while stack:
-            for s, aid in pred[stack.pop()]:
-                if s not in r and s in u and (s, aid) not in disabled:
-                    r.add(s)
-                    stack.append(s)
+        r = reachable(target, ((t, s) for s, sup in live for t in sup))
         if can is None:
             can = r
-        if len(r) == len(u):
+        if r == u:
             return can, r
-        for t in u - r:
-            disabled.update(pred[t])
         u = r
+        live = [(s, sup) for s, sup in live if s in u and sup <= u]
 
 
 def _max_reach(

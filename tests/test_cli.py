@@ -93,6 +93,17 @@ def test_limitdet_sum_state_cap_exits_3(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
+def test_limitdet_state_cap_without_sum_is_a_usage_error(tmp_path, capsys):
+    path = write_hoa(tmp_path, "a.hoa", example_automaton())
+    for method in ("ld", "gfm"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["limitdet", "--method", method, "--state-cap", "100", path])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--state-cap applies only to limitdet --method sum" in captured.err
+
+
 def test_check_empty(tmp_path, capsys):
     uni = universal_automaton()
     empty_path = write_hoa(tmp_path, "empty.hoa", uni.with_acceptance(FALSE, 1))

@@ -1,7 +1,6 @@
 """Tests for limit-deterministic and good-for-MDP constructions."""
 
 import random
-import time
 
 import pytest
 
@@ -291,10 +290,8 @@ def test_limit_det_sum_stops_at_its_state_cap():
         n_states=4, n_marks=4, edge_density=0.4, mark_prob=0.3, acc="dnf",
         seed=7, n_ap=1,
     )
-    start = time.perf_counter()
     with pytest.raises(BudgetExceeded):
         limit_det_sum(a, state_cap=100)
-    assert time.perf_counter() - start < 1.0
 
 
 def test_limit_det_sum_properties():
