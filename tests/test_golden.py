@@ -5,8 +5,11 @@ One SHA-256 covers the printed HOA of every determinization method (under a
 constructions and the maximal probability from pr_max_tela, over seeded
 random automata with one atomic proposition.  A second one covers larger
 Safra trees (cap 2000) and both Fin-removals with and without pruning over
-two atomic propositions.  A change that must keep outputs identical keeps the
-digests; a deliberate output change updates the constant and says why.
+two atomic propositions.  A third one pins witnesses: the accepting lassos,
+lasso-word verdicts and containment witnesses on determinization-workload
+inputs and their determinizations.  A change that must keep outputs
+identical keeps the digests; a deliberate output change updates the constant
+and says why.
 """
 
 import hashlib
@@ -14,6 +17,8 @@ import random
 
 from tela import (
     BudgetExceeded,
+    accepting_lasso,
+    accepts,
     build_gfm,
     build_ld,
     determinize_product,
@@ -25,8 +30,13 @@ from tela import (
     random_tela,
     remove_fin,
     remove_fin_gba,
+    sample_lassos,
+    to_dnf,
     to_gba,
 )
+from tela.acceptance import offset_dnf
+from tela.analysis import dnf_witness
+from tela.core import product
 from tela.randbench import DET_METHODS
 from tela.transforms import GBA_METHODS
 
@@ -34,6 +44,7 @@ from helpers import random_mdp
 
 GOLDEN = "072b75640fae5bdbead4e031eb082710d5a44f479ad81de749d43b4c1e6b2f8c"
 GOLDEN_2AP = "0ef116b1b1a76ac75be1d07e9ba5e2daacf2643d5b100b0c242a0ff017dabe7c"
+GOLDEN_WITNESS = "33765406d8cf8127d4f56af43ea70324b4377e0bcbd3beee524e502663c97641"
 
 
 def _determinize(a, method):
@@ -104,3 +115,61 @@ def test_two_ap_outputs_match_the_recorded_digest():
         for name, text in _two_ap_outputs(a):
             digest.update(f"{seed} {name}\n{text}\n".encode())
     assert digest.hexdigest() == GOLDEN_2AP
+
+
+def _containment_witness(p, d):
+    """The witness `contains(p, d)` searches for, or None when it holds."""
+    prod = product(d, p, "and")
+    neg = offset_dnf(to_dnf(p.acceptance), d.n_marks)
+    return dnf_witness(prod.transitions, prod.initial, to_dnf(d.acceptance), neg)
+
+
+def _witness_results(a, outputs, words, earlier):
+    """Lassos and word verdicts of `a` and its determinizations `outputs`,
+    and the containment witnesses of each output against the first one and
+    of the first one against the first outputs of `earlier` inputs.  Those
+    last checks often fail, so their witnesses are pinned too."""
+    for name, x in (("input", a), *outputs):
+        yield f"{name} lasso", accepting_lasso(x)
+        yield f"{name} words", [accepts(x, u, v) for u, v in words]
+    if not outputs:
+        return
+    first = outputs[0][1]
+    for name, x in outputs[1:]:
+        yield f"{name} in first", _containment_witness(first, x)
+        yield f"first in {name}", _containment_witness(x, first)
+    for j, other in enumerate(earlier):
+        yield f"{j} in first", _containment_witness(first, other)
+        yield f"first in {j}", _containment_witness(other, first)
+
+
+def test_witnesses_match_the_recorded_digest():
+    # Inputs drawn like the determinization benchmark's (four states, three
+    # marks, random Emerson-Lei acceptance, one atomic proposition), half of
+    # them sparser so that their languages are seldom universal.
+    digest = hashlib.sha256()
+    rng = random.Random(3)
+    earlier = []
+    for i in range(16):
+        sparse = i % 2 == 1
+        a = random_tela(
+            n_states=4,
+            n_marks=3,
+            edge_density=0.4 if sparse else 3 / 4,
+            mark_prob=0.3 if sparse else 0.2,
+            acc="random-el",
+            seed=rng.randrange(2**32),
+            n_ap=1,
+        )
+        outputs = []
+        for method in DET_METHODS:
+            try:
+                outputs.append((method, _determinize(a, method)))
+            except BudgetExceeded as exc:
+                digest.update(f"{i} {method} budget {exc.kind}\n".encode())
+        words = sample_lassos(a, 6, i)
+        for name, result in _witness_results(a, outputs, words, earlier):
+            digest.update(f"{i} {name}\n{result!r}\n".encode())
+        if outputs:
+            earlier.append(outputs[0][1])
+    assert digest.hexdigest() == GOLDEN_WITNESS
