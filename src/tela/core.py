@@ -11,7 +11,8 @@ Constructions that explore a new state space on the fly number it through
 `explore`, which owns the numbering, the state cap and the deadline.
 `scc_split` is the one split of a graph into strongly connected components
 with the edges kept inside each; emptiness, containment and maximal end
-components all run on it.
+components all run on it.  It and `sccs` share one iterative Tarjan pass,
+which numbers the components; `scc_split` calls `targets` once per item.
 """
 
 from __future__ import annotations
@@ -438,57 +439,60 @@ def reachable(seeds, edges) -> set:
     return seen
 
 
-def tarjan_scc(nodes, adj) -> list[frozenset]:
-    """Strongly connected components of a digraph, iterative Tarjan.
+def _components(adj: dict) -> dict:
+    """Strongly connected components of a digraph, one iterative Tarjan pass.
 
-    `nodes` fixes the visiting order, `adj` maps node -> successor list.
-    Trivial one-node components are included.
+    `adj` maps a node to its successor list; successors need no entry of
+    their own.  Returns a component id for every node in or reached from
+    `adj`.  A node is on the Tarjan stack while it has an index and no id.
     """
     index: dict = {}
     low: dict = {}
-    on_stack: set = set()
+    comp: dict = {}
     stack: list = []
-    counter = 0
-    components: list[frozenset] = []
-
-    for root in nodes:
+    for root in adj:
         if root in index:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(adj.get(root, ())))]
         while work:
-            node, child_pos = work[-1]
-            if child_pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            successors = adj.get(node, ())
-            for i in range(child_pos, len(successors)):
-                succ = successors[i]
+            node, succs = work[-1]
+            for succ in succs:
                 if succ not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((succ, 0))
-                    advanced = True
+                    index[succ] = low[succ] = len(index)
+                    stack.append(succ)
+                    work.append((succ, iter(adj.get(succ, ()))))
                     break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    q = stack.pop()
-                    on_stack.discard(q)
-                    comp.add(q)
-                    if q == node:
-                        break
-                components.append(frozenset(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return components
+                if succ not in comp and index[succ] < low[node]:
+                    low[node] = index[succ]
+            else:
+                work.pop()
+                if low[node] == index[node]:
+                    cid = len(comp)
+                    while True:
+                        q = stack.pop()
+                        comp[q] = cid
+                        if q == node:
+                            break
+                if work:
+                    parent = work[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+    return comp
+
+
+def _grouped(comp: dict, keep=None) -> dict:
+    """Component id -> frozenset of its nodes, for the ids in `keep` (all
+    when None), in order of each component's smallest node."""
+    members: dict = {}
+    for q, cid in comp.items():
+        if keep is None or cid in keep:
+            members.setdefault(cid, []).append(q)
+    return dict(
+        sorted(((cid, frozenset(qs)) for cid, qs in members.items()),
+               key=lambda part: min(part[1]))
+    )
 
 
 def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
@@ -501,21 +505,21 @@ def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
     smallest node, and components with no item inside are dropped.
     """
     adj: dict = {}
+    succs = []
     for item in items:
-        adj.setdefault(item[0], []).extend(targets(item))
-    comp_of: dict = {}
-    for comp in tarjan_scc(list(adj), adj):
-        for q in comp:
-            comp_of[q] = comp
-    inside: dict[frozenset, list] = {}
-    for item in items:
-        comp = comp_of[item[0]]
-        if all(t in comp for t in targets(item)):
-            inside.setdefault(comp, []).append(item)
-    return sorted(
-        ((comp, tuple(kept)) for comp, kept in inside.items()),
-        key=lambda part: min(part[0]),
-    )
+        ts = targets(item)
+        succs.append(ts)
+        adj.setdefault(item[0], []).extend(ts)
+    comp = _components(adj)
+    inside: dict[int, list] = {}
+    for item, ts in zip(items, succs):
+        cid = comp[item[0]]
+        if all(comp[t] == cid for t in ts):
+            inside.setdefault(cid, []).append(item)
+    return [
+        (nodes, tuple(inside[cid]))
+        for cid, nodes in _grouped(comp, inside).items()
+    ]
 
 
 def sccs(a: Tela) -> list[frozenset[int]]:
@@ -523,9 +527,7 @@ def sccs(a: Tela) -> list[frozenset[int]]:
     adj: dict[int, list[int]] = {q: [] for q in range(a.n_states)}
     for s, _, d, _ in a.transitions:
         adj[s].append(d)
-    components = tarjan_scc(range(a.n_states), adj)
-    components.sort(key=min)
-    return components
+    return list(_grouped(_components(adj)).values())
 
 
 def _require_same_ap(a0: Tela, a1: Tela) -> None:

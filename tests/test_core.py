@@ -41,7 +41,7 @@ from tela.core import (
 from tela.randbench import cnf_blowup_automaton
 
 from helpers import example_automaton, random_automaton, random_formula
-from oracles import random_word
+from oracles import kosaraju, random_word
 
 
 def random_det_complete(rng, n_states=3, n_marks=2, ap=("a",)):
@@ -469,6 +469,27 @@ def test_scc_split_with_several_targets_per_item():
         (frozenset({3}), ((3, (3,)),)),
     ]
     assert scc_split([], lambda item: item[1]) == []
+
+
+def test_scc_split_agrees_with_kosaraju_on_random_graphs():
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        items = [
+            (rng.randrange(n), i, tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))))
+            for i in range(rng.randint(0, 14))
+        ]
+        edges = [(src, t) for src, _, ts in items for t in ts]
+        expected = []
+        for comp in kosaraju(n, edges):
+            inside = tuple(
+                item for item in items
+                if item[0] in comp and all(t in comp for t in item[2])
+            )
+            if inside:
+                expected.append((frozenset(comp), inside))
+        expected.sort(key=lambda part: min(part[0]))
+        assert scc_split(items, lambda item: item[2]) == expected
 
 
 def test_with_all_mark():
