@@ -1,10 +1,13 @@
 """Language analysis: emptiness, accepting lassos and lasso-word membership.
 
-Emptiness works on the DNF of the acceptance condition.  For each disjunct
-the Fin-marked transitions are deleted and the remaining reachable graph is
-searched for a strongly connected set of transitions meeting every Inf set;
-`core.scc_split`, the one SCC split, gives the components with the
-transitions inside each.  The same search core optionally takes a second
+Emptiness works on the DNF of the acceptance condition.  The reachable
+graph is split into strongly connected components once, by `core.scc_split`,
+the one SCC split, which gives the components with the transitions inside
+each.  For each disjunct the Fin-marked transitions are deleted inside each
+component, whose marks must still meet every Inf set, and only that
+component is split again; deleting transitions never joins two components,
+so the parts, taken in order of their smallest state, are the components
+of the whole graph without the Fin transitions.  The same search core optionally takes a second
 DNF that the witness must *violate*, which is what deterministic containment
 needs: there the witness set is refined by deleting one Inf set of a
 satisfied negative disjunct and recursing into the sub-SCCs (the standard
@@ -105,15 +108,32 @@ def dnf_witness(
     Returns (pos disjunct index, transitions of the witness set) or None.
     """
     reach = reachable(initial, ((s, d) for s, _, d, _ in transitions))
+    components = scc_split(tuple(t for t in transitions if t[0] in reach), _dst)
     for di, d in enumerate(pos.disjuncts):
-        base = tuple(
-            t for t in transitions if t[0] in reach and not (t[3] & d.fin)
-        )
-        for _, internal in scc_split(base, lambda t: (t[2],)):
+        parts = []
+        for nodes, inside in components:
+            # Deleting Fin transitions can only split a component further,
+            # and no part of it can satisfy d when the whole does not.
+            base = tuple(t for t in inside if not (t[3] & d.fin))
+            marks = 0
+            for t in base:
+                marks |= t[3]
+            if not d.holds(marks):
+                continue
+            if len(base) == len(inside):
+                parts.append((nodes, inside))
+            else:
+                parts.extend(scc_split(base, _dst))
+        parts.sort(key=lambda part: min(part[0]))
+        for _, internal in parts:
             found = _refine(internal, d, neg)
             if found is not None:
                 return di, found
     return None
+
+
+def _dst(t: Transition) -> tuple[int]:
+    return (t[2],)
 
 
 def _refine(
@@ -133,7 +153,7 @@ def _refine(
         if s == ALL:
             continue
         sub = tuple(t for t in ts if not (t[3] & s))
-        for _, internal in scc_split(sub, lambda t: (t[2],)):
+        for _, internal in scc_split(sub, _dst):
             found = _refine(internal, d, neg)
             if found is not None:
                 return found
