@@ -127,9 +127,13 @@ def safra_determinize(
         bit = 1 << d
         post[letter][s] = (img | bit, (acc | bit) if marks & accbits else acc)
 
+    # images[letter]: label bitmask -> the union of its states' post pairs,
+    # filled as labels turn up; labels recur across the trees of one run.
+    images: list[dict[int, tuple[int, int]]] = [{} for _ in post]
+
     def expand(tree: _Node, number):
         for letter, row in enumerate(post):
-            nxt, marks = _safra_step(tree, row)
+            nxt, marks = _safra_step(tree, row, images[letter])
             yield letter, number(nxt), marks
 
     root = (0, sum(1 << q for q in b.initial), ())
@@ -155,10 +159,11 @@ def _names(node: _Node):
         yield from _names(child)
 
 
-def _safra_step(tree: _Node, post) -> tuple[_Node, int]:
+def _safra_step(tree: _Node, post, images: dict) -> tuple[_Node, int]:
     """One deterministic Safra-tree transition on the letter for which post[q]
     holds q's successor and accepting-successor bitmasks: the successor tree
-    and its green and red mark bits.
+    and its green and red mark bits.  `images` caches, per old label, the
+    union of its states' post pairs on this letter.
 
     step(node, allowed) rewrites a node in one post-order pass.  Its label
     becomes the image of its old label within `allowed`, the parent's new
@@ -176,10 +181,14 @@ def _safra_step(tree: _Node, post) -> tuple[_Node, int]:
 
     def step(node: _Node, allowed: int) -> tuple[_Node, int]:
         name, label, children = node
-        img = acc = 0
-        for q in mark_indices(label):
-            img |= post[q][0]
-            acc |= post[q][1]
+        pair = images.get(label)
+        if pair is None:
+            img = acc = 0
+            for q in mark_indices(label):
+                img |= post[q][0]
+                acc |= post[q][1]
+            pair = images[label] = (img, acc)
+        img, acc = pair
         label = free = img & allowed
         kept = []
         greens = 0
