@@ -17,13 +17,13 @@ The product with an automaton reads the label of the current MDP state:
 a product action pairs an MDP action with one automaton transition over
 that letter, so a strategy resolves both kinds of nondeterminism.  Maximal
 end components come from `core.scc_split`, the one SCC split, run over
-(state, action id, support) items and again on the items it keeps until it
-drops none.  Maximal reachability probabilities are decided first by graph
-fixpoints: Prob0E (no scheduler reaches the target) and Prob1E (some
-scheduler reaches it with probability 1), so answers of 0 and 1 are exact.
-Only the states left undecided go to interval iteration on their MEC
-quotient, which is free of end components, so both value bounds converge;
-iteration stops at width 1e-9.
+(state, action id, support) items and again on each component that lost
+items, until none loses any.  Maximal reachability probabilities are
+decided first by graph fixpoints: Prob0E (no scheduler reaches the target)
+and Prob1E (some scheduler reaches it with probability 1), so answers of 0
+and 1 are exact.  Only the states left undecided go to interval iteration
+on their MEC quotient, which is free of end components, so both value
+bounds converge; iteration stops at width 1e-9.
 
 qualitative_positive decides whether the maximal probability of the
 automaton's language is positive; it needs a limit-deterministic automaton.
@@ -34,6 +34,7 @@ construction's size limit.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,18 +282,25 @@ class EndComponent:
 def _mec_decompose(items) -> list[EndComponent]:
     """Maximal end components of (state, action id, support) items.
 
-    Split the items into strongly connected components and keep the ones
-    inside, until nothing is dropped; then every component is a maximal
-    end component with its items.  States without items belong to none.
+    Split the items into strongly connected components and keep the items
+    inside each.  A component that lost items is split again on its own,
+    until none loses any; then every component is a maximal end component
+    with its items.  States without items belong to none.  Components come
+    in order of their smallest state.
     """
-    while True:
-        parts = scc_split(items, lambda item: item[2])
-        kept = [item for _, inside in parts for item in inside]
-        if len(kept) == len(items):
-            break
-        items = kept
+    done = []
+    todo = [items]
+    while todo:
+        group = todo.pop()
+        n_items = Counter(item[0] for item in group)
+        for comp, inside in scc_split(group, lambda item: item[2]):
+            if sum(n_items[s] for s in comp) == len(inside):
+                done.append((comp, inside))
+            else:
+                todo.append(inside)
+    done.sort(key=lambda part: min(part[0]))
     mecs = []
-    for comp, inside in parts:
+    for comp, inside in done:
         actions: dict[int, tuple[int, ...]] = {}
         for s, aid, _ in inside:
             actions[s] = actions.get(s, ()) + (aid,)
