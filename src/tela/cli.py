@@ -155,6 +155,16 @@ def _cmd_bench(args) -> int:
     return 1 if report.mismatches else 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tela",
@@ -170,13 +180,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("determinize", help="determinize an automaton")
     p.add_argument("--method", choices=DET_METHODS, default="product")
-    p.add_argument("--state-cap", type=int, default=None)
+    p.add_argument("--state-cap", type=_positive_int, default=None)
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_determinize)
 
     p = sub.add_parser("limitdet", help="build a limit-deterministic automaton")
     p.add_argument("--method", choices=["sum", "ld", "gfm"], default="sum")
-    p.add_argument("--state-cap", type=int, default=None,
+    p.add_argument("--state-cap", type=_positive_int, default=None,
                    help="fail when a Safra run of --method sum passes this")
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_limitdet)

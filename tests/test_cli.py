@@ -104,6 +104,22 @@ def test_limitdet_state_cap_without_sum_is_a_usage_error(tmp_path, capsys):
         assert "--state-cap applies only to limitdet --method sum" in captured.err
 
 
+def test_non_positive_state_cap_is_a_usage_error(tmp_path, capsys):
+    path = write_hoa(tmp_path, "a.hoa", example_automaton())
+    for argv in (
+        ["determinize", "--state-cap", "0", path],
+        ["determinize", "--state-cap", "-1", path],
+        ["determinize", "--state-cap", "x", path],
+        ["limitdet", "--method", "sum", "--state-cap", "-5", path],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--state-cap: expected a positive integer" in captured.err
+
+
 def test_check_empty(tmp_path, capsys):
     uni = universal_automaton()
     empty_path = write_hoa(tmp_path, "empty.hoa", uni.with_acceptance(FALSE, 1))
