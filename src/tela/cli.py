@@ -156,13 +156,9 @@ def _cmd_bench(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
+    if not text.isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
