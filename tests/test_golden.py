@@ -7,13 +7,15 @@ random automata with one atomic proposition.  A second one covers larger
 Safra trees (cap 2000) and both Fin-removals with and without pruning over
 two atomic propositions.  A third one pins witnesses: the accepting lassos,
 lasso-word verdicts and containment witnesses on determinization-workload
-inputs and their determinizations.  A change that must keep outputs
-identical keeps the digests; a deliberate output change updates the constant
+inputs and their determinizations.  A fourth one pins the MDP products of
+the model-checking side: states, actions and maximal end components.  A
+change that must keep outputs identical keeps the digests; a deliberate output change updates the constant
 and says why.
 """
 
 import hashlib
 import random
+from fractions import Fraction
 
 from tela import (
     BudgetExceeded,
@@ -25,6 +27,9 @@ from tela import (
     determinize_via_gba,
     ensure_dnf,
     limit_det_sum,
+    mdp_product,
+    mec_decomposition,
+    parse_mdp,
     pr_max_tela,
     print_hoa,
     random_tela,
@@ -36,7 +41,8 @@ from tela import (
 )
 from tela.acceptance import offset_dnf
 from tela.analysis import dnf_witness
-from tela.core import product
+from tela.core import complete, product
+from tela.mdp import _explore_product
 from tela.randbench import DET_METHODS
 from tela.transforms import GBA_METHODS
 
@@ -45,6 +51,7 @@ from helpers import random_mdp
 GOLDEN = "072b75640fae5bdbead4e031eb082710d5a44f479ad81de749d43b4c1e6b2f8c"
 GOLDEN_2AP = "0ef116b1b1a76ac75be1d07e9ba5e2daacf2643d5b100b0c242a0ff017dabe7c"
 GOLDEN_WITNESS = "33765406d8cf8127d4f56af43ea70324b4377e0bcbd3beee524e502663c97641"
+GOLDEN_PRODUCT = "8a394910cc0b8c1d35cfc2cfef5ee9a2e618de4bf5a7b5523b56350eb77b2768"
 
 
 def _determinize(a, method):
@@ -173,3 +180,50 @@ def test_witnesses_match_the_recorded_digest():
         if outputs:
             earlier.append(outputs[0][1])
     assert digest.hexdigest() == GOLDEN_WITNESS
+
+
+def _even_mdp(rng, n_states, ap):
+    """An MDP like the model-checking benchmark's: 1-2 actions per state,
+    each going to 1-3 distinct successors with equal probability."""
+    lines = [f"states {n_states}", "initial 0"]
+    for s in range(n_states):
+        label = ",".join(x for x in ap if rng.random() < 0.5)
+        lines.append(f"label {s} {{{label}}}")
+    for s in range(n_states):
+        for act in range(rng.randint(1, 2)):
+            targets = rng.sample(range(n_states), rng.randint(1, 3))
+            for t in targets:
+                lines.append(f"trans {s} a{act} {t} {Fraction(1, len(targets))}")
+    return parse_mdp("\n".join(lines) + "\n")
+
+
+def _product_results(m, a):
+    """The GFM product's states and actions, its maximal end components, and
+    the state order of the product with the breakpoint construction."""
+    a = ensure_dnf(a)
+    prod = mdp_product(m, complete(build_gfm(a)))
+    yield "states", (prod.states, prod.initial)
+    for s, acts in enumerate(prod.actions):
+        yield f"actions {s}", [(act.name, act.marks, act.dist) for act in acts]
+    for mec in mec_decomposition(prod):
+        yield "mec", (sorted(mec.states), sorted(mec.actions.items()))
+    yield "ld order", _explore_product(m, build_ld(a), strict=False)[0]
+
+
+def test_products_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    rng = random.Random(9)
+    for i in range(24):
+        a = random_tela(
+            n_states=4,
+            n_marks=2,
+            edge_density=9 / 10,
+            mark_prob=0.2,
+            acc="random-el",
+            seed=rng.randrange(2**32),
+            n_ap=1,
+        )
+        m = _even_mdp(rng, 6, a.ap)
+        for name, result in _product_results(m, a):
+            digest.update(f"{i} {name}\n{result!r}\n".encode())
+    assert digest.hexdigest() == GOLDEN_PRODUCT
