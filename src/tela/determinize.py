@@ -132,13 +132,14 @@ def safra_determinize(
     images: list[dict[int, tuple[int, int]]] = [{} for _ in post]
 
     def expand(tree: _Node, number):
+        old = _name_mask(tree)
         for letter, row in enumerate(post):
-            nxt, marks = _safra_step(tree, row, images[letter])
+            nxt, marks = _safra_step(tree, old, row, images[letter])
             yield letter, number(nxt), marks
 
     root = (0, sum(1 << q for q in b.initial), ())
     order, edges = explore([root], expand, state_cap, deadline, "determinization")
-    names = 1 + max(max(_names(tree)) for tree in order)
+    names = max(map(_name_mask, order)).bit_length()
     acceptance = or_(
         and_([fin_(1 << (2 * n + 1)), inf_(1 << (2 * n))]) for n in range(names)
     )
@@ -152,20 +153,23 @@ def safra_determinize(
     )
 
 
-def _names(node: _Node):
-    """The names of a Safra tree, in pre-order."""
-    yield node[0]
+def _name_mask(node: _Node) -> int:
+    """The names of a Safra tree as a bitmask."""
+    mask = 1 << node[0]
     for child in node[2]:
-        yield from _names(child)
+        mask |= _name_mask(child)
+    return mask
 
 
-def _safra_step(tree: _Node, post, images: dict) -> tuple[_Node, int]:
+def _safra_step(tree: _Node, old: int, post, images: dict) -> tuple[_Node, int]:
     """One deterministic Safra-tree transition on the letter for which post[q]
     holds q's successor and accepting-successor bitmasks: the successor tree
-    and its green and red mark bits.  `images` caches, per old label, the
-    union of its states' post pairs on this letter.
+    and its green and red mark bits.  `old` is the bitmask of the tree's
+    names.  `images` caches, per old label, the union of its states' post
+    pairs on this letter.
 
-    step(node, allowed) rewrites a node in one post-order pass.  Its label
+    step(node, allowed) rewrites a node in one post-order pass and returns
+    it with its greens and the bitmask of the names it keeps.  Its label
     becomes the image of its old label within `allowed`, the parent's new
     label minus what older siblings kept, and children left empty are
     dropped.  If the old label has accepting successors, the node then takes
@@ -176,10 +180,10 @@ def _safra_step(tree: _Node, post, images: dict) -> tuple[_Node, int]:
     its label drops them and their greens and is green itself.  Names of the
     old tree missing from the new one are red.
     """
-    old = set(_names(tree))
-    taken = set(old)
+    taken = old
 
-    def step(node: _Node, allowed: int) -> tuple[_Node, int]:
+    def step(node: _Node, allowed: int) -> tuple[_Node, int, int]:
+        nonlocal taken
         name, label, children = node
         pair = images.get(label)
         if pair is None:
@@ -192,26 +196,27 @@ def _safra_step(tree: _Node, post, images: dict) -> tuple[_Node, int]:
         label = free = img & allowed
         kept = []
         greens = 0
+        names = 1 << name
         for child in children:
-            new, child_greens = step(child, free)
+            new, child_greens, child_names = step(child, free)
             if new[1]:
                 kept.append(new)
                 greens |= child_greens
+                names |= child_names
                 free &= ~new[1]
         if acc:
-            fresh = 0
-            while fresh in taken:
-                fresh += 1
-            taken.add(fresh)
+            fresh = ~taken & (taken + 1)
+            taken |= fresh
             if acc & free:
-                kept.append((fresh, acc & free, ()))
+                kept.append((fresh.bit_length() - 1, acc & free, ()))
+                names |= fresh
                 free &= ~acc
         if kept and not free:
-            return (name, label, ()), 1 << (2 * name)
-        return (name, label, tuple(kept)), greens
+            return (name, label, ()), 1 << (2 * name), 1 << name
+        return (name, label, tuple(kept)), greens, names
 
-    new, marks = step(tree, -1)
-    for r in old.difference(_names(new)):
+    new, marks, names = step(tree, -1)
+    for r in mark_indices(old & ~names):
         marks |= 1 << (2 * r + 1)
     return new, marks
 

@@ -9,7 +9,8 @@ of an ultimately periodic word reduces to emptiness of a lasso-shaped
 product built here.  HOA transition labels are rewritten into Python
 expressions and evaluated per letter.  Maximal reachability probabilities
 come from every memoryless deterministic scheduler, each induced Markov
-chain solved exactly by Gaussian elimination over fractions.
+chain solved exactly by Gaussian elimination over fractions.  One Safra-tree
+step is recomputed with Python sets of node names and per-state images.
 """
 
 from __future__ import annotations
@@ -343,3 +344,53 @@ def oracle_max_reach(actions, initial: int, target) -> Fraction:
             value = Fraction(0)
         best = max(best, value)
     return best
+
+
+def _safra_names(node):
+    yield node[0]
+    for child in node[2]:
+        yield from _safra_names(child)
+
+
+def oracle_safra_step(tree, post):
+    """One Safra-tree step with sets of names: the successor of `tree`, a
+    (name, label bitmask, children) node, on the letter for which post[q]
+    holds q's successor and accepting-successor bitmasks, and its mark bits
+    (2n green, 2n+1 red for name n).  Same rules as
+    `determinize._safra_step`, with each label's image recomputed state by
+    state."""
+    old = set(_safra_names(tree))
+    taken = set(old)
+
+    def step(node, allowed):
+        name, label, children = node
+        img = acc = 0
+        for q in range(label.bit_length()):
+            if label >> q & 1:
+                img |= post[q][0]
+                acc |= post[q][1]
+        label = free = img & allowed
+        kept = []
+        greens = 0
+        for child in children:
+            new, child_greens = step(child, free)
+            if new[1]:
+                kept.append(new)
+                greens |= child_greens
+                free &= ~new[1]
+        if acc:
+            fresh = 0
+            while fresh in taken:
+                fresh += 1
+            taken.add(fresh)
+            if acc & free:
+                kept.append((fresh, acc & free, ()))
+                free &= ~acc
+        if kept and not free:
+            return (name, label, ()), 1 << (2 * name)
+        return (name, label, tuple(kept)), greens
+
+    new, marks = step(tree, -1)
+    for r in old.difference(_safra_names(new)):
+        marks |= 1 << (2 * r + 1)
+    return new, marks

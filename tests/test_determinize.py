@@ -27,12 +27,13 @@ from tela import (
     safra_determinize,
     sample_lassos,
 )
+from tela import determinize as determinize_module
 from tela.determinize import DET_METHODS, determinize_by, empty_language_automaton
 from tela.randbench import cnf_blowup_automaton
 from tela.transforms import GBA_METHODS, to_gba
 
 from helpers import random_automaton
-from oracles import oracle_accepts, random_word
+from oracles import oracle_accepts, oracle_safra_step, random_word
 
 
 def universal_buchi():
@@ -165,6 +166,31 @@ def test_safra_preserves_language():
         for u, v in sample_lassos(nba, 10, seed=rng.randrange(10**6)):
             assert accepts(det, u, v) == accepts(nba, u, v)
             assert accepts(det, u, v) == oracle_accepts(nba, u, v)
+
+
+def test_safra_steps_match_the_set_based_oracle(monkeypatch):
+    """Every (tree, letter) step that safra_determinize takes gives the tree
+    and marks of the set-based step, and `old` holds the tree's names."""
+    step = determinize_module._safra_step
+    checked = 0
+
+    def checked_step(tree, old, post, images):
+        nonlocal checked
+        assert old == determinize_module._name_mask(tree)
+        got = step(tree, old, post, images)
+        assert got == oracle_safra_step(tree, post)
+        checked += 1
+        return got
+
+    monkeypatch.setattr(determinize_module, "_safra_step", checked_step)
+    rng = random.Random(446)
+    for i in range(200):
+        nba = random_buchi(rng, max_states=5, n_ap=1 + i % 2)
+        try:
+            safra_determinize(nba, state_cap=300)
+        except BudgetExceeded:
+            pass
+    assert checked > 10000
 
 
 def test_safra_budget_errors():
