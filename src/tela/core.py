@@ -514,7 +514,10 @@ def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
     inside: dict[int, list] = {}
     for item, ts in zip(items, succs):
         cid = comp[item[0]]
-        if all(comp[t] == cid for t in ts):
+        for t in ts:
+            if comp[t] != cid:
+                break
+        else:
             inside.setdefault(cid, []).append(item)
     return [
         (nodes, tuple(inside[cid]))

@@ -37,6 +37,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import NamedTuple
 
 from .acceptance import (
     Acceptance,
@@ -76,6 +78,11 @@ class NotLimitDeterministicError(TelaError):
 class MdpAction:
     name: str
     dist: tuple[tuple[int, Fraction], ...]
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        """The targets of `dist`, in order."""
+        return tuple(t for t, _ in self.dist)
 
 
 @dataclass(frozen=True)
@@ -195,11 +202,15 @@ def parse_mdp(text: str) -> Mdp:
     )
 
 
-@dataclass(frozen=True)
-class ProductAction:
+class ProductAction(NamedTuple):
+    """An MDP action paired with one automaton transition: its name, the
+    transition's marks, the distribution over product states, and its
+    support, the targets of `dist` in order, built with it."""
+
     name: str
     marks: int
     dist: tuple[tuple[int, Fraction], ...]
+    support: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -237,10 +248,22 @@ def _state_letters(m: Mdp, a: Tela) -> list[int]:
 def _explore_product(
     m: Mdp, a: Tela, strict: bool
 ) -> tuple[list[tuple[int, int]], list[list[ProductAction]]]:
+    """The reachable product states, as (MDP state, automaton state) pairs,
+    and each one's actions.  States are numbered by the int key
+    s * |Q| + q while exploring."""
     letters = _state_letters(m, a)
+    width = a.n_states
+    # Per MDP state: each action's name, targets times width, probabilities.
+    scaled = [
+        [
+            (act.name, [t * width for t, _ in act.dist], [p for _, p in act.dist])
+            for act in acts
+        ]
+        for acts in m.actions
+    ]
 
-    def expand(state: tuple[int, int], number) -> list[ProductAction]:
-        s, q = state
+    def expand(key: int, number) -> list[ProductAction]:
+        s, q = divmod(key, width)
         moves = a.succ(q, letters[s])
         if not moves and strict:
             label = "{" + ",".join(sorted(m.labels[s])) + "}"
@@ -248,15 +271,16 @@ def _explore_product(
                 f"automaton state {q} has no transition for label {label}; "
                 "complete the automaton first"
             )
-        return [
-            ProductAction(
-                act.name, marks, tuple((number((t, q2)), p) for t, p in act.dist)
-            )
-            for act in m.actions[s]
-            for _, _, q2, marks in moves
-        ]
+        out = []
+        for name, targets, probs in scaled[s]:
+            for _, _, q2, marks in moves:
+                support = tuple([number(t + q2) for t in targets])
+                out.append(ProductAction(name, marks, tuple(zip(support, probs)), support))
+        return out
 
-    return explore([(m.initial, q) for q in sorted(a.initial)], expand)
+    seeds = [m.initial * width + q for q in sorted(a.initial)]
+    keys, actions = explore(seeds, expand)
+    return [divmod(key, width) for key in keys], actions
 
 
 def mdp_product(m: Mdp, a: Tela) -> ProductMdp:
@@ -311,7 +335,7 @@ def _mec_decompose(items) -> list[EndComponent]:
 def _action_items(actions, fin: int = 0) -> list[tuple[int, int, tuple[int, ...]]]:
     """(state, action id, support) of every action whose marks avoid `fin`."""
     return [
-        (s, aid, tuple(t for t, _ in act.dist))
+        (s, aid, act.support)
         for s, acts in enumerate(actions)
         for aid, act in enumerate(acts)
         if not (fin and act.marks & fin)
@@ -375,9 +399,7 @@ def _prob01e(actions, target: set[int]) -> tuple[set[int], set[int]]:
     inside U, then drops the actions that leave the new U.  The first R,
     with U all states, is the set that can reach the target.
     """
-    live = [
-        (s, {t for t, _ in act.dist}) for s, acts in enumerate(actions) for act in acts
-    ]
+    live = [(s, act.support) for s, acts in enumerate(actions) for act in acts]
     u = set(range(len(actions)))
     can = None
     while True:
@@ -387,7 +409,7 @@ def _prob01e(actions, target: set[int]) -> tuple[set[int], set[int]]:
         if r == u:
             return can, r
         u = r
-        live = [(s, sup) for s, sup in live if s in u and sup <= u]
+        live = [(s, sup) for s, sup in live if s in u and u.issuperset(sup)]
 
 
 def _max_reach(
