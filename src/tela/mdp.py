@@ -150,6 +150,8 @@ def parse_mdp(text: str) -> Mdp:
                 if n_states <= 0:
                     raise ValueError("an MDP needs at least one state")
             elif kind == "initial":
+                if initial_line:
+                    raise ValueError("duplicate initial line")
                 initial, initial_line = int(parts[1]), lineno
             elif kind == "label":
                 s = int(parts[1])

@@ -182,6 +182,14 @@ def test_mc_quantitative_prints_an_exact_one(tmp_path, capsys):
     assert capsys.readouterr().out == "1.000000000000\n"
 
 
+def test_mc_rejects_a_second_initial_line(tmp_path, capsys):
+    mdp = tmp_path / "m.mdp"
+    mdp.write_text("states 2\ninitial 0\ninitial 1\ntrans 0 a 0 1\ntrans 1 a 1 1\n")
+    aut = write_hoa(tmp_path, "ex.hoa", example_automaton())
+    assert main(["mc", "--mdp", str(mdp), "--aut", aut, "--quant"]) == 3
+    assert "line 3: duplicate initial line" in capsys.readouterr().err
+
+
 def test_mc_qualitative(tmp_path, capsys):
     mdp = tmp_path / "m.mdp"
     mdp.write_text(EXAMPLE_MDP)

@@ -15,6 +15,7 @@ from tela import (
     TRUE,
     build_gfm,
     complete,
+    ensure_dnf,
     inf_,
     mdp_product,
     mec_decomposition,
@@ -77,6 +78,7 @@ def test_parse_mdp_comments_and_blank_lines():
 def test_parse_mdp_line_errors():
     cases = [
         ("states 1\nstates 1\ntrans 0 a 0 1\n", 2),
+        ("states 1\ninitial 0\ninitial 0\ntrans 0 a 0 1\n", 3),
         ("states 1\nbogus 0\ntrans 0 a 0 1\n", 2),
         ("states 1\nlabel 0 a\ntrans 0 a 0 1\n", 2),
         ("states 1\nlabel 0 {a}\nlabel 0 {b}\ntrans 0 a 0 1\n", 3),
@@ -92,6 +94,14 @@ def test_parse_mdp_line_errors():
     with pytest.raises(MdpParseError) as info:
         parse_mdp("trans 0 a 0 1\n")
     assert info.value.lineno == 0
+
+
+def test_parse_mdp_rejects_a_second_initial_line():
+    text = "states 2\ninitial 0\n# the last one used to win\ninitial 1\n"
+    text += "trans 0 a 0 1\ntrans 1 a 1 1\n"
+    with pytest.raises(MdpParseError) as info:
+        parse_mdp(text)
+    assert str(info.value) == "line 4: duplicate initial line"
 
 
 def test_parse_mdp_semantic_errors():
@@ -173,6 +183,23 @@ def test_mdp_product_with_deterministic_automaton_keeps_actions():
     for i, (s, _) in enumerate(prod.states):
         assert [a.name for a in prod.actions[i]] == [a.name for a in m.actions[s]]
     assert prod.states[prod.initial] == (m.initial, 0)
+
+
+def test_every_action_support_lists_its_targets_in_order():
+    rng = random.Random(468)
+    for _ in range(100):
+        a = random_automaton(rng, max_states=3, n_marks=2, ap=("p", "q"))
+        m = random_mdp(rng, max_states=4)
+        for acts in m.actions:
+            for act in acts:
+                assert act.support == tuple(t for t, _ in act.dist)
+        prod = mdp_product(m, complete(build_gfm(ensure_dnf(a))))
+        assert all(isinstance(state, tuple) and len(state) == 2 for state in prod.states)
+        for acts in prod.actions:
+            for act in acts:
+                assert act.support == tuple(t for t, _ in act.dist)
+                assert tuple(act) == (act.name, act.marks, act.dist, act.support)
+                assert act == (act.name, act.marks, act.dist, act.support)
 
 
 def test_mdp_product_small_shape():
