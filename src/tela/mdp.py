@@ -15,10 +15,14 @@ sum to one.  States without a `label` line carry the empty label.
 
 The product with an automaton reads the label of the current MDP state:
 a product action pairs an MDP action with one automaton transition over
-that letter, so a strategy resolves both kinds of nondeterminism.  Maximal
-end components come from `core.scc_split`, the one SCC split, run over
-(state, action id, support) items and again on each component that lost
-items, until none loses any.  Maximal reachability probabilities are
+that letter, so a strategy resolves both kinds of nondeterminism.  Product
+states are numbered by the int key s * |Q| + q while exploring and returned
+as (MDP state, automaton state) pairs.  Each action, of an MDP or of a
+product, carries its support, the targets of its distribution in order;
+the MEC split and the graph fixpoints read it.  Maximal end components
+come from `core.scc_split`, the one SCC split, run over (state, action id,
+support) items and again on each component that lost items, until none
+loses any.  Maximal reachability probabilities are
 decided first by graph fixpoints: Prob0E (no scheduler reaches the target)
 and Prob1E (some scheduler reaches it with probability 1), so answers of 0
 and 1 are exact.  Only the states left undecided go to interval iteration
@@ -277,7 +281,8 @@ def _explore_product(
         for name, targets, probs in scaled[s]:
             for _, _, q2, marks in moves:
                 support = tuple([number(t + q2) for t in targets])
-                out.append(ProductAction(name, marks, tuple(zip(support, probs)), support))
+                dist = tuple(zip(support, probs))
+                out.append(ProductAction(name, marks, dist, support))
         return out
 
     seeds = [m.initial * width + q for q in sorted(a.initial)]

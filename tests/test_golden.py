@@ -9,8 +9,8 @@ two atomic propositions.  A third one pins witnesses: the accepting lassos,
 lasso-word verdicts and containment witnesses on determinization-workload
 inputs and their determinizations.  A fourth one pins the MDP products of
 the model-checking side: states, actions and maximal end components.  A
-change that must keep outputs identical keeps the digests; a deliberate output change updates the constant
-and says why.
+change that must keep outputs identical keeps the digests; a deliberate
+output change updates the constant and says why.
 """
 
 import hashlib

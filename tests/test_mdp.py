@@ -194,7 +194,7 @@ def test_every_action_support_lists_its_targets_in_order():
             for act in acts:
                 assert act.support == tuple(t for t, _ in act.dist)
         prod = mdp_product(m, complete(build_gfm(ensure_dnf(a))))
-        assert all(isinstance(state, tuple) and len(state) == 2 for state in prod.states)
+        assert all(type(state) is tuple and len(state) == 2 for state in prod.states)
         for acts in prod.actions:
             for act in acts:
                 assert act.support == tuple(t for t, _ in act.dist)
