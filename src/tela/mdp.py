@@ -22,12 +22,12 @@ product, carries its support, the targets of its distribution in order;
 the MEC split and the graph fixpoints read it.  Maximal end components
 come from `core.scc_split`, the one SCC split, run over (state, action id,
 support) items and again on each component that lost items, until none
-loses any.  Maximal reachability probabilities are
-decided first by graph fixpoints: Prob0E (no scheduler reaches the target)
-and Prob1E (some scheduler reaches it with probability 1), so answers of 0
-and 1 are exact.  Only the states left undecided go to interval iteration
-on their MEC quotient, which is free of end components, so both value
-bounds converge; iteration stops at width 1e-9.
+loses any.  Maximal reachability probabilities are decided first by graph
+fixpoints: Prob0E (no scheduler reaches the target) and Prob1E (some
+scheduler reaches it with probability 1), so answers of 0 and 1 are exact.
+Only the states left undecided go to interval iteration on their MEC
+quotient, which is free of end components, so both value bounds converge;
+iteration stops at width 1e-9.
 
 qualitative_positive decides whether the maximal probability of the
 automaton's language is positive; it needs a limit-deterministic automaton.
@@ -211,7 +211,9 @@ def parse_mdp(text: str) -> Mdp:
 class ProductAction(NamedTuple):
     """An MDP action paired with one automaton transition: its name, the
     transition's marks, the distribution over product states, and its
-    support, the targets of `dist` in order, built with it."""
+    support, the targets of `dist` in order, built with it.  Targets index
+    `ProductMdp.states`; exploration numbers those states by the int key
+    s * |Q| + q of MDP state s and automaton state q."""
 
     name: str
     marks: int
