@@ -4,22 +4,21 @@ BENCH_<n>.json file.
 Run from anywhere, with two checkouts (each holding src/ and perfbench/):
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --pairs 10 --seeds 61-70 --seconds 45 --out BENCH_9.json \\
+        --seeds 61-70 --seconds 45 --out BENCH_9.json \\
         --claim mc.item_cost_mean --what "..."
 
-Pair i runs `perfbench/run.py --workload all --seed SEED --seconds S
---trace 0` once in each tree with the i-th seed; the parent runs first in
-even pairs and the change first in odd ones, so drift on a shared machine
-hits both sides alike.  Each run's last output line is its JSON summary.
-The file holds every pair's metrics and, per workload and end-to-end
-metric, both sides' median and quartiles
+There is one pair per seed.  Pair i runs `perfbench/run.py --workload all
+--seed SEED --seconds S --trace 0` once in each tree with the i-th seed;
+the parent runs first in even pairs and the change first in odd ones, so
+drift on a shared machine hits both sides alike.  Each run's last output
+line is its JSON summary.  The file holds every pair's metrics and, per
+workload and end-to-end metric, both sides' median and quartiles
 (statistics.quantiles(n=4, method='inclusive')), the win counts (a win is
 a strictly better value on the metric's `better` side in BENCHMARK.json),
 the ratio of the medians and the parent's interquartile spread.  Each tree
-then also runs `det` and `mc` at seed CHECK_SEED for `--check-seconds`,
-untraced for the output digests and traced for the per-layer numbers
-(`--check-seconds 0` skips this).  A run that fails or reports a wrong
-answer stops the command.
+then also runs `det` and `mc` at seed CHECK_SEED for CHECK_SECONDS,
+untraced for the output digests and traced for the per-layer numbers.  A
+run that fails or reports a wrong answer stops the command.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from pathlib import Path
 
 CHECK_WORKLOADS = ("det", "mc")
 CHECK_SEED = 3
+CHECK_SECONDS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -123,23 +123,26 @@ def output_digest(text: str) -> str:
     raise SystemExit("error: perfbench printed no output digest")
 
 
-def checks(trees: dict[str, Path], seconds: float) -> tuple[dict, dict]:
+def checks(trees: dict[str, Path]) -> tuple[dict, dict]:
     """Traced per-layer numbers and untraced output digests of `det` and
     `mc` at CHECK_SEED, for both trees."""
     trace: dict[str, dict] = {}
     digests: dict[str, dict] = {
         "command": f"python3 perfbench/run.py --workload W --seed {CHECK_SEED} "
-        f"--seconds {seconds:g} --trace 0"
+        f"--seconds {CHECK_SECONDS} --trace 0"
     }
     for workload in CHECK_WORKLOADS:
         row = {
             "command": f"python3 perfbench/run.py --workload {workload} "
-            f"--seed {CHECK_SEED} --seconds {seconds:g} --trace 1",
+            f"--seed {CHECK_SEED} --seconds {CHECK_SECONDS} --trace 1",
             "items": {},
         }
         digests[workload] = {}
         for side, tree in trees.items():
-            args = ("--workload", workload, "--seed", CHECK_SEED, "--seconds", seconds)
+            args = (
+                "--workload", workload, "--seed", CHECK_SEED,
+                "--seconds", CHECK_SECONDS,
+            )
             result, _ = perfbench(tree, *args, "--trace", 1)
             row["items"][side] = result["attempted"]
             row[side] = values(result)
@@ -149,40 +152,41 @@ def checks(trees: dict[str, Path], seconds: float) -> tuple[dict, dict]:
     return trace, digests
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", type=parse_seeds, required=True)
-    parser.add_argument("--seconds", type=float, default=45)
-    parser.add_argument("--out", type=Path, help="default: standard output")
-    parser.add_argument("--what", default="", help="what the change does")
-    parser.add_argument("--claim", help="WORKLOAD.METRIC whose gain is claimed")
-    parser.add_argument("--check-seconds", type=float, default=10,
-                        help="length of the traced and digest runs (0: skip them)")
-    args = parser.parse_args(argv)
-    if args.pairs < 1 or len(args.seeds) < args.pairs:
-        parser.error("--pairs must be positive and --seeds name at least that many")
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
-
+def run_pairs(trees: dict[str, Path], seeds: list[int], seconds: float) -> list[dict]:
+    """One alternating pair of `--workload all` runs per seed; each row holds
+    the seed, which side ran first, both sides' `correct` and their metrics."""
     pairs = []
-    for i, seed in enumerate(args.seeds[: args.pairs]):
+    for i, seed in enumerate(seeds):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         row = dict(seed=seed, first=order[0], correct={}, parent={}, change={})
         for side in order:
             # perfbench exits 1 on a wrong answer, which stops the command.
             result, _ = perfbench(
                 trees[side], "--workload", "all", "--seed", seed,
-                "--seconds", args.seconds, "--trace", 0,
+                "--seconds", seconds, "--trace", 0,
             )
             row["correct"][side] = result["correct"]
             row[side] = values(result)
         pairs.append(row)
         print(f"pair {i} seed {seed} done", file=sys.stderr)
+    return pairs
 
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--seeds", type=parse_seeds, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--out", type=Path, help="default: standard output")
+    parser.add_argument("--what", default="", help="what the change does")
+    parser.add_argument("--claim", help="WORKLOAD.METRIC whose gain is claimed")
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
+
+    pairs = run_pairs(trees, args.seeds, args.seconds)
     summary = summarize(pairs, end_to_end)
     seeds = [p["seed"] for p in pairs]
     record = {
@@ -202,8 +206,7 @@ def main(argv=None) -> int:
     if args.claim:
         record["claim"] = claim(summary, args.claim, len(pairs))
     record["summary"] = summary
-    if args.check_seconds:
-        record["trace"], record["digests"] = checks(trees, args.check_seconds)
+    record["trace"], record["digests"] = checks(trees)
     record["pairs"] = pairs
     text = json.dumps(record, indent=1) + "\n"
     if args.out:

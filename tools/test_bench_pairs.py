@@ -1,4 +1,7 @@
-"""Tests of tools/bench_pairs.py; run with `python3 -m pytest tools/`."""
+"""Test of the paired perfbench runs of tools/bench_pairs.py; it takes about
+half a minute, so it stays out of tier-1.  Run with `python3 -m pytest tools/`.
+The arithmetic is tested in tests/test_bench_summary.py.
+"""
 
 import json
 import shutil
@@ -10,65 +13,23 @@ sys.path.insert(0, str(ROOT / "tools"))
 
 import bench_pairs  # noqa: E402
 
-END_TO_END = {
-    "item_cost_mean": {"name": "item_cost_mean", "better": "lower", "bound": 0.2},
-    "ok_share": {"name": "ok_share", "better": "higher", "bound": 0.1},
-}
-
-
-def test_seed_lists_and_ranges():
-    assert bench_pairs.parse_seeds("61-64") == [61, 62, 63, 64]
-    assert bench_pairs.parse_seeds("5,7") == [5, 7]
-
-
-def test_summary_counts_wins_on_each_metrics_better_side():
-    costs = [(10.0, 8.0), (12.0, 9.0), (11.0, 11.5), (9.0, 9.0)]
-    pairs = [
-        {
-            "parent": {"mc.item_cost_mean": p, "mc.ok_share": 0.5, "mc.other": 1},
-            "change": {
-                "mc.item_cost_mean": c, "mc.ok_share": 0.5 + (p > c) / 4, "mc.other": 2
-            },
-        }
-        for p, c in costs
-    ]
-    summary = bench_pairs.summarize(pairs, END_TO_END)
-    assert set(summary) == {"mc"} and set(summary["mc"]) == set(END_TO_END)
-    cost = summary["mc"]["item_cost_mean"]
-    assert (cost["change_wins"], cost["parent_wins"]) == (2, 1)
-    assert cost["parent"] == {"median": 10.5, "q1": 9.75, "q3": 11.25}
-    assert cost["parent_iqr"] == 1.5
-    assert cost["median_ratio"] == 9.0 / 10.5
-    share = summary["mc"]["ok_share"]
-    assert (share["change_wins"], share["parent_wins"]) == (2, 0)
-    claim = bench_pairs.claim(summary, "mc.item_cost_mean", len(pairs))
-    assert claim["change_wins"] == 2 and claim["pairs"] == 4
-
 
 def test_one_quick_pair_on_two_copies_of_one_tree(tmp_path):
-    trees = []
-    for name in ("parent", "change"):
-        tree = tmp_path / name
+    trees = {}
+    for side in ("parent", "change"):
+        tree = tmp_path / side
         for part in ("src", "perfbench"):
             skip = shutil.ignore_patterns("out", "__pycache__")
             shutil.copytree(ROOT / part, tree / part, ignore=skip)
-        shutil.copy(ROOT / "BENCHMARK.json", tree)
-        trees.append(tree)
-    out = tmp_path / "BENCH.json"
-    assert bench_pairs.main([
-        "--parent", str(trees[0]), "--change", str(trees[1]),
-        "--pairs", "1", "--seeds", "5", "--seconds", "2", "--check-seconds", "0",
-        "--out", str(out), "--claim", "mc.item_cost_mean",
-    ]) == 0
-    record = json.loads(out.read_text())
-    assert list(record) == [
-        "what", "parent", "change", "machine", "command", "protocol", "claim",
-        "summary", "pairs",
-    ]
-    assert set(record["summary"]) == {"gba", "det", "mc"}
-    [pair] = record["pairs"]
+        trees[side] = tree
+    [pair] = bench_pairs.run_pairs(trees, [5], 2)
     assert pair["seed"] == 5 and pair["first"] == "parent"
     assert pair["correct"] == {"parent": True, "change": True}
     assert set(pair["parent"]) == set(pair["change"])
     assert pair["parent"]["mc.ok_share"] == pair["change"]["mc.ok_share"] == 1
-    assert record["claim"]["pairs"] == 1
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    end_to_end = {m["name"]: m for m in bench["end_to_end"]}
+    summary = bench_pairs.summarize([pair], end_to_end)
+    assert set(summary) == {"gba", "det", "mc"}
+    assert set(summary["mc"]) == set(end_to_end)
+    assert bench_pairs.claim(summary, "mc.item_cost_mean", 1)["pairs"] == 1
