@@ -11,6 +11,8 @@ expressions and evaluated per letter.  Maximal reachability probabilities
 come from every memoryless deterministic scheduler, each induced Markov
 chain solved exactly by Gaussian elimination over fractions.  One Safra-tree
 step is recomputed with Python sets of node names and per-state images.
+Determinism and completeness compare transitions pairwise and slot by slot,
+and the breakpoint exploration runs on frozensets with its own numbering.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 import re
 from fractions import Fraction
 
-from tela import And, BoolConst, Fin, Inf, Or, Tela, TelaError
+from tela import ALL, And, BoolConst, Fin, Inf, Or, Tela, TelaError
 
 ORACLE_STATE_LIMIT = 7
 ORACLE_MARK_LIMIT = 16
@@ -394,3 +396,76 @@ def oracle_safra_step(tree, post):
     for r in old.difference(_safra_names(new)):
         marks |= 1 << (2 * r + 1)
     return new, marks
+
+
+def oracle_is_deterministic(a: Tela) -> bool:
+    """One initial state and no two transitions sharing their source and
+    letter, by comparing every pair of transitions."""
+    if len(a.initial) != 1:
+        return False
+    return not any(
+        t[:2] == u[:2] for t, u in itertools.combinations(a.transitions, 2)
+    )
+
+
+def oracle_is_complete(a: Tela) -> bool:
+    """An initial state unless there are no states, and a transition for
+    every state and letter, by scanning the transitions per slot."""
+    if a.n_states and not a.initial:
+        return False
+    return all(
+        any(t[0] == q and t[1] == letter for t in a.transitions)
+        for q in range(a.n_states)
+        for letter in range(a.n_letters)
+    )
+
+
+def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):
+    """Breakpoint exploration with frozenset state sets and its own
+    breadth-first numbering: the (R, B, l) states, seeded from (R, {}, l=0)
+    for each R of `seed_sets`, and the (src, letter, dst, break flag)
+    transitions.  Same rules as `limitdet._breakpoint_explore`, with the
+    successors of each state looked up per (state, letter) among the
+    transitions that avoid `fin`."""
+    k = len(infs)
+    by_src = {}
+    for s, letter, d, marks in a.transitions:
+        if not marks & fin:
+            by_src.setdefault((s, letter), []).append((d, marks))
+    empty = frozenset()
+    order = []
+    index = {}
+    for r in seed_sets:
+        if (r, empty, 0) not in index:
+            index[(r, empty, 0)] = len(order)
+            order.append((r, empty, 0))
+    trans = []
+    pos = 0
+    while pos < len(order):
+        r, b, level = order[pos]
+        marked = infs[level - 1] if level else 0
+        for letter in range(a.n_letters):
+            r2, hits = set(), set()
+            for q in r:
+                for d, marks in by_src.get((q, letter), ()):
+                    r2.add(d)
+                    if level and (marked == ALL or marks & marked):
+                        hits.add(d)
+            if not r2:
+                continue
+            if level == 0:
+                key, brk = (frozenset(r2), empty, 1 % (k + 1)), True
+            else:
+                b2 = set(hits)
+                for q in b:
+                    b2.update(d for d, _ in by_src.get((q, letter), ()))
+                if b2 == r2:
+                    key, brk = (frozenset(r2), empty, (level + 1) % (k + 1)), True
+                else:
+                    key, brk = (frozenset(r2), frozenset(b2), level), False
+            if key not in index:
+                index[key] = len(order)
+                order.append(key)
+            trans.append((pos, letter, index[key], brk))
+        pos += 1
+    return order, trans

@@ -41,7 +41,12 @@ from tela.core import (
 from tela.randbench import cnf_blowup_automaton
 
 from helpers import example_automaton, random_automaton, random_formula
-from oracles import kosaraju, random_word
+from oracles import (
+    kosaraju,
+    oracle_is_complete,
+    oracle_is_deterministic,
+    random_word,
+)
 
 
 def random_det_complete(rng, n_states=3, n_marks=2, ap=("a",)):
@@ -131,6 +136,47 @@ def test_deterministic_and_complete_predicates():
     )
     assert not is_deterministic(two_initial)
     assert not is_complete(two_initial)
+
+
+def random_slot_automaton(rng, n_states, ap=("a",)):
+    """Automaton with zero, one or two transitions per (state, letter) slot,
+    the two sometimes differing only in their marks, and any number of
+    initial states."""
+    trans = set()
+    for q in range(n_states):
+        for letter in range(1 << len(ap)):
+            for _ in range(rng.choice((0, 1, 1, 1, 2))):
+                trans.add((q, letter, rng.randrange(n_states), rng.randrange(4)))
+            if trans and rng.random() < 0.1:
+                s, l, d, m = max(trans)
+                trans.add((s, l, d, m ^ 1))
+    n_initial = min(rng.choice((0, 1, 1, 1, 2)), n_states)
+    return Tela(
+        ap=ap,
+        n_states=n_states,
+        initial=frozenset(rng.sample(range(n_states), n_initial)),
+        transitions=tuple(trans),
+        acceptance=inf_(1),
+        n_marks=2,
+    )
+
+
+def test_determinism_and_completeness_match_oracles():
+    rng = random.Random(408)
+    seen = set()
+    for i in range(400):
+        a = random_slot_automaton(rng, i % 4, ap=("a", "b")[: 1 + i % 2])
+        det, comp = is_deterministic(a), is_complete(a)
+        assert det == oracle_is_deterministic(a), a
+        assert comp == oracle_is_complete(a), a
+        seen.add((det, comp, a.n_states, len(a.initial)))
+    # Each verdict occurs, on zero states and with zero, one and two
+    # initial states.
+    assert {(d, c) for d, c, _, _ in seen} == {
+        (False, False), (False, True), (True, False), (True, True)
+    }
+    assert {n for _, _, n, _ in seen} == {0, 1, 2, 3}
+    assert {k for _, _, _, k in seen} == {0, 1, 2}
 
 
 def test_complete_is_identity_on_complete_input():

@@ -23,13 +23,13 @@ from tela import (
     random_tela,
     sample_lassos,
 )
-from tela.acceptance import dnf_structure, to_dnf
+from tela.acceptance import ALL, DnfDisjunct, dnf_structure, to_dnf
 from tela.determinize import determinize_product, equivalent_deterministic
 from tela.limitdet import GFM_STATE_LIMIT, _breakpoint_explore, limit_det_violation
 from tela.transforms import ensure_dnf
 
 from helpers import example_automaton, random_automaton
-from oracles import oracle_accepts, random_word
+from oracles import oracle_accepts, oracle_breakpoint_explore, random_word
 
 
 def universal_buchi():
@@ -153,6 +153,28 @@ def test_breakpoint_explore_invariants():
                 else:
                     assert dst_level == src_level
                     assert b2 != r2
+
+
+def test_breakpoint_explore_matches_oracle():
+    rng = random.Random(454)
+    for _ in range(60):
+        a = random_dnf_automaton(rng, n_marks=3, ap=("a", "b")[: rng.randint(1, 2)])
+        states = range(a.n_states)
+        seeds = [frozenset({q}) for q in states] + [
+            frozenset(rng.sample(states, rng.randint(1, a.n_states)))
+            for _ in range(2)
+        ]
+        rng.shuffle(seeds)
+        disjuncts = list(dnf_structure(a.acceptance).disjuncts) + [
+            DnfDisjunct(0, (ALL,)),
+            DnfDisjunct(1 << rng.randrange(3), (ALL,)),
+            DnfDisjunct(0, (1 << rng.randrange(3), ALL)),
+        ]
+        for d in disjuncts:
+            want_order, want_trans = oracle_breakpoint_explore(a, d.fin, d.infs, seeds)
+            order, trans = _breakpoint_explore(a, d.fin, d.infs, seeds)
+            assert order == want_order
+            assert trans == [(s, l, t, int(brk)) for s, l, t, brk in want_trans]
 
 
 def test_breakpoint_component_universal_loop():
