@@ -312,10 +312,6 @@ def to_dnf(phi: Acceptance) -> DnfAcceptance:
     return DnfAcceptance(tuple(disjuncts))
 
 
-def evaluate_dnf(seen: int, dnf: DnfAcceptance) -> bool:
-    return any(d.holds(seen) for d in dnf.disjuncts)
-
-
 def dnf_length(dnf: DnfAcceptance) -> int:
     """Atom count of the DNF, ALL counting as a single atom."""
     total = 0

@@ -71,14 +71,12 @@ def accepts(a: Tela, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
             raise TelaError(f"letter {letter} outside the alphabet")
     word = u + v
     n_pos = len(word)
-    by_letter: dict[int, list[Transition]] = {}
-    for t in a.transitions:
-        by_letter.setdefault(t[1], []).append(t)
     trans: list[Transition] = []
     for i, letter in enumerate(word):
         nxt = i + 1 if i + 1 < n_pos else len(u)
-        for q, _, d, m in by_letter.get(letter, ()):
-            trans.append((q * n_pos + i, letter, d * n_pos + nxt, m))
+        for q in range(a.n_states):
+            for _, _, d, m in a.succ(q, letter):
+                trans.append((q * n_pos + i, letter, d * n_pos + nxt, m))
     initial = {q * n_pos for q in a.initial}
     return dnf_witness(tuple(trans), initial, _dnf_of(a.acceptance)) is not None
 

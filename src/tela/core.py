@@ -7,12 +7,19 @@ marks a bitmask of acceptance mark indices.  A run is accepting iff the set
 of marks occurring on infinitely many of its transitions satisfies the
 acceptance condition.
 
+Each automaton has one successor index, `Tela.index`, from (state, letter)
+to the transitions in that slot; determinism, completeness, HOA printing,
+lasso membership and the products read it.  State sets are int bitmasks
+with bit q for state q: `post_masks` tabulates each state's successors per
+letter and `image` takes the union over a set, the one image kernel of the
+Safra, breakpoint and subset constructions.
+
 Constructions that explore a new state space on the fly number it through
 `explore`, which owns the numbering, the state cap and the deadline.
 `scc_split` is the one split of a graph into strongly connected components
 with the edges kept inside each; emptiness, containment and maximal end
-components all run on it.  It and `sccs` share one iterative Tarjan pass,
-which numbers the components; `scc_split` calls `targets` once per item.
+components all run on it, through one iterative Tarjan pass that calls
+`targets` once per item.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .acceptance import (
     all_marks,
     evaluate,
     gba_marksets,
+    mark_indices,
     negate,
     offset_marks,
     or_,
@@ -99,14 +107,17 @@ class Tela:
         return 1 << len(self.ap)
 
     @cached_property
-    def _succ(self) -> dict[tuple[int, int], tuple[Transition, ...]]:
+    def index(self) -> dict[tuple[int, int], tuple[Transition, ...]]:
+        """The successor index: (state, letter) -> the transitions of that
+        slot in transition order, for the slots that have one.  Keys come in
+        (state, letter) order; built on first use and kept."""
         table: dict[tuple[int, int], list[Transition]] = {}
         for t in self.transitions:
             table.setdefault((t[0], t[1]), []).append(t)
         return {k: tuple(v) for k, v in table.items()}
 
     def succ(self, state: int, letter: int) -> tuple[Transition, ...]:
-        return self._succ.get((state, letter), ())
+        return self.index.get((state, letter), ())
 
     def with_acceptance(self, acceptance: Acceptance, n_marks: int) -> "Tela":
         return replace(self, acceptance=acceptance, n_marks=n_marks)
@@ -155,27 +166,17 @@ class Lasso:
 
 
 def is_deterministic(a: Tela) -> bool:
-    """One initial state and at most one transition per (state, letter)."""
-    if len(a.initial) != 1:
-        return False
-    seen = set()
-    for src, letter, _dst, _marks in a.transitions:
-        if (src, letter) in seen:
-            return False
-        seen.add((src, letter))
-    return True
+    """One initial state and at most one transition per (state, letter):
+    transitions are distinct, so every slot holds one exactly when there
+    are as many slots as transitions."""
+    return len(a.initial) == 1 and len(a.index) == len(a.transitions)
 
 
 def is_complete(a: Tela) -> bool:
     """At least one transition per (state, letter) and at least one initial state."""
     if not a.initial and a.n_states:
         return False
-    present = {(t[0], t[1]) for t in a.transitions}
-    return all(
-        (q, letter) in present
-        for q in range(a.n_states)
-        for letter in range(a.n_letters)
-    )
+    return len(a.index) == a.n_states * a.n_letters
 
 
 def complete(a: Tela) -> Tela:
@@ -194,10 +195,9 @@ def complete(a: Tela) -> Tela:
         acceptance = and_([acceptance, Inf(1 << guard)])
     sink = a.n_states
     transitions = list(a.transitions)
-    present = {(t[0], t[1]) for t in a.transitions}
     for q in range(a.n_states):
         for letter in range(a.n_letters):
-            if (q, letter) not in present:
+            if (q, letter) not in a.index:
                 transitions.append((q, letter, sink, 0))
     for letter in range(a.n_letters):
         transitions.append((sink, letter, sink, 0))
@@ -372,8 +372,32 @@ def complement_deterministic(a: Tela) -> Tela:
     return a.with_acceptance(negate(a.acceptance), a.n_marks)
 
 
-def reachable_states(a: Tela) -> frozenset[int]:
-    return frozenset(reachable(a.initial, ((s, d) for s, _, d, _ in a.transitions)))
+def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list[list[tuple[int, int]]]:
+    """table[letter][q]: the successors of q on the letter over transitions
+    whose marks avoid `avoid`, and the part of them reached over such
+    transitions whose marks meet `meet` (every one when `meet` is ALL), as
+    a pair of state bitmasks."""
+    table = [[(0, 0)] * a.n_states for _ in range(a.n_letters)]
+    for s, letter, d, marks in a.transitions:
+        if marks & avoid:
+            continue
+        img, part = table[letter][s]
+        bit = 1 << d
+        if meet == ALL or marks & meet:
+            part |= bit
+        table[letter][s] = (img | bit, part)
+    return table
+
+
+def image(row: list[tuple[int, int]], states: int) -> tuple[int, int]:
+    """The union of row[q] over the states q of the bitmask `states`, for a
+    row table[letter] of `post_masks`."""
+    img = part = 0
+    for q in mark_indices(states):
+        succ, hit = row[q]
+        img |= succ
+        part |= hit
+    return img, part
 
 
 def explore(seeds, expand, state_cap=None, deadline=None, stage="exploration"):
@@ -482,19 +506,6 @@ def _components(adj: dict) -> dict:
     return comp
 
 
-def _grouped(comp: dict, keep=None) -> dict:
-    """Component id -> frozenset of its nodes, for the ids in `keep` (all
-    when None), in order of each component's smallest node."""
-    members: dict = {}
-    for q, cid in comp.items():
-        if keep is None or cid in keep:
-            members.setdefault(cid, []).append(q)
-    return dict(
-        sorted(((cid, frozenset(qs)) for cid, qs in members.items()),
-               key=lambda part: min(part[1]))
-    )
-
-
 def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
     """Split items into strongly connected components, one Tarjan pass.
 
@@ -519,18 +530,14 @@ def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
                 break
         else:
             inside.setdefault(cid, []).append(item)
-    return [
-        (nodes, tuple(inside[cid]))
-        for cid, nodes in _grouped(comp, inside).items()
-    ]
-
-
-def sccs(a: Tela) -> list[frozenset[int]]:
-    """Strongly connected components, ordered by smallest contained state."""
-    adj: dict[int, list[int]] = {q: [] for q in range(a.n_states)}
-    for s, _, d, _ in a.transitions:
-        adj[s].append(d)
-    return list(_grouped(_components(adj)).values())
+    members: dict[int, list] = {}
+    for q, cid in comp.items():
+        if cid in inside:
+            members.setdefault(cid, []).append(q)
+    return sorted(
+        ((frozenset(qs), tuple(inside[cid])) for cid, qs in members.items()),
+        key=lambda part: min(part[0]),
+    )
 
 
 def _require_same_ap(a0: Tela, a1: Tela) -> None:

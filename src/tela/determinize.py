@@ -40,8 +40,10 @@ from .core import (
     empty_language_automaton,
     explore,
     flatten_edges,
+    image,
     is_complete,
     is_deterministic,
+    post_masks,
     product,
     with_all_mark,
 )
@@ -120,14 +122,10 @@ def safra_determinize(
     accbits = accsets[0]
     b = complete(b)
     # post[letter][q]: the states q reaches on the letter, and those it
-    # reaches through an accepting transition, as bitmasks.
-    post = [[(0, 0)] * b.n_states for _ in range(b.n_letters)]
-    for s, letter, d, marks in b.transitions:
-        img, acc = post[letter][s]
-        bit = 1 << d
-        post[letter][s] = (img | bit, (acc | bit) if marks & accbits else acc)
+    # reaches through an accepting transition.
+    post = post_masks(b, meet=accbits)
 
-    # images[letter]: label bitmask -> the union of its states' post pairs,
+    # images[letter]: label bitmask -> its image pair on the letter,
     # filled as labels turn up; labels recur across the trees of one run.
     images: list[dict[int, tuple[int, int]]] = [{} for _ in post]
 
@@ -165,8 +163,7 @@ def _safra_step(tree: _Node, old: int, post, images: dict) -> tuple[_Node, int]:
     """One deterministic Safra-tree transition on the letter for which post[q]
     holds q's successor and accepting-successor bitmasks: the successor tree
     and its green and red mark bits.  `old` is the bitmask of the tree's
-    names.  `images` caches, per old label, the union of its states' post
-    pairs on this letter.
+    names.  `images` caches, per old label, its `image` in `post`.
 
     step(node, allowed) rewrites a node in one post-order pass and returns
     it with its greens and the bitmask of the names it keeps.  Its label
@@ -187,11 +184,7 @@ def _safra_step(tree: _Node, old: int, post, images: dict) -> tuple[_Node, int]:
         name, label, children = node
         pair = images.get(label)
         if pair is None:
-            img = acc = 0
-            for q in mark_indices(label):
-                img |= post[q][0]
-                acc |= post[q][1]
-            pair = images[label] = (img, acc)
+            pair = images[label] = image(post, label)
         img, acc = pair
         label = free = img & allowed
         kept = []

@@ -57,7 +57,7 @@ def parse_hoa(text: str) -> Tela:
 
     version = None
     n_states = None
-    initial: set[int] = set()
+    initial: dict[int, int] = {}  # initial state -> its first Start line
     ap: tuple[str, ...] | None = None
     n_marks = None
     acceptance = None
@@ -89,7 +89,7 @@ def parse_hoa(text: str) -> Tela:
                 raise HoaParseError(
                     "only a single state per Start line is supported", lineno
                 )
-            initial.add(int(rest))
+            initial.setdefault(int(rest), lineno)
         elif key == "AP":
             if ap is not None:
                 raise HoaParseError("duplicate AP header", lineno)
@@ -109,6 +109,8 @@ def parse_hoa(text: str) -> Tela:
                 )
             if count > MAX_AP:
                 raise HoaParseError(f"at most {MAX_AP} atomic propositions", lineno)
+            if len(set(names)) != count:
+                raise HoaParseError("duplicate atomic proposition names", lineno)
             ap = tuple(names)
         elif key == "Acceptance":
             if acceptance is not None:
@@ -212,9 +214,9 @@ def parse_hoa(text: str) -> Tela:
             transitions.append((current, letter, dst, marks))
     if not ended:
         raise HoaParseError("missing --END--", len(lines))
-    for q in initial:
+    for q, lineno in initial.items():
         if q >= n_states:
-            raise HoaParseError(f"initial state {q} out of range", 1)
+            raise HoaParseError(f"initial state {q} out of range", lineno)
 
     try:
         return Tela(
@@ -240,18 +242,16 @@ def print_hoa(a: Tela) -> str:
     if is_deterministic(a):
         out.append("properties: deterministic")
     out.append("--BODY--")
-    by_src: dict[int, list[Transition]] = {q: [] for q in range(a.n_states)}
-    for t in a.transitions:
-        by_src[t[0]].append(t)
+    labels = [_letter_label(letter, len(a.ap)) for letter in range(a.n_letters)]
     for q in range(a.n_states):
         out.append(f"State: {q}")
-        for _, letter, dst, marks in by_src[q]:
-            label = _letter_label(letter, len(a.ap))
-            mark_txt = ""
-            if marks:
-                indices = " ".join(str(i) for i in mark_indices(marks))
-                mark_txt = f" {{{indices}}}"
-            out.append(f"[{label}] {dst}{mark_txt}")
+        for letter, label in enumerate(labels):
+            for _, _, dst, marks in a.succ(q, letter):
+                mark_txt = ""
+                if marks:
+                    indices = " ".join(str(i) for i in mark_indices(marks))
+                    mark_txt = f" {{{indices}}}"
+                out.append(f"[{label}] {dst}{mark_txt}")
     out.append("--END--")
     return "\n".join(out) + "\n"
 

@@ -23,14 +23,16 @@ Breakpoint components track (R, B, l): R the tracked run set over
 Fin-deleted transitions, l a level cycling through the disjunct's Inf sets,
 and B the runs that visited the level's set since the last breakpoint.
 Level 0 breaks immediately; level l waits until B covers R.  The single
-output mark sits on break transitions.
+output mark sits on break transitions.  R, B and the subsets of build_gfm
+are state bitmasks, whose successors `core.image` takes from one
+`core.post_masks` table per breakpoint level and one for the subsets.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from .acceptance import ALL, Inf, and_, dnf_structure
+from .acceptance import Inf, and_, dnf_structure, mark_indices
 from .analysis import accepting_lasso
 from .core import (
     Lasso,
@@ -40,6 +42,8 @@ from .core import (
     empty_language_automaton,
     explore,
     flatten_edges,
+    image,
+    post_masks,
     reachable,
     sum_automata,
 )
@@ -51,11 +55,7 @@ GFM_STATE_LIMIT = 12
 def canonical_partition(a: Tela) -> tuple[frozenset[int], frozenset[int]]:
     """Split states into (Q_N, Q_D): Q_N holds the states from which a
     nondeterministic choice is reachable, Q_D all others."""
-    nondet = {
-        q
-        for q in range(a.n_states)
-        if any(len(a.succ(q, letter)) > 1 for letter in range(a.n_letters))
-    }
+    nondet = {q for (q, _), ts in a.index.items() if len(ts) > 1}
     q_n = frozenset(reachable(nondet, ((d, s) for s, _, d, _ in a.transitions)))
     return q_n, frozenset(range(a.n_states)) - q_n
 
@@ -136,56 +136,40 @@ def limit_det_sum(a: Tela, state_cap: int | None = None) -> Tela:
     return reduce(sum_automata, parts) if parts else empty_language_automaton(a.ap)
 
 
-_BpState = tuple[frozenset[int], frozenset[int], int]
+_BpState = tuple[int, int, int]
 
 
 def _breakpoint_explore(
-    a: Tela, fin: int, infs: tuple[int, ...], seed_sets: list[frozenset[int]]
-) -> tuple[list[_BpState], list[tuple[int, int, int, bool]]]:
+    a: Tela, fin: int, infs: tuple[int, ...], seed_sets: list[int]
+) -> tuple[list[_BpState], tuple[Transition, ...]]:
     """Deterministic breakpoint exploration over Fin-deleted transitions.
 
-    Returns the discovered (R, B, l) states, seeded from (R, {}, 0) for each
-    given R, and the internal transitions with their break flags.
-    Transitions with an empty successor set are omitted.
+    Returns the discovered (R, B, l) states, R and B state bitmasks, seeded
+    from (R, 0, 0) for each given R, and the internal transitions, marked 1
+    where they break.  Transitions with an empty successor set are omitted.
     """
     k = len(infs)
-    by_src: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s, letter, d, marks in a.transitions:
-        if not marks & fin:
-            by_src.setdefault((s, letter), []).append((d, marks))
-    empty: frozenset[int] = frozenset()
+    # tables[l][letter][q]: q's successors over Fin-deleted transitions, and
+    # those reached over the transitions of level l's Inf set.
+    tables = [post_masks(a, fin)] + [post_masks(a, fin, s) for s in infs]
 
     def expand(state: _BpState, number):
         r, b, level = state
-        for letter in range(a.n_letters):
-            r2: set[int] = set()
-            hits: set[int] = set()
-            marked = infs[level - 1] if level else 0
-            for q in r:
-                for d, marks in by_src.get((q, letter), ()):
-                    r2.add(d)
-                    if level and (marked == ALL or marks & marked):
-                        hits.add(d)
+        for letter, row in enumerate(tables[level]):
+            r2, hits = image(row, r)
             if not r2:
                 continue
             if level == 0:
-                key: _BpState = (frozenset(r2), empty, 1 % (k + 1))
-                brk = True
+                yield letter, number((r2, 0, 1 % (k + 1))), 1
+                continue
+            b2 = hits | image(row, b)[0]
+            if b2 == r2:
+                yield letter, number((r2, 0, (level + 1) % (k + 1))), 1
             else:
-                b2: set[int] = set(hits)
-                for q in b:
-                    for d, _ in by_src.get((q, letter), ()):
-                        b2.add(d)
-                if b2 == r2:
-                    key = (frozenset(r2), empty, (level + 1) % (k + 1))
-                    brk = True
-                else:
-                    key = (frozenset(r2), frozenset(b2), level)
-                    brk = False
-            yield letter, number(key), brk
+                yield letter, number((r2, b2, level)), 0
 
-    order, edges = explore([(r, empty, 0) for r in seed_sets], expand)
-    return order, list(flatten_edges(edges))
+    order, edges = explore([(r, 0, 0) for r in seed_sets], expand)
+    return order, flatten_edges(edges)
 
 
 def breakpoint_component(a: Tela, disjunct_index: int) -> Tela:
@@ -195,15 +179,13 @@ def breakpoint_component(a: Tela, disjunct_index: int) -> Tela:
     if not 0 <= disjunct_index < len(dnf.disjuncts):
         raise TelaError(f"no disjunct {disjunct_index}")
     d = dnf.disjuncts[disjunct_index]
-    seeds = [frozenset(a.initial)] if a.initial else []
+    seeds = [sum(1 << q for q in a.initial)] if a.initial else []
     order, trans = _breakpoint_explore(a, d.fin, d.infs, seeds)
     return Tela(
         ap=a.ap,
         n_states=max(len(order), 1) if seeds else 0,
         initial=frozenset({0}) if seeds else frozenset(),
-        transitions=tuple(
-            (s, letter, t, 1 if brk else 0) for s, letter, t, brk in trans
-        ),
+        transitions=trans,
         acceptance=Inf(1),
         n_marks=1,
     )
@@ -211,22 +193,21 @@ def breakpoint_component(a: Tela, disjunct_index: int) -> Tela:
 
 def _add_breakpoint_parts(
     a: Tela,
-    seeds: list[frozenset[int]],
-    bridges: list[tuple[int, int, frozenset[int]]],
+    seeds: list[int],
+    bridges: list[tuple[int, int, int]],
     transitions: list[Transition],
     offset: int,
 ) -> int:
     """Append one breakpoint component per DNF disjunct, numbered from
     `offset`, and a transition (src, letter) into each component's seed
-    (R, {}, 0) for every bridge (src, letter, R); returns the state count."""
-    empty: frozenset[int] = frozenset()
+    (R, 0, 0) for every bridge (src, letter, R); returns the state count."""
     for disjunct in dnf_structure(a.acceptance).disjuncts:
         order, trans = _breakpoint_explore(a, disjunct.fin, disjunct.infs, seeds)
         index = {state: offset + j for j, state in enumerate(order)}
         for si, letter, di, brk in trans:
-            transitions.append((offset + si, letter, offset + di, 1 if brk else 0))
+            transitions.append((offset + si, letter, offset + di, brk))
         for src, letter, r in bridges:
-            transitions.append((src, letter, index[(r, empty, 0)], 0))
+            transitions.append((src, letter, index[(r, 0, 0)], 0))
         offset += len(order)
     return offset
 
@@ -241,8 +222,8 @@ def build_ld(a: Tela) -> Tela:
     ]
     n_states = _add_breakpoint_parts(
         a,
-        [frozenset({q}) for q in targets],
-        [(s, letter, frozenset({d})) for s, letter, d, _ in a.transitions],
+        [1 << q for q in targets],
+        [(s, letter, 1 << d) for s, letter, d, _ in a.transitions],
         transitions,
         a.n_states,
     )
@@ -270,27 +251,27 @@ def build_gfm(a: Tela, singleton_bridges: bool = False) -> Tela:
             f"good-for-MDP construction is limited to {GFM_STATE_LIMIT} states"
         )
 
-    def expand(p: frozenset[int], number):
-        for letter in range(a.n_letters):
-            theta = frozenset(d for q in p for _, _, d, _ in a.succ(q, letter))
+    post = post_masks(a)
+
+    def expand(p: int, number):
+        for letter, row in enumerate(post):
+            theta = image(row, p)[0]
             if theta:
                 yield letter, number(theta), theta
 
-    sub_order, sub_edges = explore([frozenset(a.initial)], expand)
-    bridges: list[tuple[int, int, frozenset[int]]] = []
+    sub_order, sub_edges = explore([sum(1 << q for q in a.initial)], expand)
+    bridges: list[tuple[int, int, int]] = []
     for src, out in enumerate(sub_edges):
         for letter, _, theta in out:
-            members = sorted(theta)
             if singleton_bridges:
-                choices = [frozenset({q}) for q in members]
+                bridges += [(src, letter, 1 << q) for q in mark_indices(theta)]
             else:
-                choices = [
-                    frozenset(
-                        q for bit, q in enumerate(members) if mask >> bit & 1
-                    )
-                    for mask in range(1, 1 << len(members))
-                ]
-            bridges += [(src, letter, r) for r in choices]
+                # Every nonempty subset of theta, in increasing order: the
+                # seed order fixes the numbering of the breakpoint states.
+                r = -theta & theta
+                while r:
+                    bridges.append((src, letter, r))
+                    r = (r - theta) & theta
     transitions: list[Transition] = [
         (s, letter, d, 0) for s, letter, d, _ in flatten_edges(sub_edges)
     ]

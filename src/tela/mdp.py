@@ -374,11 +374,8 @@ def qualitative_positive(m: Mdp, a: Tela) -> bool:
             witness,
         )
     a = ensure_dnf(a)
-    dnf = dnf_structure(a.acceptance)
-    if not dnf.disjuncts or not a.initial:
-        return False
     _, actions = _explore_product(m, a, strict=False)
-    return any(True for _ in _accepting_mecs(actions, dnf))
+    return any(True for _ in _accepting_mecs(actions, dnf_structure(a.acceptance)))
 
 
 def _accepting_mecs(actions, dnf: DnfAcceptance):

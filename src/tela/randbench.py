@@ -145,10 +145,8 @@ def _random_acceptance(rng: random.Random, n_marks: int, acc: str) -> Acceptance
 def nondeterminism_amount(a: Tela) -> Fraction:
     """Number of same-source same-letter target pairs divided by the state
     count."""
-    targets: dict[tuple[int, int], set[int]] = {}
-    for q, letter, q2, _ in a.transitions:
-        targets.setdefault((q, letter), set()).add(q2)
-    pairs = sum(len(ts) * (len(ts) - 1) // 2 for ts in targets.values())
+    targets = (len({t[2] for t in ts}) for ts in a.index.values())
+    pairs = sum(n * (n - 1) // 2 for n in targets)
     return Fraction(pairs, a.n_states)
 
 

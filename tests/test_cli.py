@@ -207,6 +207,22 @@ def test_mc_qualitative(tmp_path, capsys):
     assert "not limit-deterministic" in capsys.readouterr().err
 
 
+def test_mc_qualitative_checks_labels_like_quantitative(tmp_path, capsys):
+    # No Start line, or no disjunct, must not short-cut the label check.
+    mdp = tmp_path / "b.mdp"
+    mdp.write_text("states 1\nlabel 0 {b}\ntrans 0 stay 0 1\n")
+    hoa = print_hoa(universal_automaton())
+    for name, text in (
+        ("nostart.hoa", hoa.replace("Start: 0\n", "")),
+        ("never.hoa", hoa.replace("Acceptance: 1 Inf(0)", "Acceptance: 1 f")),
+    ):
+        aut = tmp_path / name
+        aut.write_text(text)
+        for mode in ("--qual", "--quant"):
+            assert main(["mc", "--mdp", str(mdp), "--aut", str(aut), mode]) == 3
+            assert "label of state 0 uses ['b']" in capsys.readouterr().err
+
+
 def test_random_seeded_is_reproducible(capsys):
     argv = ["random", "--states", "4", "--marks", "4", "--seed", "9"]
     assert main(argv) == 0
@@ -286,6 +302,12 @@ def test_bad_inputs_exit_3(tmp_path, capsys):
     bad.write_text("HOA: v1\nmystery\n")
     assert main(["check", "empty", str(bad)]) == 3
     assert "line 2" in capsys.readouterr().err
+
+    dup = tmp_path / "dup.hoa"
+    hoa = print_hoa(universal_automaton())
+    dup.write_text(hoa.replace('AP: 1 "a"', 'AP: 2 "a" "a"'))
+    assert main(["check", "empty", str(dup)]) == 3
+    assert "line 4: duplicate atomic proposition names" in capsys.readouterr().err
 
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("pipeline=warp\n")

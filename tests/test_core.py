@@ -33,9 +33,8 @@ from tela import (
 from tela.core import (
     BudgetExceeded,
     explore,
-    reachable_states,
+    reachable,
     scc_split,
-    sccs,
     with_all_mark,
 )
 from tela.randbench import cnf_blowup_automaton
@@ -424,6 +423,10 @@ def test_complement_deterministic():
         complement_deterministic(partial)
 
 
+def reachable_states(a):
+    return reachable(a.initial, ((s, d) for s, _, d, _ in a.transitions))
+
+
 def test_reachable_states():
     ex = example_automaton()
     assert reachable_states(ex) == frozenset(range(8))
@@ -468,6 +471,13 @@ def test_explore_past_deadline_raises_time():
         explore_graph([2], deadline=time.perf_counter() - 1.0, stage="demo")
     assert excinfo.value.kind == "time"
     assert str(excinfo.value) == "demo deadline exceeded"
+
+
+def sccs(a):
+    """Every component, through one item per state with no targets, which
+    is always inside."""
+    items = [(q,) for q in range(a.n_states)] + list(a.transitions)
+    return [nodes for nodes, _ in scc_split(items, lambda item: item[2:3])]
 
 
 def test_sccs_ordered_by_smallest_state():

@@ -33,7 +33,6 @@ from tela import (
 from tela.acceptance import (
     dnf_formula,
     dnf_structure,
-    evaluate_dnf,
     finless_to_gba,
     gba_marksets,
     offset_dnf,
@@ -128,7 +127,7 @@ def test_to_dnf_preserves_semantics():
         phi = random_formula(rng, n_marks=4)
         dnf = to_dnf(phi)
         for seen in all_seen(4):
-            assert evaluate_dnf(seen, dnf) == evaluate(seen, phi)
+            assert any(d.holds(seen) for d in dnf.disjuncts) == evaluate(seen, phi)
         assert dnf_length(dnf) <= 2 ** length(phi)
 
 

@@ -243,7 +243,12 @@ PARSE_ERROR_CASES = [
         "duplicate Acceptance header",
     ),
     (MINIMAL.replace("Start: 0", "Start: 0&1"), 3, "single state per Start line"),
-    (MINIMAL.replace("Start: 0", "Start: 5"), 1, "initial state 5 out of range"),
+    (MINIMAL.replace("Start: 0", "Start: 5"), 3, "initial state 5 out of range"),
+    (
+        MINIMAL.replace("Start: 0", "Start: 0\nStart: 0\nStart: 7"),
+        5,
+        "initial state 7 out of range",
+    ),
     (MINIMAL.replace('AP: 1 "a"', 'AP: 2 "a"'), 4, "declares 2 names but lists 1"),
     (
         MINIMAL.replace('AP: 1 "a"', 'AP: 2 "a" junk, "b" )'),
@@ -254,6 +259,11 @@ PARSE_ERROR_CASES = [
         MINIMAL.replace('AP: 1 "a"', 'AP: 9 "a" "b" "c" "d" "e" "f" "g" "h" "i"'),
         4,
         "at most 8 atomic propositions",
+    ),
+    (
+        MINIMAL.replace('AP: 1 "a"', 'AP: 2 "a" "a"'),
+        4,
+        "duplicate atomic proposition names",
     ),
     (MINIMAL.replace('AP: 1 "a"', "Bogus: 3"), 4, "unknown header 'Bogus'"),
     (MINIMAL.replace("Start: 0", "just some text\nStart: 0"), 3, "expected a header"),

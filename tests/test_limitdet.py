@@ -136,23 +136,27 @@ def test_breakpoint_explore_invariants():
     for _ in range(25):
         a = random_dnf_automaton(rng, n_marks=3, ap=("a",))
         dnf = dnf_structure(a.acceptance)
-        seeds = [frozenset({q}) for q in range(a.n_states)]
+        seeds = [1 << q for q in range(a.n_states)]
         for disjunct in dnf.disjuncts:
             k = len(disjunct.infs)
             order, trans = _breakpoint_explore(a, disjunct.fin, disjunct.infs, seeds)
             for r, b, level in order:
                 assert r
-                assert b <= r
+                assert not b & ~r
                 assert 0 <= level <= k
             for si, _, di, brk in trans:
                 src_level = order[si][2]
                 r2, b2, dst_level = order[di]
                 if brk:
-                    assert b2 == frozenset()
+                    assert b2 == 0
                     assert dst_level == (src_level + 1) % (k + 1)
                 else:
                     assert dst_level == src_level
                     assert b2 != r2
+
+
+def mask(states):
+    return sum(1 << q for q in states)
 
 
 def test_breakpoint_explore_matches_oracle():
@@ -170,11 +174,12 @@ def test_breakpoint_explore_matches_oracle():
             DnfDisjunct(1 << rng.randrange(3), (ALL,)),
             DnfDisjunct(0, (1 << rng.randrange(3), ALL)),
         ]
+        masks = [mask(r) for r in seeds]
         for d in disjuncts:
             want_order, want_trans = oracle_breakpoint_explore(a, d.fin, d.infs, seeds)
-            order, trans = _breakpoint_explore(a, d.fin, d.infs, seeds)
-            assert order == want_order
-            assert trans == [(s, l, t, int(brk)) for s, l, t, brk in want_trans]
+            order, trans = _breakpoint_explore(a, d.fin, d.infs, masks)
+            assert order == [(mask(r), mask(b), level) for r, b, level in want_order]
+            assert trans == tuple((s, l, t, int(brk)) for s, l, t, brk in want_trans)
 
 
 def test_breakpoint_component_universal_loop():

@@ -88,14 +88,20 @@ def references(node: ast.AST) -> Counter:
     return counts
 
 
-def test_every_private_helper_is_referenced():
-    """Each private helper is read somewhere in the library outside its own
-    definition, so a recursive helper nobody calls counts as dead too."""
+def library_references() -> tuple[dict[str, ast.Module], Counter]:
+    """Each library module's syntax tree, and the reads of each name over
+    all of them."""
     trees = {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
     }
-    used = sum((references(tree) for tree in trees.values()), Counter())
+    return trees, sum((references(tree) for tree in trees.values()), Counter())
+
+
+def test_every_private_helper_is_referenced():
+    """Each private helper is read somewhere in the library outside its own
+    definition, so a recursive helper nobody calls counts as dead too."""
+    trees, used = library_references()
     dead = [
         f"{module}:{node.lineno}: {name}"
         for module, tree in trees.items()
@@ -103,3 +109,19 @@ def test_every_private_helper_is_referenced():
         if used[name] <= references(node)[name]
     ]
     assert not dead, "unreferenced private helpers:\n" + "\n".join(dead)
+
+
+def test_every_public_function_is_exported_or_used():
+    """Each public module-level function or class is exported from the
+    package or read somewhere in the library outside its own definition;
+    the import in tela/__init__.py that exports a name counts as a read."""
+    trees, used = library_references()
+    dead = [
+        f"{module}:{node.lineno}: {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and used[node.name] <= references(node)[node.name]
+    ]
+    assert not dead, "public names neither exported nor used:\n" + "\n".join(dead)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tela import (
+    FALSE,
     Mdp,
     MdpError,
     MdpParseError,
@@ -294,6 +295,16 @@ def test_qualitative_positive_basics():
     m = a_loop_mdp()
     assert qualitative_positive(m, det_letter_watcher(1))
     assert not qualitative_positive(m, det_letter_watcher(0))
+
+
+def test_qualitative_positive_checks_labels_without_start_or_disjunct():
+    no_start = replace(det_letter_watcher(1), initial=frozenset())
+    never = det_letter_watcher(1).with_acceptance(FALSE, 1)
+    labelled_b = parse_mdp("states 1\nlabel 0 {b}\ntrans 0 stay 0 1\n")
+    for a in (no_start, never):
+        with pytest.raises(MdpError, match=r"label of state 0 uses \['b'\]"):
+            qualitative_positive(labelled_b, a)
+        assert not qualitative_positive(a_loop_mdp(), a)
 
 
 def test_qualitative_positive_on_the_example():
