@@ -13,6 +13,8 @@ chain solved exactly by Gaussian elimination over fractions.  One Safra-tree
 step is recomputed with Python sets of node names and per-state images.
 Determinism and completeness compare transitions pairwise and slot by slot,
 and the breakpoint exploration runs on frozensets with its own numbering.
+Strong bisimulation is the greatest fixpoint of a relation over state pairs,
+shrunk pair by pair, with no partition refinement.
 """
 
 from __future__ import annotations
@@ -469,3 +471,40 @@ def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):
             trans.append((pos, letter, index[key], brk))
         pos += 1
     return order, trans
+
+
+def oracle_bisimulation(a: Tela) -> list[frozenset[int]]:
+    """The classes of the largest strong bisimulation over (letter, marks)
+    transitions, in order of their smallest state.
+
+    Start from every pair of states and drop a pair (p, q) while some
+    transition of p has no transition of q with the same letter and marks
+    into a state still related to its target, or the other way round.  What
+    is left is the largest bisimulation, an equivalence.
+    """
+    moves = [set() for _ in range(a.n_states)]
+    for s, letter, d, marks in a.transitions:
+        moves[s].add((letter, marks, d))
+    related = {(p, q) for p in range(a.n_states) for q in range(a.n_states)}
+
+    def simulated(p: int, q: int) -> bool:
+        return all(
+            any(
+                (letter2, marks2) == (letter, marks) and (d, d2) in related
+                for letter2, marks2, d2 in moves[q]
+            )
+            for letter, marks, d in moves[p]
+        )
+
+    changed = True
+    while changed:
+        changed = False
+        for p, q in sorted(related):
+            if not (simulated(p, q) and simulated(q, p)):
+                related.discard((p, q))
+                changed = True
+    classes = {
+        frozenset(q for q in range(a.n_states) if (p, q) in related)
+        for p in range(a.n_states)
+    }
+    return sorted(classes, key=min)

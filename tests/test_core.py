@@ -42,6 +42,7 @@ from tela.randbench import cnf_blowup_automaton
 from helpers import example_automaton, random_automaton, random_formula
 from oracles import (
     kosaraju,
+    oracle_bisimulation,
     oracle_is_complete,
     oracle_is_deterministic,
     random_word,
@@ -562,3 +563,28 @@ def test_lasso_word_and_marks():
     assert lasso.cycle_marks() == 5
     with pytest.raises(TelaError):
         Lasso(prefix=(), cycle=())
+
+
+def test_bisimulation_oracle_on_a_hand_built_automaton():
+    # 0 and 1 both move into {2, 3} with mark 1, 2 and 3 move back into
+    # {0, 1} unmarked, and 4 reads the same letter as 2 and 3 but marked.
+    a = Tela(
+        ap=("a",),
+        n_states=5,
+        initial=frozenset({0}),
+        transitions=(
+            (0, 0, 2, 1),
+            (1, 0, 3, 1),
+            (1, 0, 2, 1),
+            (2, 1, 0, 0),
+            (3, 1, 1, 0),
+            (4, 1, 4, 1),
+        ),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    assert oracle_bisimulation(a) == [
+        frozenset({0, 1}),
+        frozenset({2, 3}),
+        frozenset({4}),
+    ]
