@@ -540,6 +540,80 @@ def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
     )
 
 
+def bisim_quotient(a: Tela) -> Tela:
+    """The quotient of `a` by strong bisimulation over (letter, marks)
+    transitions, a deterministic function of `a`.
+
+    Blocks are numbered in order of their smallest state and take that
+    state's transitions, deduplicated; the initial states map to their
+    blocks, and the acceptance and the mark count are kept.  A product of an
+    MDP with the quotient is bisimilar to the product with `a`, so maximal
+    probabilities and accepting end components carry over.
+    """
+    block = _bisim_blocks(a)
+    first: list[int] = []
+    for q, b in enumerate(block):
+        if b == len(first):
+            first.append(q)
+    return Tela(
+        ap=a.ap,
+        n_states=len(first),
+        initial=frozenset(block[q] for q in a.initial),
+        transitions=tuple(
+            dict.fromkeys(
+                (block[s], letter, block[d], marks)
+                for s, letter, d, marks in a.transitions
+                if first[block[s]] == s
+            )
+        ),
+        acceptance=a.acceptance,
+        n_marks=a.n_marks,
+    )
+
+
+def _bisim_blocks(a: Tela) -> list[int]:
+    """Each state's block in the coarsest partition where all states of a
+    block have the same set of (letter, marks, target block) triples, blocks
+    numbered in order of their smallest state.
+
+    Signature refinement from a single block, in worklist form: block ids
+    stay fixed, the largest part of a split block keeps its id, and each
+    round re-checks only the blocks that hold a predecessor of a state that
+    moved.  On deterministic input this is Moore minimization.
+    """
+    n = a.n_states
+    stride = 1 << a.n_marks
+    # moves[q]: q's (letter, marks) codes with their targets.
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    preds: list[set[int]] = [set() for _ in range(n)]
+    for s, letter, d, marks in a.transitions:
+        moves[s].append((letter * stride + marks, d))
+        preds[d].add(s)
+    width = a.n_letters * stride
+    block = [0] * n
+    members = [list(range(n))] if n else []
+    dirty = set(range(len(members)))
+    while dirty:
+        moved: list[int] = []
+        for b in sorted(dirty):
+            parts: dict[frozenset[int], list[int]] = {}
+            for q in members[b]:
+                sig = frozenset([block[d] * width + code for code, d in moves[q]])
+                parts.setdefault(sig, []).append(q)
+            if len(parts) == 1:
+                continue
+            ordered = sorted(parts.values(), key=len, reverse=True)
+            members[b] = ordered[0]
+            for part in ordered[1:]:
+                for q in part:
+                    block[q] = len(members)
+                members.append(part)
+                moved += part
+        dirty = {block[p] for q in moved for p in preds[q]}
+    number: dict[int, int] = {}
+    return [number.setdefault(b, len(number)) for b in block]
+
+
 def _require_same_ap(a0: Tela, a1: Tela) -> None:
     if a0.ap != a1.ap:
         raise TelaError(

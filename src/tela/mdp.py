@@ -52,7 +52,15 @@ from .acceptance import (
     gba_marksets,
     to_dnf,
 )
-from .core import Tela, TelaError, complete, explore, reachable, scc_split
+from .core import (
+    Tela,
+    TelaError,
+    bisim_quotient,
+    complete,
+    explore,
+    reachable,
+    scc_split,
+)
 from .limitdet import build_gfm, limit_det_violation
 from .transforms import ensure_dnf
 
@@ -373,7 +381,7 @@ def qualitative_positive(m: Mdp, a: Tela) -> bool:
             f"nondeterministic states {sorted(set(states))}",
             witness,
         )
-    a = ensure_dnf(a)
+    a = bisim_quotient(ensure_dnf(a))
     _, actions = _explore_product(m, a, strict=False)
     return any(True for _ in _accepting_mecs(actions, dnf_structure(a.acceptance)))
 
@@ -510,7 +518,7 @@ def _pr_max_accepting(p: ProductMdp) -> float:
 def pr_max_tela(m: Mdp, a: Tela) -> float:
     """Maximal probability that the MDP generates a word the TELA accepts,
     via the good-for-MDP construction."""
-    g = complete(build_gfm(ensure_dnf(a)))
+    g = bisim_quotient(complete(build_gfm(ensure_dnf(a))))
     return pr_max_buchi(mdp_product(m, g))
 
 

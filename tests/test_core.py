@@ -16,6 +16,7 @@ from tela import (
     TelaError,
     accepts,
     and_,
+    bisim_quotient,
     complement_deterministic,
     complete,
     fin_,
@@ -32,6 +33,7 @@ from tela import (
 )
 from tela.core import (
     BudgetExceeded,
+    _bisim_blocks,
     explore,
     reachable,
     scc_split,
@@ -588,3 +590,87 @@ def test_bisimulation_oracle_on_a_hand_built_automaton():
         frozenset({2, 3}),
         frozenset({4}),
     ]
+
+
+def random_bisim_automaton(rng: random.Random, kind: str) -> Tela:
+    """0-4 states, 0 or 1 atomic proposition, up to 2 marks.
+
+    "random" draws each (state, letter, target) at density 0.4 and sometimes
+    adds a parallel transition that differs only in its marks;
+    "deterministic" draws at most one transition per slot and one initial
+    state; "lumped" draws transitions over 1-3 base states and gives each
+    copy of a base state the same (letter, marks, base target) moves, so
+    copies are bisimilar.
+    """
+    n = rng.randint(0, 4)
+    ap = ("a",)[: rng.randint(0, 1)]
+    n_marks = rng.randint(0, 2)
+    n_letters = 1 << len(ap)
+
+    def marks() -> int:
+        return rng.randrange(1 << n_marks)
+
+    trans = set()
+    if kind == "random":
+        for q in range(n):
+            for letter in range(n_letters):
+                for d in range(n):
+                    if rng.random() < 0.4:
+                        trans.add((q, letter, d, marks()))
+                        if rng.random() < 0.3:
+                            trans.add((q, letter, d, marks()))
+    elif kind == "deterministic":
+        for q in range(n):
+            for letter in range(n_letters):
+                if rng.random() < 0.8:
+                    trans.add((q, letter, rng.randrange(n), marks()))
+    elif n:
+        k = rng.randint(1, min(n, 3))
+        base = list(range(k)) + [rng.randrange(k) for _ in range(n - k)]
+        rng.shuffle(base)
+        copies = [[q for q in range(n) if base[q] == b] for b in range(k)]
+        for b in range(k):
+            for letter in range(n_letters):
+                for b2 in range(k):
+                    if rng.random() < 0.5:
+                        m = marks()
+                        for q in copies[b]:
+                            trans.add((q, letter, rng.choice(copies[b2]), m))
+    n_initial = 1 if kind == "deterministic" else rng.randint(0, 2)
+    return Tela(
+        ap=ap,
+        n_states=n,
+        initial=frozenset(rng.sample(range(n), min(n, n_initial))),
+        transitions=tuple(trans),
+        acceptance=inf_(1) if n_marks else TRUE,
+        n_marks=n_marks,
+    )
+
+
+def test_bisim_quotient_matches_the_pairwise_oracle():
+    rng = random.Random(471)
+    merged = {"random": 0, "deterministic": 0, "lumped": 0}
+    for i in range(420):
+        kind = ("random", "deterministic", "lumped")[i % 3]
+        a = random_bisim_automaton(rng, kind)
+        classes = oracle_bisimulation(a)
+        block = _bisim_blocks(a)
+        assert [frozenset(q for q, b in enumerate(block) if b == c)
+                for c in range(len(classes))] == classes, a
+        quotient = bisim_quotient(a)
+        assert quotient.n_states == len(classes)
+        assert quotient.initial == frozenset(block[q] for q in a.initial)
+        assert set(quotient.transitions) == {
+            (block[s], letter, block[d], marks) for s, letter, d, marks in a.transitions
+        }
+        assert (quotient.ap, quotient.acceptance, quotient.n_marks) == (
+            a.ap,
+            a.acceptance,
+            a.n_marks,
+        )
+        assert bisim_quotient(quotient) == quotient
+        if kind == "deterministic":
+            assert is_deterministic(quotient) == is_deterministic(a)
+            assert is_complete(quotient) == is_complete(a)
+        merged[kind] += a.n_states - quotient.n_states
+    assert min(merged.values()) >= 20, merged

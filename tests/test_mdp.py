@@ -14,7 +14,10 @@ from tela import (
     NotLimitDeterministicError,
     Tela,
     TRUE,
+    accepts,
+    bisim_quotient,
     build_gfm,
+    build_ld,
     complete,
     ensure_dnf,
     inf_,
@@ -26,8 +29,9 @@ from tela import (
     qualitative_positive,
     reference_pr_max,
 )
-from tela.limitdet import breakpoint_component, canonical_partition
-from tela.mdp import MdpAction, _max_reach
+from tela.acceptance import dnf_structure, to_dnf
+from tela.limitdet import breakpoint_component, canonical_partition, limit_det_violation
+from tela.mdp import MdpAction, _accepting_mecs, _explore_product, _max_reach
 
 from helpers import example_automaton, example_mdp, random_automaton, random_mdp
 from oracles import oracle_max_reach, oracle_mecs
@@ -436,3 +440,121 @@ def test_reference_matches_gfm_pipeline():
         m = random_mdp(rng, atoms=("a",))
         a = random_automaton(rng, max_states=3, n_marks=2, ap=("a",))
         assert abs(pr_max_tela(m, a) - reference_pr_max(m, a)) <= 1e-6
+
+
+def reach_question(actions, initial: int, target: set[int]):
+    """The same maximal reachability question, small enough for the
+    scheduler-enumerating oracle: (actions, initial, target) where node 0
+    stands for the whole target and node 1 for every state that cannot
+    reach it, both absorbing, each state keeps one action per distinct
+    distribution, and only nodes reachable from the initial one remain."""
+    preds: dict[int, set[int]] = {}
+    for s, acts in enumerate(actions):
+        for act in acts:
+            for t, _ in act.dist:
+                preds.setdefault(t, set()).add(s)
+    can = set(target)
+    stack = list(target)
+    while stack:
+        for s in preds.get(stack.pop(), ()):
+            if s not in can:
+                can.add(s)
+                stack.append(s)
+    index = {"hit": 0, "miss": 1}
+    order = ["hit", "miss"]
+
+    def node(s: int) -> int:
+        key = "hit" if s in target else s if s in can else "miss"
+        if key not in index:
+            index[key] = len(order)
+            order.append(key)
+        return index[key]
+
+    start = node(initial)
+    out = []
+    for key in order:
+        if key in ("hit", "miss"):
+            out.append([MdpAction("stay", ((index[key], Fraction(1)),))])
+            continue
+        dists = {}
+        for act in actions[key]:
+            agg: dict[int, Fraction] = {}
+            for t, p in act.dist:
+                agg[node(t)] = agg.get(node(t), Fraction(0)) + p
+            dists.setdefault(tuple(sorted(agg.items())), None)
+        out.append([MdpAction("go", dist) for dist in dists])
+    return out, start, {0}
+
+
+def labelled_trap_mdp(rng: random.Random) -> Mdp:
+    """Like trap_mdp, over the atom a: 3-5 states, the moving ones with a
+    random label and usually one action, and the two absorbing ones read
+    !a and a, so that the maximal probability of a language that tells
+    (!a)^w from a^w apart often lies strictly between 0 and 1."""
+    n = rng.randint(3, 5)
+    labels = [frozenset({"a"} if rng.random() < 0.5 else ()) for _ in range(n - 2)]
+    actions = []
+    for _ in range(n - 2):
+        acts = []
+        for i in range(1 if rng.random() < 0.7 else 2):
+            succ = rng.sample(range(n), rng.randint(1, 3))
+            weights = [rng.randint(1, 3) for _ in succ]
+            dist = tuple((t, Fraction(w, sum(weights))) for t, w in zip(succ, weights))
+            acts.append(MdpAction(f"a{i}", dist))
+        actions.append(tuple(acts))
+    for s in (n - 2, n - 1):
+        actions.append((MdpAction("stay", ((s, Fraction(1)),)),))
+    return Mdp(n, 0, (*labels, frozenset(), frozenset({"a"})), tuple(actions))
+
+
+def test_quotiented_pipeline_matches_the_oracle_between_0_and_1():
+    """pr_max_tela, which quotients the GFM automaton, against the exact
+    oracle on the unquotiented product and against reference_pr_max, on
+    trap MDPs and one-state automata that tell a^w from (!a)^w apart.  The
+    oracle tries every scheduler, so it runs where there are at most 100."""
+    rng = random.Random(472)
+    compared = strictly_between = 0
+    for _ in range(400):
+        m = labelled_trap_mdp(rng)
+        while True:
+            a = random_automaton(rng, max_states=1, n_marks=2, ap=("a",))
+            if accepts(a, (), (0,)) != accepts(a, (), (1,)):
+                break
+        got = pr_max_tela(m, a)
+        assert abs(got - reference_pr_max(m, a)) <= 1e-9
+        p = mdp_product(m, complete(build_gfm(ensure_dnf(a))))
+        target = set()
+        for mec in _accepting_mecs(p.actions, to_dnf(p.acceptance)):
+            target |= mec.states
+        question = reach_question(p.actions, p.initial, target)
+        schedulers = 1
+        for acts in question[0]:
+            schedulers *= len(acts)
+        if schedulers <= 100:
+            want = oracle_max_reach(*question)
+            assert abs(got - float(want)) <= 1e-9
+            compared += 1
+            strictly_between += 0 < want < 1
+    assert compared >= 350
+    assert strictly_between >= 100
+
+
+def test_qualitative_positive_is_the_same_without_the_quotient():
+    """qualitative_positive quotients build_ld's automaton: its answer
+    equals the accepting-MEC criterion on the unquotiented product and
+    whether reference_pr_max is positive, and every quotient is still
+    limit-deterministic."""
+    rng = random.Random(473)
+    merged = 0
+    for _ in range(150):
+        m = labelled_trap_mdp(rng)
+        a = random_automaton(rng, max_states=3, n_marks=2, ap=("a",))
+        ld = ensure_dnf(build_ld(ensure_dnf(a)))
+        quotient = bisim_quotient(ld)
+        merged += ld.n_states - quotient.n_states
+        assert limit_det_violation(quotient) is None
+        _, actions = _explore_product(m, ld, strict=False)
+        unquotiented = any(_accepting_mecs(actions, dnf_structure(ld.acceptance)))
+        positive = qualitative_positive(m, ld)
+        assert positive == unquotiented == (reference_pr_max(m, a) > 1e-9)
+    assert merged >= 150
