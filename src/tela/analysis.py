@@ -12,6 +12,11 @@ DNF that the witness must *violate*, which is what deterministic containment
 needs: there the witness set is refined by deleting one Inf set of a
 satisfied negative disjunct and recursing into the sub-SCCs (the standard
 Streett-style restriction).
+
+Membership of a lasso word explores the product of the automaton with the
+word's positions from the initial pairs, through `core.explore`; that
+product is reachable by construction, so its search skips the
+reachability walk.
 """
 
 from __future__ import annotations
@@ -20,7 +25,16 @@ import random
 from functools import lru_cache
 
 from .acceptance import ALL, DnfAcceptance, DnfDisjunct, to_dnf
-from .core import Lasso, Tela, TelaError, Transition, reachable, scc_split
+from .core import (
+    Lasso,
+    Tela,
+    TelaError,
+    Transition,
+    explore,
+    flatten_edges,
+    reachable,
+    scc_split,
+)
 
 _dnf_of = lru_cache(maxsize=None)(to_dnf)
 
@@ -63,7 +77,11 @@ def accepting_lasso(a: Tela) -> Lasso | None:
 
 
 def accepts(a: Tela, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
-    """Membership of the lasso word u v^omega."""
+    """Membership of the lasso word u v^omega: emptiness of the product of
+    `a` with the word's positions, explored from the initial pairs, so only
+    reachable (state, position) pairs exist and no reachability walk is
+    needed.  Pairs are numbered by the int key q * |uv| + i while
+    exploring."""
     if not v:
         raise TelaError("lasso word needs a non-empty cycle part")
     for letter in (*u, *v):
@@ -71,14 +89,15 @@ def accepts(a: Tela, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
             raise TelaError(f"letter {letter} outside the alphabet")
     word = u + v
     n_pos = len(word)
-    trans: list[Transition] = []
-    for i, letter in enumerate(word):
+
+    def expand(key: int, number):
+        q, i = divmod(key, n_pos)
         nxt = i + 1 if i + 1 < n_pos else len(u)
-        for q in range(a.n_states):
-            for _, _, d, m in a.succ(q, letter):
-                trans.append((q * n_pos + i, letter, d * n_pos + nxt, m))
-    initial = {q * n_pos for q in a.initial}
-    return dnf_witness(tuple(trans), initial, _dnf_of(a.acceptance)) is not None
+        for _, letter, d, m in a.succ(q, word[i]):
+            yield letter, number(d * n_pos + nxt), m
+
+    _, edges = explore([q * n_pos for q in sorted(a.initial)], expand)
+    return _witness(flatten_edges(edges), _dnf_of(a.acceptance)) is not None
 
 
 def sample_lassos(
@@ -106,7 +125,16 @@ def dnf_witness(
     Returns (pos disjunct index, transitions of the witness set) or None.
     """
     reach = reachable(initial, ((s, d) for s, _, d, _ in transitions))
-    components = scc_split(tuple(t for t in transitions if t[0] in reach), _dst)
+    return _witness(tuple(t for t in transitions if t[0] in reach), pos, neg)
+
+
+def _witness(
+    transitions: tuple[Transition, ...],
+    pos: DnfAcceptance,
+    neg: DnfAcceptance = DnfAcceptance(()),
+) -> tuple[int, tuple[Transition, ...]] | None:
+    """`dnf_witness` over transitions whose sources are all reachable."""
+    components = scc_split(transitions, _dst)
     for di, d in enumerate(pos.disjuncts):
         parts = []
         for nodes, inside in components:

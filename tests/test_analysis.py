@@ -1,6 +1,7 @@
 """Tests for emptiness, witnesses, and lasso membership."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -125,6 +126,22 @@ def test_accepts_matches_independent_membership():
         for _ in range(6):
             u, v = random_word(rng, a.n_letters)
             assert accepts(a, u, v) == oracle_accepts(a, u, v)
+
+
+def test_accepts_sees_only_runs_from_the_initial_states():
+    # State 1 has an accepting loop on every letter but no run reaches it.
+    a = Tela(
+        ap=("a",),
+        n_states=2,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 0), (1, 0, 1, 1), (1, 1, 1, 1)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    assert not accepts(a, (), (0,))
+    assert not accepts(replace(a, initial=frozenset()), (), (0,))
+    both = replace(a, initial=frozenset({0, 1}))
+    assert accepts(both, (), (0,)) and accepts(both, (1,), (0, 1))
 
 
 def test_brute_force_empty_basics():
