@@ -20,6 +20,11 @@ Constructions that explore a new state space on the fly number it through
 with the edges kept inside each; emptiness, containment and maximal end
 components all run on it, through one iterative Tarjan pass that calls
 `targets` once per item.
+
+`bisim_quotient` is the one partition-refinement kernel: it merges the
+states of the coarsest partition whose blocks agree on their sets of
+(letter, marks, target block) transitions, which on deterministic input is
+Moore minimization.
 """
 
 from __future__ import annotations

@@ -34,6 +34,14 @@ automaton's language is positive; it needs a limit-deterministic automaton.
 pr_max_tela computes the maximal probability for any TELA by building the
 good-for-MDP automaton first, so the input automaton must stay within that
 construction's size limit.
+
+Both build the product over the bisimulation quotient of their automaton
+(`core.bisim_quotient`): pr_max_tela runs GFM automaton -> quotient ->
+product, and qualitative_positive quotients its input after the
+limit-determinism check, so an error witness keeps the input's state
+numbers.  A product with the quotient is bisimilar to the product with the
+automaton, so maximal probabilities and accepting end components are the
+same; mdp_product and reference_pr_max do not quotient.
 """
 
 from __future__ import annotations
@@ -370,8 +378,9 @@ def qualitative_positive(m: Mdp, a: Tela) -> bool:
     automaton's language is positive.
 
     The automaton must be limit-deterministic.  The criterion: some maximal
-    end component of the product, after deleting one disjunct's Fin
-    transitions, contains an action for every Inf set of that disjunct.
+    end component of the product with the bisimulation quotient, after
+    deleting one disjunct's Fin transitions, contains an action for every
+    Inf set of that disjunct.
     """
     witness = limit_det_violation(a)
     if witness is not None:
@@ -517,7 +526,7 @@ def _pr_max_accepting(p: ProductMdp) -> float:
 
 def pr_max_tela(m: Mdp, a: Tela) -> float:
     """Maximal probability that the MDP generates a word the TELA accepts,
-    via the good-for-MDP construction."""
+    via the bisimulation quotient of the good-for-MDP automaton."""
     g = bisim_quotient(complete(build_gfm(ensure_dnf(a))))
     return pr_max_buchi(mdp_product(m, g))
 
