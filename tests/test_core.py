@@ -655,13 +655,17 @@ def test_bisim_quotient_matches_the_pairwise_oracle():
         a = random_bisim_automaton(rng, kind)
         classes = oracle_bisimulation(a)
         block = _bisim_blocks(a)
-        assert [frozenset(q for q, b in enumerate(block) if b == c)
-                for c in range(len(classes))] == classes, a
+        parts = [
+            frozenset(q for q, b in enumerate(block) if b == c)
+            for c in range(len(classes))
+        ]
+        assert parts == classes, a
         quotient = bisim_quotient(a)
         assert quotient.n_states == len(classes)
         assert quotient.initial == frozenset(block[q] for q in a.initial)
         assert set(quotient.transitions) == {
-            (block[s], letter, block[d], marks) for s, letter, d, marks in a.transitions
+            (block[s], letter, block[d], marks)
+            for s, letter, d, marks in a.transitions
         }
         assert (quotient.ap, quotient.acceptance, quotient.n_marks) == (
             a.ap,
