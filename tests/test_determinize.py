@@ -13,6 +13,7 @@ from tela import (
     TelaError,
     accepts,
     and_,
+    complement_deterministic,
     contains,
     degeneralize,
     determinize_product,
@@ -24,6 +25,7 @@ from tela import (
     is_deterministic,
     is_empty,
     or_,
+    product,
     safra_determinize,
     sample_lassos,
 )
@@ -33,7 +35,7 @@ from tela.randbench import cnf_blowup_automaton
 from tela.transforms import GBA_METHODS, to_gba
 
 from helpers import random_automaton
-from oracles import oracle_accepts, oracle_safra_step, random_word
+from oracles import oracle_accepts, oracle_empty, oracle_safra_step, random_word
 
 
 def universal_buchi():
@@ -296,6 +298,73 @@ def test_contains_basics():
     assert not equivalent_deterministic(empty, det_universal)
     with pytest.raises(TelaError):
         contains(finitely_many_a_nba(), det_universal)
+
+
+def test_contains_rejects_unfit_inputs():
+    """Either side must be deterministic and complete, over the same APs."""
+    good = empty_language_automaton(("a",))
+    other_ap = empty_language_automaton(("b",))
+    nondeterministic = Tela(
+        ap=("a",),
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 1)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    incomplete = Tela(
+        ap=("a",),
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 1),),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    assert is_complete(nondeterministic) and not is_deterministic(nondeterministic)
+    assert is_deterministic(incomplete) and not is_complete(incomplete)
+    with pytest.raises(TelaError, match="mismatched atomic propositions"):
+        contains(good, other_ap)
+    with pytest.raises(TelaError, match="mismatched atomic propositions"):
+        contains(other_ap, good)
+    for bad in (nondeterministic, incomplete):
+        with pytest.raises(TelaError):
+            contains(bad, good)
+        with pytest.raises(TelaError):
+            contains(good, bad)
+
+
+def test_contains_matches_the_emptiness_oracle():
+    """contains(p, d) holds exactly when d and the complement of p have an
+    empty intersection, by an oracle that does not share the library's
+    search.  The via-gba and product outputs of two inputs are compared
+    pairwise, so union-product acceptances are covered and containment
+    fails often.  The oracle tries every subset of the Fin marks, so pairs
+    with more than 20 marks between them are left out."""
+    rng = random.Random(452)
+    verdicts = []
+    for n_ap in (1, 2):
+        done = 0
+        while done < 6:
+            dets = []
+            try:
+                for _ in range(2):
+                    a = random_automaton(rng, max_states=3, n_marks=2, n_ap=n_ap)
+                    dets.append(determinize_via_gba(a, state_cap=30))
+                    dets.append(determinize_product(a, state_cap=30))
+            except BudgetExceeded:
+                continue
+            done += 1
+            for p in dets:
+                for d in dets:
+                    if p.n_marks + d.n_marks > 20:
+                        continue
+                    expected = oracle_empty(
+                        product(d, complement_deterministic(p), "and")
+                    )
+                    assert contains(p, d) == expected
+                    verdicts.append(expected)
+    assert True in verdicts and False in verdicts
+    assert len(verdicts) > 150
 
 
 def test_contains_reflects_membership():
