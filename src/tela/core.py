@@ -15,7 +15,10 @@ letter and `image` takes the union over a set, the one image kernel of the
 Safra, breakpoint and subset constructions.
 
 Constructions that explore a new state space on the fly number it through
-`explore`, which owns the numbering, the state cap and the deadline.
+`explore`, which owns the numbering, the state cap and the deadline.  Pair
+states are passed to it as int keys, q0 * |Q1| + q1 in `product`, so a
+product state costs no tuple; seeds sort as the pairs would, so the
+numbering is the same.
 `scc_split` is the one split of a graph into strongly connected components
 with the edges kept inside each; emptiness, containment and maximal end
 components all run on it, through one iterative Tarjan pass that calls
@@ -43,7 +46,6 @@ from .acceptance import (
     all_marks,
     evaluate,
     gba_marksets,
-    mark_indices,
     negate,
     offset_marks,
     or_,
@@ -125,7 +127,20 @@ class Tela:
         return self.index.get((state, letter), ())
 
     def with_acceptance(self, acceptance: Acceptance, n_marks: int) -> "Tela":
-        return replace(self, acceptance=acceptance, n_marks=n_marks)
+        """The same automaton with another acceptance condition.
+
+        When no mark is dropped the transitions stay valid and sorted, so only
+        the new acceptance is checked and a built `index` is shared; a smaller
+        mark count revalidates in full."""
+        if n_marks < self.n_marks:
+            return replace(self, acceptance=acceptance, n_marks=n_marks)
+        if all_marks(acceptance) & ~((1 << n_marks) - 1):
+            raise TelaError(
+                f"acceptance references marks beyond the declared {n_marks}"
+            )
+        copy = object.__new__(type(self))
+        copy.__dict__.update(self.__dict__, acceptance=acceptance, n_marks=n_marks)
+        return copy
 
 
 def with_all_mark(a: Tela) -> tuple[Tela, int]:
@@ -323,7 +338,8 @@ def project_marks(marks: int, sets) -> int:
 
 
 def product(a0: Tela, a1: Tela, combinator: str) -> Tela:
-    """Synchronized product on the reachable pair space.
+    """Synchronized product on the reachable pair space, whose pairs are
+    numbered by the int key q0 * |Q1| + q1 while exploring.
 
     combinator "or" recognizes the union language (both inputs complete),
     "and" the intersection (both inputs deterministic and complete).
@@ -343,14 +359,15 @@ def product(a0: Tela, a1: Tela, combinator: str) -> Tela:
                     f"product(and) requires deterministic automata; {name} input is not"
                 )
     off = a0.n_marks
-    initial_pairs = sorted((q0, q1) for q0 in a0.initial for q1 in a1.initial)
+    width = a1.n_states
+    initial_pairs = sorted(q0 * width + q1 for q0 in a0.initial for q1 in a1.initial)
 
-    def expand(pair, number):
-        q0, q1 = pair
+    def expand(key: int, number):
+        q0, q1 = divmod(key, width)
         for letter in range(a0.n_letters):
             for _, _, d0, m0 in a0.succ(q0, letter):
                 for _, _, d1, m1 in a1.succ(q1, letter):
-                    yield letter, number((d0, d1)), m0 | (m1 << off)
+                    yield letter, number(d0 * width + d1), m0 | (m1 << off)
 
     order, edges = explore(initial_pairs, expand)
     lifted0 = a0.acceptance
@@ -398,10 +415,12 @@ def image(row: list[tuple[int, int]], states: int) -> tuple[int, int]:
     """The union of row[q] over the states q of the bitmask `states`, for a
     row table[letter] of `post_masks`."""
     img = part = 0
-    for q in mark_indices(states):
-        succ, hit = row[q]
+    while states:
+        low = states & -states
+        succ, hit = row[low.bit_length() - 1]
         img |= succ
         part |= hit
+        states ^= low
     return img, part
 
 

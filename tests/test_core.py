@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -119,6 +120,22 @@ def test_transitions_are_stored_sorted():
     assert a.transitions == ((0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 0, 0))
     assert a.succ(0, 1) == ((0, 1, 1, 0),)
     assert a.succ(1, 1) == ()
+
+
+def test_with_acceptance_shares_the_index_and_checks_the_acceptance():
+    a = example_automaton()
+    index = a.index
+    same_marks = a.with_acceptance(fin_(1), a.n_marks)
+    more_marks = a.with_acceptance(inf_(2), a.n_marks + 1)
+    assert same_marks.index is index and more_marks.index is index
+    assert same_marks == replace(a, acceptance=fin_(1))
+    assert more_marks == replace(a, acceptance=inf_(2), n_marks=a.n_marks + 1)
+    assert type(more_marks) is type(a)
+    with pytest.raises(TelaError, match="references marks beyond the declared 1"):
+        a.with_acceptance(inf_(2), 1)
+    # Dropping a mark that some transition carries revalidates in full.
+    with pytest.raises(TelaError, match="uses marks beyond 0"):
+        a.with_acceptance(TRUE, 0)
 
 
 def test_deterministic_and_complete_predicates():
