@@ -3,20 +3,22 @@
 Emptiness works on the DNF of the acceptance condition.  The reachable
 graph is split into strongly connected components once, by `core.scc_split`,
 the one SCC split, which gives the components with the transitions inside
-each.  For each disjunct the Fin-marked transitions are deleted inside each
-component, whose marks must still meet every Inf set, and only that
-component is split again; deleting transitions never joins two components,
-so the parts, taken in order of their smallest state, are the components
-of the whole graph without the Fin transitions.  The same search core optionally takes a second
-DNF that the witness must *violate*, which is what deterministic containment
-needs: there the witness set is refined by deleting one Inf set of a
-satisfied negative disjunct and recursing into the sub-SCCs (the standard
-Streett-style restriction).
+each, and each component's mark union is taken once.  For each disjunct a
+component whose union misses an Inf set is skipped; in the others the
+Fin-marked transitions are deleted, the marks left must still meet every
+Inf set, and only that component is split again; deleting transitions never
+joins two components, so the parts, taken in order of their smallest state,
+are the components of the whole graph without the Fin transitions.  The
+same search core optionally takes a second DNF that the witness must
+*violate*, which is what deterministic containment needs: there the witness
+set is refined by deleting one Inf set of a satisfied negative disjunct and
+recursing into the sub-SCCs (the standard Streett-style restriction).
 
 Membership of a lasso word explores the product of the automaton with the
 word's positions from the initial pairs, through `core.explore`; that
 product is reachable by construction, so its search skips the
-reachability walk.
+reachability walk.  `determinize.contains` runs the same search on the
+pairs of two deterministic automata.
 """
 
 from __future__ import annotations
@@ -135,11 +137,20 @@ def _witness(
 ) -> tuple[int, tuple[Transition, ...]] | None:
     """`dnf_witness` over transitions whose sources are all reachable."""
     components = scc_split(transitions, _dst)
+    unions = []
+    for _, inside in components:
+        marks = 0
+        for t in inside:
+            marks |= t[3]
+        unions.append(marks)
     for di, d in enumerate(pos.disjuncts):
         parts = []
-        for nodes, inside in components:
+        for (nodes, inside), union in zip(components, unions):
             # Deleting Fin transitions can only split a component further,
-            # and no part of it can satisfy d when the whole does not.
+            # and no part of it can satisfy d when the whole does not: a
+            # component whose marks miss an Inf set of d is skipped unfiltered.
+            if not all(s == ALL or union & s for s in d.infs):
+                continue
             base = tuple(t for t in inside if not (t[3] & d.fin))
             marks = 0
             for t in base:

@@ -12,7 +12,9 @@ eventually never red and infinitely often green.
 disjunct_determinizations determinizes each DNF disjunct separately via
 Fin-removal, degeneralization and Safra; determinize_product combines the
 parts with the union product, skipping parts whose language is already
-covered.
+covered.  That check, `contains`, explores the pairs of the two
+deterministic automata from the initial pair, as `accepts` does, and runs
+the emptiness search on their edges; it builds no product automaton.
 """
 
 from __future__ import annotations
@@ -29,13 +31,13 @@ from .acceptance import (
     mark_indices,
     offset_dnf,
     or_,
-    to_dnf,
 )
-from .analysis import dnf_witness
+from .analysis import _dnf_of, _witness
 from .core import (
     BudgetExceeded,
     Tela,
     TelaError,
+    _require_same_ap,
     complete,
     empty_language_automaton,
     explore,
@@ -58,9 +60,10 @@ DET_METHODS = tuple(f"via-gba:{m}" for m in GBA_METHODS) + (
 def degeneralize(g: Tela) -> Tela:
     """Turn a generalized-Buchi TELA into a Buchi one with a counter.
 
-    States are pairs of an original state and a level in 0..k-1; level j
-    waits for acceptance set j and advances when it appears, and the single
-    output mark goes on transitions that wrap from level k-1 back to 0.
+    States are pairs of an original state and a level in 0..k-1, numbered by
+    the int key level * |Q| + q while exploring; level j waits for
+    acceptance set j and advances when it appears, and the single output
+    mark goes on transitions that wrap from level k-1 back to 0.
     """
     sets = gba_marksets(g.acceptance)
     if sets is None:
@@ -78,8 +81,10 @@ def degeneralize(g: Tela) -> Tela:
             n_marks=1,
         )
 
-    def expand(state, number):
-        q, level = state
+    width = g.n_states
+
+    def expand(key: int, number):
+        level, q = divmod(key, width)
         for letter in range(g.n_letters):
             for _, _, dst, marks in g.succ(q, letter):
                 if marks & sets[level]:
@@ -87,9 +92,9 @@ def degeneralize(g: Tela) -> Tela:
                     mark = 1 if nxt == 0 else 0
                 else:
                     nxt, mark = level, 0
-                yield letter, number((dst, nxt)), mark
+                yield letter, number(nxt * width + dst), mark
 
-    order, edges = explore([(q, 0) for q in sorted(g.initial)], expand)
+    order, edges = explore(sorted(g.initial), expand)
     return Tela(
         ap=g.ap,
         n_states=len(order),
@@ -163,55 +168,59 @@ def _safra_step(tree: _Node, old: int, post, images: dict) -> tuple[_Node, int]:
     """One deterministic Safra-tree transition on the letter for which post[q]
     holds q's successor and accepting-successor bitmasks: the successor tree
     and its green and red mark bits.  `old` is the bitmask of the tree's
-    names.  `images` caches, per old label, its `image` in `post`.
-
-    step(node, allowed) rewrites a node in one post-order pass and returns
-    it with its greens and the bitmask of the names it keeps.  Its label
-    becomes the image of its old label within `allowed`, the parent's new
-    label minus what older siblings kept, and children left empty are
-    dropped.  If the old label has accepting successors, the node then takes
-    the smallest name that is neither in the old tree nor taken earlier in
-    this step, so after all of its descendants, and spawns a youngest child
-    labelled with the accepting successors no child kept; the name stays
-    taken even when that child comes out empty.  A node whose children cover
-    its label drops them and their greens and is green itself.  Names of the
-    old tree missing from the new one are red.
+    names.  `images` caches, per old label, its `image` in `post`.  Names of
+    the old tree missing from the new one are red.
     """
-    taken = old
-
-    def step(node: _Node, allowed: int) -> tuple[_Node, int, int]:
-        nonlocal taken
-        name, label, children = node
-        pair = images.get(label)
-        if pair is None:
-            pair = images[label] = image(post, label)
-        img, acc = pair
-        label = free = img & allowed
-        kept = []
-        greens = 0
-        names = 1 << name
-        for child in children:
-            new, child_greens, child_names = step(child, free)
-            if new[1]:
-                kept.append(new)
-                greens |= child_greens
-                names |= child_names
-                free &= ~new[1]
-        if acc:
-            fresh = ~taken & (taken + 1)
-            taken |= fresh
-            if acc & free:
-                kept.append((fresh.bit_length() - 1, acc & free, ()))
-                names |= fresh
-                free &= ~acc
-        if kept and not free:
-            return (name, label, ()), 1 << (2 * name), 1 << name
-        return (name, label, tuple(kept)), greens, names
-
-    new, marks, names = step(tree, -1)
+    new, marks, names, _ = _step(tree, -1, old, post, images)
     for r in mark_indices(old & ~names):
         marks |= 1 << (2 * r + 1)
     return new, marks
+
+
+def _step(
+    node: _Node, allowed: int, taken: int, post, images: dict
+) -> tuple[_Node, int, int, int]:
+    """Rewrite a Safra node in one post-order pass: the new node, its
+    greens, the bitmask of the names it keeps, and `taken` updated, the
+    names of the old tree and those given out so far in this step.
+
+    The label becomes the image of the old label within `allowed`, the
+    parent's new label minus what older siblings kept, and children left
+    empty are dropped.  If the old label has accepting successors, the node
+    then takes the smallest name not yet taken, so after all of its
+    descendants, and spawns a youngest child labelled with the accepting
+    successors no child kept; the name stays taken even when that child
+    comes out empty.  A node whose children cover its label drops them and
+    their greens and is green itself.
+    """
+    name, label, children = node
+    pair = images.get(label)
+    if pair is None:
+        pair = images[label] = image(post, label)
+    img, acc = pair
+    label = free = img & allowed
+    kept = []
+    greens = 0
+    names = 1 << name
+    for child in children:
+        new, child_greens, child_names, taken = _step(
+            child, free, taken, post, images
+        )
+        if new[1]:
+            kept.append(new)
+            greens |= child_greens
+            names |= child_names
+            free &= ~new[1]
+    if acc:
+        fresh = ~taken & (taken + 1)
+        taken |= fresh
+        if acc & free:
+            kept.append((fresh.bit_length() - 1, acc & free, ()))
+            names |= fresh
+            free &= ~acc
+    if kept and not free:
+        return (name, label, ()), 1 << (2 * name), 1 << name, taken
+    return (name, label, tuple(kept)), greens, names, taken
 
 
 def determinize_via_gba(
@@ -277,18 +286,36 @@ def disjunct_determinizations(
 def contains(p: Tela, d: Tela) -> bool:
     """Whether the deterministic automaton p's language contains d's.
 
-    Searches the product of d with p for a cycle that satisfies d's
-    acceptance and violates p's, keeping the two conditions as separate
-    DNFs rather than rewriting the conjunction of d's with the complement
-    of p's.
+    Explores the pairs of d and p from the initial pair, as `accepts` does,
+    numbered by the int key qd * |p| + qp, and searches their edges for a
+    cycle that satisfies d's acceptance and violates p's, keeping the two
+    conditions as separate DNFs rather than rewriting the conjunction of d's
+    with the complement of p's.  No product automaton is built: the pairs
+    are reachable by construction, so the search skips the reachability
+    walk.
     """
+    _require_same_ap(d, p)
     for label, x in (("container", p), ("contained", d)):
         if not is_deterministic(x) or not is_complete(x):
             raise TelaError(f"containment needs a deterministic complete {label}")
-    prod = product(d, p, "and")
-    pos = to_dnf(d.acceptance)
-    neg = offset_dnf(to_dnf(p.acceptance), d.n_marks)
-    return dnf_witness(prod.transitions, prod.initial, pos, neg) is None
+    width = p.n_states
+    off = d.n_marks
+    d_index = d.index
+    p_index = p.index
+    letters = range(d.n_letters)
+
+    def expand(key: int, number):
+        qd, qp = divmod(key, width)
+        for letter in letters:
+            _, _, td, md = d_index[qd, letter][0]
+            _, _, tp, mp = p_index[qp, letter][0]
+            yield letter, number(td * width + tp), md | (mp << off)
+
+    (qd,), (qp,) = d.initial, p.initial
+    _, edges = explore([qd * width + qp], expand)
+    pos = _dnf_of(d.acceptance)
+    neg = offset_dnf(_dnf_of(p.acceptance), off)
+    return _witness(flatten_edges(edges), pos, neg) is None
 
 
 def equivalent_deterministic(a: Tela, b: Tela) -> bool:
