@@ -16,9 +16,10 @@ Safra, breakpoint and subset constructions.
 
 Constructions that explore a new state space on the fly number it through
 `explore`, which owns the numbering, the state cap and the deadline.  Pair
-states are passed to it as int keys, q0 * |Q1| + q1 in `product`, so a
-product state costs no tuple; seeds sort as the pairs would, so the
-numbering is the same.
+states go to it as int keys, q0 * |Q1| + q1 in `product` and likewise in
+degeneralization, containment, lasso membership and the MDP product, so a
+product state costs no tuple; keys sort as their pairs do, so seeds and
+numbering are those of the pairs.
 `scc_split` is the one split of a graph into strongly connected components
 with the edges kept inside each; emptiness, containment and maximal end
 components all run on it, through one iterative Tarjan pass that calls
