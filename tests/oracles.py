@@ -14,7 +14,10 @@ step is recomputed with Python sets of node names and per-state images.
 Determinism and completeness compare transitions pairwise and slot by slot,
 and the breakpoint exploration runs on frozensets with its own numbering.
 Strong bisimulation is the greatest fixpoint of a relation over state pairs,
-shrunk pair by pair, with no partition refinement.
+shrunk pair by pair, with no partition refinement.  Limit-determinism grows
+the nondeterministic part by a plain predecessor fixpoint and checks the
+emptiness of the automaton restricted to it, exits sent to a trap and a
+fresh mark demanded on the internal transitions.
 """
 
 from __future__ import annotations
@@ -420,6 +423,47 @@ def oracle_is_complete(a: Tela) -> bool:
         for q in range(a.n_states)
         for letter in range(a.n_letters)
     )
+
+
+def oracle_nondet_part(a: Tela) -> set[int]:
+    """The states from which a nondeterministic choice is reachable: those
+    with two transitions on one letter, closed under predecessors by a plain
+    fixpoint."""
+    slots: dict[tuple[int, int], int] = {}
+    for s, letter, _, _ in a.transitions:
+        slots[s, letter] = slots.get((s, letter), 0) + 1
+    q_n = {s for (s, _), n in slots.items() if n > 1}
+    while True:
+        grown = {s for s, _, d, _ in a.transitions if d in q_n} - q_n
+        if not grown:
+            return q_n
+        q_n |= grown
+
+
+def oracle_limit_det(a: Tela) -> bool:
+    """Limit-determinism: no accepting run stays in the nondeterministic
+    part forever.  The automaton is restricted to that part, every exit
+    goes to a rejecting trap, every internal transition gets a fresh mark,
+    and the condition also demands that mark infinitely often; the answer
+    is whether oracle_empty finds that automaton empty."""
+    q_n = oracle_nondet_part(a)
+    trap = a.n_states
+    fresh = 1 << a.n_marks
+    trans = [(trap, letter, trap, 0) for letter in range(a.n_letters)]
+    for s, letter, d, marks in a.transitions:
+        if s in q_n and d in q_n:
+            trans.append((s, letter, d, marks | fresh))
+        elif s in q_n:
+            trans.append((s, letter, trap, 0))
+    restricted = Tela(
+        ap=a.ap,
+        n_states=trap + 1,
+        initial=frozenset(a.initial & q_n),
+        transitions=tuple(dict.fromkeys(trans)),
+        acceptance=And((a.acceptance, Inf(fresh))),
+        n_marks=a.n_marks + 1,
+    )
+    return oracle_empty(restricted)
 
 
 def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):

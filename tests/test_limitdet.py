@@ -5,6 +5,8 @@ import random
 import pytest
 
 from tela import (
+    FALSE,
+    TRUE,
     BudgetExceeded,
     Tela,
     TelaError,
@@ -16,6 +18,7 @@ from tela import (
     canonical_partition,
     fin_,
     inf_,
+    or_,
     is_deterministic,
     is_limit_deterministic,
     is_syntactically_limit_deterministic,
@@ -29,7 +32,14 @@ from tela.limitdet import GFM_STATE_LIMIT, _breakpoint_explore, limit_det_violat
 from tela.transforms import ensure_dnf
 
 from helpers import example_automaton, random_automaton
-from oracles import oracle_accepts, oracle_breakpoint_explore, random_word
+from oracles import (
+    eval_marks,
+    oracle_accepts,
+    oracle_breakpoint_explore,
+    oracle_limit_det,
+    oracle_nondet_part,
+    random_word,
+)
 
 
 def universal_buchi():
@@ -99,6 +109,55 @@ def test_limit_det_violation_witness():
     assert lasso.cycle_marks() & 1
     u, v = lasso.word()
     assert accepts(a, u, v)
+
+
+def random_limit_det_case(rng):
+    """A random automaton of at most six states over one or two APs with
+    random-el, dnf, TRUE, FALSE or Inf-less-disjunct acceptance."""
+    n_marks = rng.randint(4, 5)
+    a = random_tela(
+        n_states=rng.randint(4, 6),
+        n_marks=n_marks,
+        edge_density=rng.uniform(0.1, 0.4),
+        mark_prob=0.3,
+        acc=rng.choice(("random-el", "dnf")),
+        seed=rng.randrange(10**6),
+        n_ap=rng.randint(1, 2),
+    )
+    kind = rng.randrange(6)
+    if kind == 3:
+        return a.with_acceptance(TRUE, n_marks)
+    if kind == 4:
+        return a.with_acceptance(FALSE, n_marks)
+    if kind == 5:
+        m1, m2, m3 = rng.sample(range(n_marks), 3)
+        phi = or_([fin_(1 << m1), and_([inf_(1 << m2), fin_(1 << m3)])])
+        return a.with_acceptance(phi, n_marks)
+    return a
+
+
+def test_limit_det_violation_matches_oracle():
+    rng = random.Random(459)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        a = random_limit_det_case(rng)
+        lasso = limit_det_violation(a)
+        verdicts[lasso is None] += 1
+        assert (lasso is None) == oracle_limit_det(a)
+        if lasso is None:
+            continue
+        q_n = oracle_nondet_part(a)
+        path = (*lasso.prefix, *lasso.cycle)
+        assert path[0][0] in a.initial
+        assert lasso.cycle[-1][2] == lasso.cycle[0][0]
+        for t, nxt in zip(path, path[1:]):
+            assert t[2] == nxt[0]
+        for t in path:
+            assert t in a.transitions
+            assert t[0] in q_n and t[2] in q_n
+        assert accepts(a, *lasso.word())
+        assert eval_marks(a.acceptance, lasso.cycle_marks())
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_limit_deterministic_basics():
