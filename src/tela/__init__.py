@@ -25,7 +25,6 @@ from .acceptance import (
     TRUE,
     and_,
     dnf_length,
-    equivalent,
     evaluate,
     fin_,
     format_acceptance,
@@ -47,6 +46,7 @@ from .core import (
     BudgetExceeded,
     Lasso,
     MAX_AP,
+    MAX_MARKS,
     Tela,
     TelaError,
     Transition,

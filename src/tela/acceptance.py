@@ -26,8 +26,6 @@ from typing import Iterable, Iterator
 # Sentinel mark set meaning "every transition"; only valid inside DnfAcceptance.
 ALL = -1
 
-EQUIVALENCE_MARK_LIMIT = 24
-
 
 class AcceptanceError(ValueError):
     pass
@@ -233,17 +231,6 @@ def offset_marks(phi: Acceptance, offset: int) -> Acceptance:
         case Or(parts=ps):
             return Or(tuple(offset_marks(p, offset) for p in ps))
     raise AcceptanceError(f"not an acceptance formula: {phi!r}")
-
-
-def equivalent(phi: Acceptance, psi: Acceptance, n_marks: int) -> bool:
-    """Exhaustive equivalence over all mark subsets; capped at 24 marks."""
-    if n_marks > EQUIVALENCE_MARK_LIMIT:
-        raise AcceptanceError(
-            f"equivalence check limited to {EQUIVALENCE_MARK_LIMIT} marks, got {n_marks}"
-        )
-    return all(
-        evaluate(seen, phi) == evaluate(seen, psi) for seen in range(1 << n_marks)
-    )
 
 
 @dataclass(frozen=True)

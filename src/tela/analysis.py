@@ -18,7 +18,9 @@ Membership of a lasso word explores the product of the automaton with the
 word's positions from the initial pairs, through `core.explore`; that
 product is reachable by construction, so its search skips the
 reachability walk.  `determinize.contains` runs the same search on the
-pairs of two deterministic automata.
+pairs of two deterministic automata, and `limitdet.limit_det_violation`
+looks for an accepting lasso among the transitions inside the
+nondeterministic part Q_N alone.
 """
 
 from __future__ import annotations
@@ -42,24 +44,32 @@ _dnf_of = lru_cache(maxsize=None)(to_dnf)
 
 
 def is_empty(a: Tela) -> bool:
-    return accepting_lasso(a) is None
+    return dnf_witness(a.transitions, a.initial, _dnf_of(a.acceptance)) is None
 
 
 def accepting_lasso(a: Tela) -> Lasso | None:
-    """An accepting lasso of `a`, or None when the language is empty.
+    """An accepting lasso of `a`, or None when the language is empty."""
+    return _lasso(a.transitions, a.initial, _dnf_of(a.acceptance))
+
+
+def _lasso(
+    transitions: tuple[Transition, ...],
+    initial: frozenset[int],
+    dnf: DnfAcceptance,
+) -> Lasso | None:
+    """An accepting lasso over the given transitions, or None.
 
     The cycle visits one representative transition per Inf set of the
     witnessing DNF disjunct, connected by shortest paths inside the witness
     SCC; the prefix is a shortest path from an initial state.
     """
-    dnf = _dnf_of(a.acceptance)
-    hit = dnf_witness(a.transitions, a.initial, dnf)
+    hit = dnf_witness(transitions, initial, dnf)
     if hit is None:
         return None
     di, scc_ts = hit
     disjunct = dnf.disjuncts[di]
     anchor = min(t[0] for t in scc_ts)
-    prefix = _shortest_path(a.transitions, set(a.initial), anchor)
+    prefix = _shortest_path(transitions, set(initial), anchor)
     ordered = sorted(scc_ts)
     cycle: list[Transition] = []
     cur = anchor

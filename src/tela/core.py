@@ -53,6 +53,8 @@ from .acceptance import (
 )
 
 MAX_AP = 8
+# The HOA parser's cap on declared acceptance sets.
+MAX_MARKS = 1 << 16
 
 Transition = tuple[int, int, int, int]
 

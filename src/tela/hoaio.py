@@ -26,7 +26,7 @@ from .acceptance import (
     parse_acceptance,
     parse_formula,
 )
-from .core import MAX_AP, Tela, TelaError, Transition, is_deterministic
+from .core import MAX_AP, MAX_MARKS, Tela, TelaError, Transition, is_deterministic
 
 
 class HoaParseError(TelaError):
@@ -117,6 +117,8 @@ def parse_hoa(text: str) -> Tela:
                 raise HoaParseError("duplicate Acceptance header", lineno)
             parts = rest.split(None, 1)
             n_marks = _parse_int(parts[0] if parts else "", "mark count", lineno)
+            if n_marks > MAX_MARKS:
+                raise HoaParseError(f"at most {MAX_MARKS} acceptance sets", lineno)
             try:
                 acceptance = parse_acceptance(
                     parts[1] if len(parts) > 1 else "", n_marks

@@ -5,6 +5,8 @@ nondeterministic part Q_N and a deterministic part Q_D, closed under
 successors, such that accepting runs eventually behave deterministically.
 The canonical partition puts into Q_N exactly the states from which some
 nondeterministic choice is still reachable; it is the coarsest valid split.
+Limit-determinism is decided by the emptiness search of `analysis` run on
+the transitions with both ends in Q_N, from the initial states in Q_N.
 
 Three constructions produce limit-deterministic automata from a TELA with
 DNF acceptance:
@@ -32,8 +34,8 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .acceptance import Inf, and_, dnf_structure, mark_indices
-from .analysis import accepting_lasso
+from .acceptance import Inf, dnf_structure, mark_indices
+from .analysis import _dnf_of, _lasso
 from .core import (
     Lasso,
     Tela,
@@ -66,47 +68,13 @@ def limit_det_violation(a: Tela) -> Lasso | None:
 
     Every run either stays in Q_N forever or moves to Q_D for good, so the
     automaton is limit-deterministic exactly when no accepting run remains
-    in Q_N.  The check restricts the automaton to Q_N, sends exits to a
-    trap, and demands the original condition plus infinitely many Q_N-
-    internal transitions.
+    in Q_N.  Q_N is closed under predecessors, so such a run starts in an
+    initial state of Q_N and takes only transitions inside Q_N: the
+    emptiness search runs on those transitions alone.
     """
     q_n, _ = canonical_partition(a)
-    n_initial = sorted(a.initial & q_n)
-    if not n_initial:
-        return None
-    order = sorted(q_n)
-    renum = {q: i for i, q in enumerate(order)}
-    trap = len(order)
-    allbit = 1 << a.n_marks
-    transitions: list[Transition] = []
-    for s, letter, d, marks in a.transitions:
-        if s not in q_n:
-            continue
-        if d in q_n:
-            transitions.append((renum[s], letter, renum[d], marks | allbit))
-        else:
-            transitions.append((renum[s], letter, trap, 0))
-    for letter in range(a.n_letters):
-        transitions.append((trap, letter, trap, 0))
-    restricted = Tela(
-        ap=a.ap,
-        n_states=trap + 1,
-        initial=frozenset(renum[q] for q in n_initial),
-        transitions=tuple(dict.fromkeys(transitions)),
-        acceptance=and_([a.acceptance, Inf(allbit)]),
-        n_marks=a.n_marks + 1,
-    )
-    lasso = accepting_lasso(restricted)
-    if lasso is None:
-        return None
-    back = {i: q for q, i in renum.items()}
-
-    def back_map(ts: tuple[Transition, ...]) -> tuple[Transition, ...]:
-        return tuple(
-            (back[s], letter, back[d], marks & ~allbit) for s, letter, d, marks in ts
-        )
-
-    return Lasso(prefix=back_map(lasso.prefix), cycle=back_map(lasso.cycle))
+    inside = tuple(t for t in a.transitions if t[0] in q_n and t[2] in q_n)
+    return _lasso(inside, a.initial & q_n, _dnf_of(a.acceptance))
 
 
 def is_limit_deterministic(a: Tela) -> bool:

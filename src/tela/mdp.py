@@ -204,7 +204,7 @@ def parse_mdp(text: str) -> Mdp:
     for s, lineno in label_lines.items():
         if not 0 <= s < n_states:
             raise MdpParseError(lineno, f"label for unknown state {s}")
-    actions: list[list[MdpAction]] = [[] for _ in range(n_states)]
+    actions: dict[int, list[MdpAction]] = {}
     for (s, name), entries in dists.items():
         if not 0 <= s < n_states:
             raise MdpParseError(entries[0][0], f"transition source {s} out of range")
@@ -212,15 +212,17 @@ def parse_mdp(text: str) -> Mdp:
         _check_action(
             s, act, n_states, lambda msg, i: MdpParseError(entries[i or 0][0], msg)
         )
-        actions[s].append(act)
-    for s, acts in enumerate(actions):
-        if not acts:
-            raise MdpParseError(states_line, f"state {s} has no action")
+        actions.setdefault(s, []).append(act)
+    # Stops at most one state past the action sources, so a huge declared
+    # count fails here before anything is allocated per state.
+    missing = next((s for s in range(n_states) if s not in actions), None)
+    if missing is not None:
+        raise MdpParseError(states_line, f"state {missing} has no action")
     return Mdp(
         n_states=n_states,
         initial=initial,
         labels=tuple(labels.get(s, frozenset()) for s in range(n_states)),
-        actions=tuple(tuple(acts) for acts in actions),
+        actions=tuple(tuple(actions[s]) for s in range(n_states)),
     )
 
 

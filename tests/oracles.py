@@ -458,7 +458,7 @@ def oracle_limit_det(a: Tela) -> bool:
     restricted = Tela(
         ap=a.ap,
         n_states=trap + 1,
-        initial=frozenset(a.initial & q_n),
+        initial=a.initial & q_n,
         transitions=tuple(dict.fromkeys(trans)),
         acceptance=And((a.acceptance, Inf(fresh))),
         n_marks=a.n_marks + 1,

@@ -1,11 +1,16 @@
 """End-to-end tests for the command line interface."""
 
 import io
+import os
+import pathlib
+import resource
+import subprocess
 import sys
 
 import pytest
 
-from tela import FALSE, Tela, accepts, inf_, parse_hoa, print_hoa
+import tela
+from tela import FALSE, MAX_MARKS, Tela, accepts, inf_, parse_hoa, print_hoa
 from tela.acceptance import gba_marksets
 from tela.cli import main
 from tela.core import is_complete, is_deterministic
@@ -331,6 +336,47 @@ def test_deep_nesting_exits_3_with_line(tmp_path, capsys):
         )
         assert main(["check", "empty", str(path)]) == 3
         assert f"line {line}:" in capsys.readouterr().err
+
+
+def run_cli_capped(argv):
+    """Run `python -m tela.cli` in a child process whose address space is
+    capped at 512 MB, so an input that makes it allocate without bound
+    fails there instead of exhausting the machine."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    src = str(pathlib.Path(tela.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run(
+        [sys.executable, "-m", "tela.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=cap,
+        env=env,
+    )
+
+
+def test_huge_mdp_state_count_exits_3_under_a_memory_cap(tmp_path):
+    mdp = tmp_path / "huge.mdp"
+    mdp.write_text(f"states {10**12}\ntrans 0 a 0 1\n")
+    aut = write_hoa(tmp_path, "uni.hoa", universal_automaton())
+    done = run_cli_capped(["mc", "--mdp", str(mdp), "--aut", aut, "--qual"])
+    assert done.returncode == 3, done.stderr
+    assert "line 1: state 1 has no action" in done.stderr
+
+
+def test_huge_mark_count_exits_3_under_a_memory_cap(tmp_path):
+    hoa = print_hoa(universal_automaton())
+    assert "Acceptance: 1 Inf(0)" in hoa
+    path = tmp_path / "marks.hoa"
+    path.write_text(hoa.replace("Acceptance: 1 Inf(0)", "Acceptance: 99999999999999 t"))
+    done = run_cli_capped(["check", "deterministic", str(path)])
+    assert done.returncode == 3, done.stderr
+    line = hoa.splitlines().index("Acceptance: 1 Inf(0)") + 1
+    assert f"line {line}: at most {MAX_MARKS} acceptance sets" in done.stderr
 
 
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
