@@ -9,6 +9,7 @@ from tela import (
     FALSE,
     Fin,
     Inf,
+    TRUE,
     Tela,
     TelaError,
     accepts,
@@ -21,12 +22,12 @@ from tela import (
     to_dnf,
     dnf_length,
 )
-from tela.acceptance import gba_marksets
-from tela.randbench import cnf_blowup_automaton
+from tela.acceptance import dnf_structure, gba_marksets
+from tela.randbench import cnf_blowup_automaton, random_tela
 from tela.transforms import GBA_METHODS, ensure_dnf, remove_fin, remove_fin_gba, to_gba
 
 from helpers import example_automaton, random_automaton
-from oracles import random_word
+from oracles import oracle_empty, random_word
 
 
 def fin_inf_loop():
@@ -68,6 +69,34 @@ def test_ensure_dnf_preserves_language():
     for _ in range(20):
         a = random_automaton(rng, n_marks=3, ap=("a",))
         sample_language_equal(rng, a, ensure_dnf(a), words=10)
+
+
+def test_ensure_dnf_output_reads_alike_through_both_dnf_readers():
+    """`dnf_structure` and `to_dnf` read the same disjuncts, in the same
+    order, off `ensure_dnf` output, and emptiness of the input agrees with
+    the oracle; the conditions include TRUE, FALSE and Fin-only disjuncts."""
+    automata = [
+        random_tela(4, 4, 0.4, 0.3, acc=acc, seed=seed, n_ap=1 + seed % 2)
+        for seed in range(15)
+        for acc in ("random-el", "dnf")
+    ]
+    rng = random.Random(426)
+    for i in range(30):
+        a = random_automaton(rng, n_marks=3, ap=("a", "b")[: 1 + i % 2])
+        m1, m2 = (1 << rng.randrange(3) for _ in range(2))
+        for phi in (
+            TRUE,
+            FALSE,
+            fin_(m1),
+            or_([a.acceptance, fin_(m1)]),
+            or_([and_([fin_(m1), inf_(m2)]), fin_(m2)]),
+            and_([fin_(m1), or_([inf_(m2), fin_(m2)])]),
+        ):
+            automata.append(a.with_acceptance(phi, a.n_marks))
+    for a in automata:
+        d = ensure_dnf(a).acceptance
+        assert dnf_structure(d) == to_dnf(d), a
+        assert is_empty(a) == oracle_empty(a), a
 
 
 def test_remove_fin_structure_single_disjunct():
