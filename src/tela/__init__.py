@@ -10,7 +10,6 @@ a random-automaton benchmark harness.
 """
 
 from .acceptance import (
-    ALL,
     Acceptance,
     AcceptanceError,
     And,
@@ -47,6 +46,7 @@ from .core import (
     Lasso,
     MAX_AP,
     MAX_MARKS,
+    MAX_STATES,
     Tela,
     TelaError,
     Transition,

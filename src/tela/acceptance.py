@@ -8,10 +8,11 @@ Inf(S) abbreviates the disjunction of Inf(j) for j in S, and Fin(S) the
 conjunction of Fin(j) for j in S, which keeps merged Fin atoms from
 multiplying marks.
 
-Mark sets are plain ints used as bitmasks.  The constant ALL stands for the
-set of all transitions of the owning automaton (Inf(ALL) holds on every run);
-it appears only inside DnfAcceptance and is materialized as a real mark by
-automaton-level code when needed.
+Mark sets are plain ints used as bitmasks.  A DNF disjunct with no Inf atom
+has an empty tuple of Inf sets: the empty conjunction holds on every run, so
+such a disjunct asks only that its Fin set stay clear.  Constructions that
+need an Inf set in every disjunct read the DNF through `dnf_structure`;
+`transforms.ensure_dnf` puts a fresh mark on every transition for them.
 
 This module owns the HOA Boolean syntax: `parse_formula` reads both
 Acceptance formulas (through `parse_acceptance`) and transition labels
@@ -22,9 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Iterator
-
-# Sentinel mark set meaning "every transition"; only valid inside DnfAcceptance.
-ALL = -1
 
 
 class AcceptanceError(ValueError):
@@ -80,15 +78,11 @@ FALSE = BoolConst(False)
 
 def inf_(marks: int) -> Acceptance:
     """Inf over a mark set; the empty set is unsatisfiable."""
-    if marks == ALL:
-        raise AcceptanceError("ALL is not a concrete mark set")
     return Inf(marks) if marks else FALSE
 
 
 def fin_(marks: int) -> Acceptance:
     """Fin over a mark set; the empty set is trivially satisfied."""
-    if marks == ALL:
-        raise AcceptanceError("ALL is not a concrete mark set")
     return Fin(marks) if marks else TRUE
 
 
@@ -237,8 +231,8 @@ def offset_marks(phi: Acceptance, offset: int) -> Acceptance:
 class DnfDisjunct:
     """One disjunct Fin(fin) & Inf(infs[0]) & ... & Inf(infs[-1]).
 
-    infs is non-empty; a disjunct with no Inf atom gets the ALL sentinel,
-    Inf over every transition, which every run satisfies.
+    infs is empty for a disjunct with no Inf atom; the empty conjunction
+    holds on every run.
     """
 
     fin: int
@@ -246,7 +240,7 @@ class DnfDisjunct:
 
     def holds(self, marks: int) -> bool:
         """Truth for a run whose infinitely recurring marks are `marks`."""
-        return not marks & self.fin and all(s == ALL or marks & s for s in self.infs)
+        return not marks & self.fin and all(marks & s for s in self.infs)
 
 
 @dataclass(frozen=True)
@@ -292,7 +286,7 @@ def to_dnf(phi: Acceptance) -> DnfAcceptance:
         for s in infs:
             if s not in uniq:
                 uniq.append(s)
-        d = DnfDisjunct(fin, tuple(uniq) if uniq else (ALL,))
+        d = DnfDisjunct(fin, tuple(uniq))
         if d not in seen_disjuncts:
             seen_disjuncts.add(d)
             disjuncts.append(d)
@@ -300,30 +294,28 @@ def to_dnf(phi: Acceptance) -> DnfAcceptance:
 
 
 def dnf_length(dnf: DnfAcceptance) -> int:
-    """Atom count of the DNF, ALL counting as a single atom."""
+    """Atom count of the DNF; a disjunct without Inf atoms counts one for
+    its missing Inf, as if it carried Inf over every transition."""
     total = 0
     for d in dnf.disjuncts:
         total += d.fin.bit_count()
-        total += sum(1 if s == ALL else s.bit_count() for s in d.infs)
+        total += sum(s.bit_count() for s in d.infs) or 1
     return total
 
 
 def offset_dnf(dnf: DnfAcceptance, offset: int) -> DnfAcceptance:
     return DnfAcceptance(
         tuple(
-            DnfDisjunct(
-                d.fin << offset,
-                tuple(s if s == ALL else s << offset for s in d.infs),
-            )
+            DnfDisjunct(d.fin << offset, tuple(s << offset for s in d.infs))
             for d in dnf.disjuncts
         )
     )
 
 
 def disjunct_formula(d: DnfDisjunct) -> Acceptance:
-    """Formula form of a single disjunct; the ALL sentinel is not expressible."""
-    if ALL in d.infs:
-        raise AcceptanceError("disjunct uses ALL; materialize it as a mark first")
+    """Formula form of a single disjunct, which must carry an Inf set."""
+    if not d.infs:
+        raise AcceptanceError("disjunct has no Inf set; see transforms.ensure_dnf")
     return and_([fin_(d.fin), *[Inf(s) for s in d.infs]])
 
 
@@ -332,34 +324,16 @@ def dnf_formula(dnf: DnfAcceptance) -> Acceptance:
 
 
 def dnf_structure(phi: Acceptance) -> DnfAcceptance:
-    """Read a syntactically DNF formula back into DnfAcceptance.
-
-    Accepted shapes: FALSE, a single disjunct, or a disjunction of disjuncts,
-    where a disjunct is a conjunction of at most one Fin atom and at least one
-    Inf atom.  Anything else raises NotInDnfError.
-    """
-    if phi == FALSE:
-        return DnfAcceptance(())
-    parts = phi.parts if isinstance(phi, Or) else (phi,)
-    disjuncts = []
-    for part in parts:
-        atoms = part.parts if isinstance(part, And) else (part,)
-        fin = 0
-        infs: list[int] = []
-        for atom in atoms:
-            if isinstance(atom, Fin):
-                fin |= atom.marks
-            elif isinstance(atom, Inf):
-                infs.append(atom.marks)
-            else:
-                raise NotInDnfError(f"not in DNF: unexpected {atom!r}")
-        if not infs:
-            raise NotInDnfError(
-                "not in DNF: disjunct without Inf atom (needs an Inf over all "
-                "transitions; see transforms.ensure_dnf)"
-            )
-        disjuncts.append(DnfDisjunct(fin, tuple(infs)))
-    return DnfAcceptance(tuple(disjuncts))
+    """The DNF of phi for constructions that need an Inf set in every
+    disjunct: `to_dnf`, raising NotInDnfError on a disjunct without one
+    (`transforms.ensure_dnf` gives it an Inf over every transition)."""
+    dnf = to_dnf(phi)
+    if any(not d.infs for d in dnf.disjuncts):
+        raise NotInDnfError(
+            "not in DNF: disjunct without Inf atom (needs an Inf over all "
+            "transitions; see transforms.ensure_dnf)"
+        )
+    return dnf
 
 
 def is_finless(phi: Acceptance) -> bool:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
-from .acceptance import ALL, DnfAcceptance, DnfDisjunct, to_dnf
+from .acceptance import DnfAcceptance, DnfDisjunct, to_dnf
 from .core import (
     Lasso,
     Tela,
@@ -74,8 +74,6 @@ def _lasso(
     cycle: list[Transition] = []
     cur = anchor
     for s in disjunct.infs:
-        if s == ALL:
-            continue
         rep = next(t for t in ordered if t[3] & s)
         cycle.extend(_shortest_path(scc_ts, {cur}, rep[0]))
         cycle.append(rep)
@@ -159,7 +157,7 @@ def _witness(
             # Deleting Fin transitions can only split a component further,
             # and no part of it can satisfy d when the whole does not: a
             # component whose marks miss an Inf set of d is skipped unfiltered.
-            if not all(s == ALL or union & s for s in d.infs):
+            if not all(union & s for s in d.infs):
                 continue
             base = tuple(t for t in inside if not (t[3] & d.fin))
             marks = 0
@@ -197,8 +195,6 @@ def _refine(
     if satisfied is None:
         return ts if d.holds(marks) else None
     for s in satisfied.infs:
-        if s == ALL:
-            continue
         sub = tuple(t for t in ts if not (t[3] & s))
         for _, internal in scc_split(sub, _dst):
             found = _refine(internal, d, neg)

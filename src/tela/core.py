@@ -3,9 +3,10 @@
 A TELA runs over an explicit alphabet: every letter is one truth assignment
 to the declared atomic propositions, encoded as the integer whose bit i gives
 the value of ap[i].  Transitions are (src, letter, dst, marks) tuples with
-marks a bitmask of acceptance mark indices.  A run is accepting iff the set
-of marks occurring on infinitely many of its transitions satisfies the
-acceptance condition.
+marks a bitmask of acceptance mark indices; `Tela` keeps the transitions
+as a sorted set, so a construction may emit one twice.  A run is accepting
+iff the set of marks occurring on infinitely many of its transitions
+satisfies the acceptance condition.
 
 Each automaton has one successor index, `Tela.index`, from (state, letter)
 to the transitions in that slot; determinism, completeness, HOA printing,
@@ -38,7 +39,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .acceptance import (
-    ALL,
     FALSE,
     Acceptance,
     Inf,
@@ -53,8 +53,9 @@ from .acceptance import (
 )
 
 MAX_AP = 8
-# The HOA parser's cap on declared acceptance sets.
+# The HOA parser's caps on declared acceptance sets and states.
 MAX_MARKS = 1 << 16
+MAX_STATES = 1 << 20
 
 Transition = tuple[int, int, int, int]
 
@@ -92,8 +93,14 @@ class Tela:
                 raise TelaError(f"initial state {q} out of range")
         n_letters = 1 << len(self.ap)
         mark_space = (1 << self.n_marks) - 1
-        seen = set()
-        for t in self.transitions:
+        # The transitions are a set, kept in canonical order: structural
+        # equality is independent of construction order and repeats, and HOA
+        # round trips are exact.  Sorting first keeps a nearly sorted input
+        # cheap to sort and puts repeats side by side.
+        transitions: list[Transition] = []
+        for t in sorted(self.transitions):
+            if transitions and t == transitions[-1]:
+                continue
             src, letter, dst, marks = t
             if not (0 <= src < self.n_states and 0 <= dst < self.n_states):
                 raise TelaError(f"transition {t} has a state out of range")
@@ -101,16 +108,12 @@ class Tela:
                 raise TelaError(f"transition {t} has a letter out of range")
             if marks & ~mark_space:
                 raise TelaError(f"transition {t} uses marks beyond {self.n_marks}")
-            if t in seen:
-                raise TelaError(f"duplicate transition {t}")
-            seen.add(t)
+            transitions.append(t)
         if all_marks(self.acceptance) & ~mark_space:
             raise TelaError(
                 f"acceptance references marks beyond the declared {self.n_marks}"
             )
-        # Canonical transition order makes structural equality independent of
-        # construction order and HOA round trips exact.
-        object.__setattr__(self, "transitions", tuple(sorted(self.transitions)))
+        object.__setattr__(self, "transitions", tuple(transitions))
 
     @property
     def n_letters(self) -> int:
@@ -324,11 +327,17 @@ def sum_gba(a0: Tela, a1: Tela) -> Tela:
         ap=a0.ap,
         n_states=a0.n_states + a1.n_states,
         initial=a0.initial | frozenset(q + a0.n_states for q in a1.initial),
-        # Parallel transitions whose marks project alike coincide.
-        transitions=tuple(dict.fromkeys(transitions)),
+        transitions=tuple(transitions),
         acceptance=and_([Inf(1 << j) for j in range(k)]),
         n_marks=k,
     )
+
+
+# The `project_marks` entry that every transition matches: it pads the
+# shorter generalized-Buchi conditions of `sum_gba` and
+# `transforms.remove_fin_gba` with Inf over all transitions.  It is never a
+# mark set of an acceptance formula.
+ALL = -1
 
 
 def project_marks(marks: int, sets) -> int:
@@ -400,15 +409,14 @@ def complement_deterministic(a: Tela) -> Tela:
 def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list[list[tuple[int, int]]]:
     """table[letter][q]: the successors of q on the letter over transitions
     whose marks avoid `avoid`, and the part of them reached over such
-    transitions whose marks meet `meet` (every one when `meet` is ALL), as
-    a pair of state bitmasks."""
+    transitions whose marks meet `meet`, as a pair of state bitmasks."""
     table = [[(0, 0)] * a.n_states for _ in range(a.n_letters)]
     for s, letter, d, marks in a.transitions:
         if marks & avoid:
             continue
         img, part = table[letter][s]
         bit = 1 << d
-        if meet == ALL or marks & meet:
+        if marks & meet:
             part |= bit
         table[letter][s] = (img | bit, part)
     return table
@@ -587,11 +595,9 @@ def bisim_quotient(a: Tela) -> Tela:
         n_states=len(first),
         initial=frozenset(block[q] for q in a.initial),
         transitions=tuple(
-            dict.fromkeys(
-                (block[s], letter, block[d], marks)
-                for s, letter, d, marks in a.transitions
-                if first[block[s]] == s
-            )
+            (block[s], letter, block[d], marks)
+            for s, letter, d, marks in a.transitions
+            if first[block[s]] == s
         ),
         acceptance=a.acceptance,
         n_marks=a.n_marks,

@@ -74,9 +74,7 @@ def degeneralize(g: Tela) -> Tela:
             ap=g.ap,
             n_states=g.n_states,
             initial=g.initial,
-            transitions=tuple(
-                dict.fromkeys((s, letter, d, 1) for s, letter, d, _ in g.transitions)
-            ),
+            transitions=tuple((s, letter, d, 1) for s, letter, d, _ in g.transitions),
             acceptance=Inf(1),
             n_marks=1,
         )
@@ -99,8 +97,7 @@ def degeneralize(g: Tela) -> Tela:
         ap=g.ap,
         n_states=len(order),
         initial=frozenset(range(len(g.initial))),
-        # Parallel transitions that both miss the level's set coincide.
-        transitions=tuple(dict.fromkeys(flatten_edges(edges))),
+        transitions=flatten_edges(edges),
         acceptance=Inf(1),
         n_marks=1,
     )

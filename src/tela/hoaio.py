@@ -26,7 +26,15 @@ from .acceptance import (
     parse_acceptance,
     parse_formula,
 )
-from .core import MAX_AP, MAX_MARKS, Tela, TelaError, Transition, is_deterministic
+from .core import (
+    MAX_AP,
+    MAX_MARKS,
+    MAX_STATES,
+    Tela,
+    TelaError,
+    Transition,
+    is_deterministic,
+)
 
 
 class HoaParseError(TelaError):
@@ -84,6 +92,8 @@ def parse_hoa(text: str) -> Tela:
             if n_states is not None:
                 raise HoaParseError("duplicate States header", lineno)
             n_states = _parse_int(rest, "state count", lineno)
+            if n_states > MAX_STATES:
+                raise HoaParseError(f"at most {MAX_STATES} states", lineno)
         elif key == "Start":
             if not rest.isdigit():
                 raise HoaParseError(
@@ -225,7 +235,7 @@ def parse_hoa(text: str) -> Tela:
             ap=ap,
             n_states=n_states,
             initial=frozenset(initial),
-            transitions=tuple(dict.fromkeys(transitions)),
+            transitions=tuple(transitions),
             acceptance=acceptance,
             n_marks=n_marks,
         )

@@ -199,7 +199,7 @@ def build_ld(a: Tela) -> Tela:
         ap=a.ap,
         n_states=n_states,
         initial=a.initial,
-        transitions=tuple(dict.fromkeys(transitions)),
+        transitions=tuple(transitions),
         acceptance=Inf(1),
         n_marks=1,
     )
@@ -250,7 +250,7 @@ def build_gfm(a: Tela, singleton_bridges: bool = False) -> Tela:
         ap=a.ap,
         n_states=n_states,
         initial=frozenset({0}),
-        transitions=tuple(dict.fromkeys(transitions)),
+        transitions=tuple(transitions),
         acceptance=Inf(1),
         n_marks=1,
     )

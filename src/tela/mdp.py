@@ -56,7 +56,6 @@ from .acceptance import (
     Acceptance,
     DnfAcceptance,
     DnfDisjunct,
-    dnf_structure,
     gba_marksets,
     to_dnf,
 )
@@ -66,7 +65,6 @@ from .core import (
     bisim_quotient,
     complete,
     explore,
-    reachable,
     scc_split,
 )
 from .limitdet import build_gfm, limit_det_violation
@@ -392,9 +390,9 @@ def qualitative_positive(m: Mdp, a: Tela) -> bool:
             f"nondeterministic states {sorted(set(states))}",
             witness,
         )
-    a = bisim_quotient(ensure_dnf(a))
+    a = bisim_quotient(a)
     _, actions = _explore_product(m, a, strict=False)
-    return any(True for _ in _accepting_mecs(actions, dnf_structure(a.acceptance)))
+    return any(True for _ in _accepting_mecs(actions, to_dnf(a.acceptance)))
 
 
 def _accepting_mecs(actions, dnf: DnfAcceptance):
@@ -422,19 +420,36 @@ def _prob01e(actions, target: set[int]) -> tuple[set[int], set[int]]:
     target plus every state of U with an action whose support lies in U and
     meets R.  Each round walks back from the target along the actions still
     inside U, then drops the actions that leave the new U.  The first R,
-    with U all states, is the set that can reach the target.
+    with U all states, is the set that can reach the target.  The
+    predecessor lists are built once; dropped actions stay in them and are
+    skipped.
     """
-    live = [(s, act.support) for s, acts in enumerate(actions) for act in acts]
+    items = [(s, act.support) for s, acts in enumerate(actions) for act in acts]
+    # preds[t]: the ids of the actions whose support holds t.
+    preds: list[list[int]] = [[] for _ in actions]
+    for i, (_, sup) in enumerate(items):
+        for t in sup:
+            preds[t].append(i)
+    live = [True] * len(items)
     u = set(range(len(actions)))
     can = None
     while True:
-        r = reachable(target, ((t, s) for s, sup in live for t in sup))
+        r = set(target)
+        stack = list(r)
+        while stack:
+            for i in preds[stack.pop()]:
+                s = items[i][0]
+                if live[i] and s not in r:
+                    r.add(s)
+                    stack.append(s)
         if can is None:
             can = r
         if r == u:
             return can, r
         u = r
-        live = [(s, sup) for s, sup in live if s in u and u.issuperset(sup)]
+        for i, (s, sup) in enumerate(items):
+            if live[i] and not (s in u and u.issuperset(sup)):
+                live[i] = False
 
 
 def _max_reach(

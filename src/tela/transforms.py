@@ -25,7 +25,6 @@ from __future__ import annotations
 from functools import reduce
 
 from .acceptance import (
-    ALL,
     FALSE,
     DnfAcceptance,
     DnfDisjunct,
@@ -38,6 +37,7 @@ from .acceptance import (
     to_dnf,
 )
 from .core import (
+    ALL,
     Tela,
     TelaError,
     complete,
@@ -59,14 +59,10 @@ def ensure_dnf(a: Tela) -> Tela:
     a fresh mark carried by every transition is added first.
     """
     dnf = to_dnf(a.acceptance)
-    if any(ALL in d.infs for d in dnf.disjuncts):
+    if any(not d.infs for d in dnf.disjuncts):
         a, mark = with_all_mark(a)
-        bit = 1 << mark
         dnf = DnfAcceptance(
-            tuple(
-                DnfDisjunct(d.fin, tuple(bit if s == ALL else s for s in d.infs))
-                for d in dnf.disjuncts
-            )
+            tuple(DnfDisjunct(d.fin, d.infs or (1 << mark,)) for d in dnf.disjuncts)
         )
     return a.with_acceptance(dnf_formula(dnf), a.n_marks)
 
@@ -157,9 +153,7 @@ def _fin_removal_structure(
         ap=a.ap,
         n_states=n_states,
         initial=initial,
-        # Parallel transitions that differ only in marks can coincide in the
-        # main copy, in the bridges and after the projection.
-        transitions=tuple(dict.fromkeys(transitions)),
+        transitions=tuple(transitions),
         acceptance=acceptance,
         n_marks=n_marks,
     )

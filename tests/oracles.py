@@ -27,7 +27,7 @@ import random
 import re
 from fractions import Fraction
 
-from tela import ALL, And, BoolConst, Fin, Inf, Or, Tela, TelaError
+from tela import And, BoolConst, Fin, Inf, Or, Tela, TelaError
 
 ORACLE_STATE_LIMIT = 7
 ORACLE_MARK_LIMIT = 16
@@ -495,7 +495,7 @@ def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):
             for q in r:
                 for d, marks in by_src.get((q, letter), ()):
                     r2.add(d)
-                    if level and (marked == ALL or marks & marked):
+                    if marks & marked:
                         hits.add(d)
             if not r2:
                 continue

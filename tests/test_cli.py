@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import tela
-from tela import FALSE, MAX_MARKS, Tela, accepts, inf_, parse_hoa, print_hoa
+from tela import FALSE, MAX_MARKS, MAX_STATES, Tela, accepts, inf_, parse_hoa, print_hoa
 from tela.acceptance import gba_marksets
 from tela.cli import main
 from tela.core import is_complete, is_deterministic
@@ -377,6 +377,23 @@ def test_huge_mark_count_exits_3_under_a_memory_cap(tmp_path):
     assert done.returncode == 3, done.stderr
     line = hoa.splitlines().index("Acceptance: 1 Inf(0)") + 1
     assert f"line {line}: at most {MAX_MARKS} acceptance sets" in done.stderr
+
+
+def test_huge_state_count_exits_3_under_a_memory_cap(tmp_path):
+    hoa = print_hoa(universal_automaton())
+    assert hoa.splitlines()[1] == "States: 1"
+    path = tmp_path / "states.hoa"
+    path.write_text(hoa.replace("States: 1", "States: 1000000000000"))
+    commands = [
+        ["check", "limitdet"],
+        ["convert", "--to", "gba"],
+        ["determinize", "--state-cap", "100"],
+        ["limitdet", "--method", "ld"],
+    ]
+    for command in commands:
+        done = run_cli_capped([*command, str(path)])
+        assert done.returncode == 3, (command, done.stderr)
+        assert f"line 2: at most {MAX_STATES} states" in done.stderr, command
 
 
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):

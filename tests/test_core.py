@@ -102,10 +102,13 @@ def test_validation_rejects_malformed_automata():
         Tela(**{**good, "transitions": ((0, 2, 1, 0),)})
     with pytest.raises(TelaError):
         Tela(**{**good, "transitions": ((0, 0, 1, 1),)})
-    with pytest.raises(TelaError):
-        Tela(**{**good, "transitions": ((0, 0, 1, 0), (0, 0, 1, 0))})
+    # The transitions are a set: a repeat is merged, not rejected.
+    assert Tela(**{**good, "transitions": ((0, 0, 1, 0), (0, 0, 1, 0))}) == Tela(**good)
     with pytest.raises(TelaError):
         Tela(**{**good, "acceptance": inf_(1)})
+    # A negative mark set lies beyond every declared mark.
+    with pytest.raises(TelaError):
+        Tela(**{**good, "acceptance": Inf(-1)})
 
 
 def test_transitions_are_stored_sorted():

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from tela import (
-    ALL,
     AcceptanceError,
     And,
     DnfAcceptance,
@@ -87,10 +86,6 @@ def test_length_counts_expanded_atoms():
 def test_constructors_canonicalize():
     assert inf_(0) == FALSE
     assert fin_(0) == TRUE
-    with pytest.raises(AcceptanceError):
-        inf_(ALL)
-    with pytest.raises(AcceptanceError):
-        fin_(ALL)
     # and_ drops TRUE, short-circuits FALSE, merges Fin siblings only.
     assert and_([TRUE, inf_(1)]) == inf_(1)
     assert and_([FALSE, inf_(1)]) == FALSE
@@ -107,9 +102,9 @@ def test_constructors_canonicalize():
 
 
 def test_to_dnf_examples():
-    assert to_dnf(fin_(3)) == DnfAcceptance((DnfDisjunct(3, (ALL,)),))
+    assert to_dnf(fin_(3)) == DnfAcceptance((DnfDisjunct(3, ()),))
     assert to_dnf(inf_(1)) == DnfAcceptance((DnfDisjunct(0, (1,)),))
-    assert to_dnf(TRUE) == DnfAcceptance((DnfDisjunct(0, (ALL,)),))
+    assert to_dnf(TRUE) == DnfAcceptance((DnfDisjunct(0, ()),))
     assert to_dnf(FALSE) == DnfAcceptance(())
     assert to_dnf(blowup_formula(2)) == DnfAcceptance(
         (DnfDisjunct(0, (1, 2)), DnfDisjunct(0, (4, 8)))
@@ -141,8 +136,8 @@ def test_offset_dnf_shifts_marks():
     dnf = to_dnf(and_([fin_(1), inf_(2)]))
     shifted = offset_dnf(dnf, 3)
     assert shifted == DnfAcceptance((DnfDisjunct(8, (16,)),))
-    # The ALL sentinel is left alone.
-    assert offset_dnf(to_dnf(fin_(1)), 2) == DnfAcceptance((DnfDisjunct(4, (ALL,)),))
+    # A disjunct without Inf sets keeps none.
+    assert offset_dnf(to_dnf(fin_(1)), 2) == DnfAcceptance((DnfDisjunct(4, ()),))
 
 
 def test_dnf_structure_round_trip():
@@ -150,13 +145,16 @@ def test_dnf_structure_round_trip():
     for _ in range(100):
         phi = random_formula(rng, n_marks=4)
         dnf = to_dnf(phi)
-        if any(ALL in d.infs for d in dnf.disjuncts):
+        if any(not d.infs for d in dnf.disjuncts):
             continue
         assert dnf_structure(dnf_formula(dnf)) == dnf
     with pytest.raises(NotInDnfError):
         dnf_structure(fin_(1))
     with pytest.raises(NotInDnfError):
-        dnf_structure(and_([inf_(1), or_([inf_(2), fin_(4)])]))
+        dnf_structure(or_([inf_(1), fin_(4)]))
+    # A formula not written in DNF is distributed as `to_dnf` does.
+    phi = and_([inf_(1), or_([inf_(2), fin_(4)])])
+    assert dnf_structure(phi) == to_dnf(phi)
 
 
 def test_finless_to_gba_examples():

@@ -26,7 +26,7 @@ from tela import (
     random_tela,
     sample_lassos,
 )
-from tela.acceptance import ALL, DnfDisjunct, dnf_structure, to_dnf
+from tela.acceptance import DnfDisjunct, dnf_structure, to_dnf
 from tela.determinize import determinize_product, equivalent_deterministic
 from tela.limitdet import GFM_STATE_LIMIT, _breakpoint_explore, limit_det_violation
 from tela.transforms import ensure_dnf
@@ -229,9 +229,8 @@ def test_breakpoint_explore_matches_oracle():
         ]
         rng.shuffle(seeds)
         disjuncts = list(dnf_structure(a.acceptance).disjuncts) + [
-            DnfDisjunct(0, (ALL,)),
-            DnfDisjunct(1 << rng.randrange(3), (ALL,)),
-            DnfDisjunct(0, (1 << rng.randrange(3), ALL)),
+            DnfDisjunct(0, ()),
+            DnfDisjunct(1 << rng.randrange(3), ()),
         ]
         masks = [mask(r) for r in seeds]
         for d in disjuncts:

@@ -20,9 +20,11 @@ from tela import (
     build_ld,
     complete,
     ensure_dnf,
+    fin_,
     inf_,
     mdp_product,
     mec_decomposition,
+    or_,
     parse_mdp,
     pr_max_buchi,
     pr_max_tela,
@@ -558,3 +560,24 @@ def test_qualitative_positive_is_the_same_without_the_quotient():
         positive = qualitative_positive(m, ld)
         assert positive == unquotiented == (reference_pr_max(m, a) > 1e-9)
     assert merged >= 150
+
+
+def test_qualitative_positive_reads_inf_less_disjuncts():
+    """qualitative_positive reads the DNF of its automaton as given, where a
+    disjunct may carry no Inf atom: the answer equals the one on the
+    ensure_dnf rewrite and whether reference_pr_max is positive."""
+    rng = random.Random(474)
+    checked = 0
+    for _ in range(120):
+        m = labelled_trap_mdp(rng)
+        a = random_automaton(rng, max_states=3, n_marks=2, ap=("a",))
+        fin = fin_(1 << rng.randrange(2))
+        phi = rng.choice([TRUE, fin, or_([a.acceptance, fin])])
+        a = a.with_acceptance(phi, a.n_marks)
+        if limit_det_violation(a) is not None:
+            continue
+        checked += 1
+        positive = qualitative_positive(m, a)
+        assert positive == qualitative_positive(m, ensure_dnf(a))
+        assert positive == (reference_pr_max(m, a) > 1e-9)
+    assert checked >= 40
