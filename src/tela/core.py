@@ -406,11 +406,33 @@ def complement_deterministic(a: Tela) -> Tela:
     return a.with_acceptance(negate(a.acceptance), a.n_marks)
 
 
-def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list[list[tuple[int, int]]]:
+# `post_masks` tables with more entries than this and than the automaton has
+# transitions are sparse.
+DENSE_POST_ENTRIES = 1 << 16
+
+
+class _SparseRow(dict):
+    """A `post_masks` row holding the states with a successor on its letter;
+    any other state has the empty pair."""
+
+    def __missing__(self, q: int) -> tuple[int, int]:
+        return (0, 0)
+
+
+def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list:
     """table[letter][q]: the successors of q on the letter over transitions
     whose marks avoid `avoid`, and the part of them reached over such
-    transitions whose marks meet `meet`, as a pair of state bitmasks."""
-    table = [[(0, 0)] * a.n_states for _ in range(a.n_letters)]
+    transitions whose marks meet `meet`, as a pair of state bitmasks.
+
+    A row is a list over all states unless that would take more than
+    DENSE_POST_ENTRIES entries and more than one per transition: then it is
+    a `_SparseRow`, so an automaton that declares many more states than it
+    uses costs no more than its transitions."""
+    entries = a.n_states * a.n_letters
+    if entries <= max(DENSE_POST_ENTRIES, len(a.transitions)):
+        table = [[(0, 0)] * a.n_states for _ in range(a.n_letters)]
+    else:
+        table = [_SparseRow() for _ in range(a.n_letters)]
     for s, letter, d, marks in a.transitions:
         if marks & avoid:
             continue
@@ -488,6 +510,12 @@ def reachable(seeds, edges) -> set:
     adj: dict = {}
     for s, d in edges:
         adj.setdefault(s, []).append(d)
+    return reach(seeds, adj)
+
+
+def reach(seeds, adj: dict) -> set:
+    """The nodes reachable from `seeds` in the digraph `adj`, a map from a
+    node to its successor list; a walk over one `adj` can be run often."""
     seen = set(seeds)
     stack = list(seen)
     while stack:

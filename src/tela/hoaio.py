@@ -255,15 +255,20 @@ def print_hoa(a: Tela) -> str:
         out.append("properties: deterministic")
     out.append("--BODY--")
     labels = [_letter_label(letter, len(a.ap)) for letter in range(a.n_letters)]
+    # The transitions are sorted, so each state's come together, in letter
+    # order; one pass prints them all, however many letters are unused.
+    ts = a.transitions
+    pos = 0
     for q in range(a.n_states):
         out.append(f"State: {q}")
-        for letter, label in enumerate(labels):
-            for _, _, dst, marks in a.succ(q, letter):
-                mark_txt = ""
-                if marks:
-                    indices = " ".join(str(i) for i in mark_indices(marks))
-                    mark_txt = f" {{{indices}}}"
-                out.append(f"[{label}] {dst}{mark_txt}")
+        while pos < len(ts) and ts[pos][0] == q:
+            _, letter, dst, marks = ts[pos]
+            pos += 1
+            mark_txt = ""
+            if marks:
+                indices = " ".join(str(i) for i in mark_indices(marks))
+                mark_txt = f" {{{indices}}}"
+            out.append(f"[{labels[letter]}] {dst}{mark_txt}")
     out.append("--END--")
     return "\n".join(out) + "\n"
 

@@ -43,6 +43,7 @@ from .core import (
     complete,
     empty_language_automaton,
     project_marks,
+    reach,
     reachable,
     split,
     sum_gba,
@@ -128,9 +129,11 @@ def _fin_removal_structure(
         inner = [t for t in a.transitions if not t[3] & disjunct.fin]
         useful = set(range(n))
         if prune:
-            back = [(d, s) for s, _, d, _ in inner]
+            back: dict[int, list[int]] = {}
+            for s, _, d, _ in inner:
+                back.setdefault(d, []).append(s)
             for inf in disjunct.infs:
-                useful &= reachable({s for s, _, _, m in inner if m & inf}, back)
+                useful &= reach({s for s, _, _, m in inner if m & inf}, back)
         transitions += [
             (s, letter, base + d, 0) for s, letter, d, _ in a.transitions if d in useful
         ]

@@ -396,6 +396,31 @@ def test_huge_state_count_exits_3_under_a_memory_cap(tmp_path):
         assert f"line 2: at most {MAX_STATES} states" in done.stderr, command
 
 
+def test_many_unused_states_answer_under_a_memory_cap(tmp_path):
+    """A file that declares the most states the parser takes, over eight
+    atomic propositions, but uses one: the breakpoint construction's
+    successor tables stay the size of the transitions, and printing the
+    result walks the transitions, not every (state, letter) slot."""
+    used = Tela(
+        ap=tuple("abcdefgh"),
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=tuple((0, letter, 0, 1) for letter in range(256)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    hoa = print_hoa(used)
+    path = tmp_path / "unused.hoa"
+    path.write_text(hoa.replace("States: 1\n", f"States: {MAX_STATES}\n"))
+    done = run_cli_capped(["limitdet", "--method", "ld", str(path)])
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    # Two breakpoint states follow the input's: the seed and its successor.
+    assert lines[1] == f"States: {MAX_STATES + 2}"
+    assert lines[-1] == "--END--"
+    assert lines.count("State: 1") == 1
+
+
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):
     def broken(a):
         raise RuntimeError("boom")
