@@ -38,6 +38,7 @@ from .core import (
     Tela,
     TelaError,
     _require_same_ap,
+    bisim_quotient,
     complete,
     empty_language_automaton,
     explore,
@@ -139,17 +140,32 @@ def safra_determinize(
 
     root = (0, sum(1 << q for q in b.initial), ())
     order, edges = explore([root], expand, state_cap, deadline, "determinization")
-    names = max(map(_name_mask, order)).bit_length()
+    seen = {marks for out in edges for _, _, marks in out}
+    used = 0
+    for marks in seen:
+        used |= marks
+    # Name kept[j] becomes name j; names that never go green are dropped.
+    kept = [i // 2 for i in mark_indices(used) if i % 2 == 0]
+    renamed = {
+        marks: sum((marks >> (2 * n) & 3) << (2 * j) for j, n in enumerate(kept))
+        for marks in seen
+    }
     acceptance = or_(
-        and_([fin_(1 << (2 * n + 1)), inf_(1 << (2 * n))]) for n in range(names)
+        and_([fin_(1 << (2 * j + 1)), inf_(1 << (2 * j))]) for j in range(len(kept))
     )
-    return Tela(
-        ap=b.ap,
-        n_states=len(order),
-        initial=frozenset({0}),
-        transitions=flatten_edges(edges),
-        acceptance=acceptance,
-        n_marks=2 * names,
+    return bisim_quotient(
+        Tela(
+            ap=b.ap,
+            n_states=len(order),
+            initial=frozenset({0}),
+            transitions=tuple(
+                (src, letter, dst, renamed[marks])
+                for src, out in enumerate(edges)
+                for letter, dst, marks in out
+            ),
+            acceptance=acceptance,
+            n_marks=2 * len(kept),
+        )
     )
 
 

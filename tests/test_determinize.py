@@ -26,8 +26,10 @@ from tela import (
     is_empty,
     or_,
     product,
+    random_tela,
     safra_determinize,
     sample_lassos,
+    to_dnf,
 )
 from tela import determinize as determinize_module
 from tela.determinize import DET_METHODS, determinize_by, empty_language_automaton
@@ -35,7 +37,13 @@ from tela.randbench import cnf_blowup_automaton
 from tela.transforms import GBA_METHODS, to_gba
 
 from helpers import random_automaton
-from oracles import oracle_accepts, oracle_empty, oracle_safra_step, random_word
+from oracles import (
+    oracle_accepts,
+    oracle_bisimulation,
+    oracle_empty,
+    oracle_safra_step,
+    random_word,
+)
 
 
 def universal_buchi():
@@ -193,6 +201,65 @@ def test_safra_steps_match_the_set_based_oracle(monkeypatch):
         except BudgetExceeded:
             pass
     assert checked > 10000
+
+
+def _inf_marks(d):
+    """The marks of the Inf atoms of d's acceptance."""
+    bits = 0
+    for disjunct in to_dnf(d.acceptance).disjuncts:
+        for s in disjunct.infs:
+            bits |= s
+    return bits
+
+
+def test_safra_outputs_are_minimal_and_every_green_occurs(monkeypatch):
+    """Every Safra result, including the parts of the product methods, and
+    every via-gba output has one class per state in the oracle's largest
+    bisimulation, so it is Moore-minimal.  In every Safra result and every
+    output of every method each declared Inf mark occurs on a transition,
+    and the membership oracle gives the input's verdicts on sampled words."""
+    safra = determinize_module.safra_determinize
+    results = []
+
+    def recording(*args, **kwargs):
+        d = safra(*args, **kwargs)
+        results.append(d)
+        return d
+
+    monkeypatch.setattr(determinize_module, "safra_determinize", recording)
+    outputs = 0
+    for seed in range(32):
+        dnf = seed % 4 == 3
+        a = random_tela(
+            n_states=4,
+            n_marks=4 if dnf else 2 + seed % 3,
+            edge_density=0.2,
+            mark_prob=0.3,
+            acc="dnf" if dnf else "random-el",
+            seed=seed,
+            n_ap=1 + seed % 2,
+        )
+        words = sample_lassos(a, 3, seed)
+        verdicts = [oracle_accepts(a, u, v) for u, v in words]
+        for method in DET_METHODS:
+            results.clear()
+            try:
+                d = determinize_by(a, method, state_cap=100)
+            except BudgetExceeded:
+                continue
+            outputs += 1
+            minimal = list(results)
+            if method.startswith("via-gba:"):
+                minimal.append(d)
+            for x in minimal:
+                assert len(oracle_bisimulation(x)) == x.n_states, method
+            for x in results + [d]:
+                used = 0
+                for t in x.transitions:
+                    used |= t[3]
+                assert not _inf_marks(x) & ~used, method
+            assert [oracle_accepts(d, u, v) for u, v in words] == verdicts, method
+    assert outputs > 90
 
 
 def test_safra_budget_errors():
