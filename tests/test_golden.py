@@ -48,9 +48,9 @@ from tela.transforms import GBA_METHODS
 
 from helpers import random_mdp
 
-GOLDEN = "072b75640fae5bdbead4e031eb082710d5a44f479ad81de749d43b4c1e6b2f8c"
-GOLDEN_2AP = "0ef116b1b1a76ac75be1d07e9ba5e2daacf2643d5b100b0c242a0ff017dabe7c"
-GOLDEN_WITNESS = "33765406d8cf8127d4f56af43ea70324b4377e0bcbd3beee524e502663c97641"
+GOLDEN = "38a4b2f52dc6c67235814a5bb767237d7c6d85ebf1e2e2b319fee266732da5c1"
+GOLDEN_2AP = "735cf2c50f43902af5f5fb9ea5e7ceb7923bcd8e068feb82c7c0f846f79e1685"
+GOLDEN_WITNESS = "eaf240e6225ff8d56d0c802a15654bec473e832177d7bd1253fe8663b83768c8"
 GOLDEN_PRODUCT = "8a394910cc0b8c1d35cfc2cfef5ee9a2e618de4bf5a7b5523b56350eb77b2768"
 
 

@@ -273,7 +273,7 @@ PINNED_CONFIGS = (
     "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
 )
 PINNED_REPORT_DIGEST = (
-    "4854aad54bbe4bc404af34a8109a900ef71f90b12c75b21659f763735028d757"
+    "d3e3a9630958c16af99877300cda8d818b975b8a1275fe5a8a9281e2b69706a5"
 )
 
 
