@@ -406,8 +406,6 @@ def complement_deterministic(a: Tela) -> Tela:
     return a.with_acceptance(negate(a.acceptance), a.n_marks)
 
 
-# `post_masks` tables with more entries than this and than the automaton has
-# transitions are sparse.
 DENSE_POST_ENTRIES = 1 << 16
 
 
@@ -515,7 +513,7 @@ def reachable(seeds, edges) -> set:
 
 def reach(seeds, adj: dict) -> set:
     """The nodes reachable from `seeds` in the digraph `adj`, a map from a
-    node to its successor list; a walk over one `adj` can be run often."""
+    node to its successor list, so one `adj` serves several walks."""
     seen = set(seeds)
     stack = list(seen)
     while stack:

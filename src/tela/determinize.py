@@ -7,7 +7,10 @@ old label, younger siblings give up states claimed by older ones, nodes with
 empty label disappear, and a node whose children jointly cover it deletes
 the children and emits a green mark for its name.  A name emits red when it
 vanishes.  The result is deterministic with Rabin acceptance: some name is
-eventually never red and infinitely often green.
+eventually never red and infinitely often green.  Only the names that go
+green somewhere get a mark pair, and the result is Moore-minimal: it is
+returned as its `core.bisim_quotient`.  A state cap bounds the Safra
+exploration, not the returned size.
 
 disjunct_determinizations determinizes each DNF disjunct separately via
 Fin-removal, degeneralization and Safra; determinize_product combines the
@@ -112,9 +115,15 @@ def safra_determinize(
 ) -> Tela:
     """Determinize a Buchi TELA into a Rabin one via Safra trees.
 
-    Output marks come in pairs per tree-node name n: 2n green (node n
-    stabilized this step), 2n+1 red (node n was removed).  The acceptance
-    condition is the disjunction over names of Fin(red) and Inf(green).
+    Output marks come in pairs per kept tree-node name, the names that go
+    green on some explored edge, numbered 0..k-1 in ascending order: 2j
+    green (node j stabilized this step), 2j+1 red (node j was removed).
+    The acceptance condition is the disjunction over kept names of
+    Fin(red) and Inf(green).  A name that never goes green has an
+    unsatisfiable pair whose red mark occurs in no other, so dropping it
+    keeps the language.  The result is the Moore-minimal quotient of the
+    explored trees, deterministic and complete with initial state 0;
+    `state_cap` bounds the number of explored trees, not the returned size.
     """
     if b.acceptance == TRUE:
         b, mark = with_all_mark(b)

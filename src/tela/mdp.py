@@ -41,7 +41,8 @@ product, and qualitative_positive quotients its input after the
 limit-determinism check, so an error witness keeps the input's state
 numbers.  A product with the quotient is bisimilar to the product with the
 automaton, so maximal probabilities and accepting end components are the
-same; mdp_product and reference_pr_max do not quotient.
+same.  mdp_product does not quotient; reference_pr_max builds on
+determinize_product, whose Safra parts are Moore-minimal.
 """
 
 from __future__ import annotations
