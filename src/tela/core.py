@@ -406,9 +406,6 @@ def complement_deterministic(a: Tela) -> Tela:
     return a.with_acceptance(negate(a.acceptance), a.n_marks)
 
 
-DENSE_POST_ENTRIES = 1 << 16
-
-
 class _SparseRow(dict):
     """A `post_masks` row holding the states with a successor on its letter;
     any other state has the empty pair."""
@@ -417,20 +414,15 @@ class _SparseRow(dict):
         return (0, 0)
 
 
-def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list:
+def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list[_SparseRow]:
     """table[letter][q]: the successors of q on the letter over transitions
     whose marks avoid `avoid`, and the part of them reached over such
     transitions whose marks meet `meet`, as a pair of state bitmasks.
 
-    A row is a list over all states unless that would take more than
-    DENSE_POST_ENTRIES entries and more than one per transition: then it is
-    a `_SparseRow`, so an automaton that declares many more states than it
-    uses costs no more than its transitions."""
-    entries = a.n_states * a.n_letters
-    if entries <= max(DENSE_POST_ENTRIES, len(a.transitions)):
-        table = [[(0, 0)] * a.n_states for _ in range(a.n_letters)]
-    else:
-        table = [_SparseRow() for _ in range(a.n_letters)]
+    Rows hold only the states with such a transition, so an automaton that
+    declares many more states than it uses costs no more than its
+    transitions."""
+    table = [_SparseRow() for _ in range(a.n_letters)]
     for s, letter, d, marks in a.transitions:
         if marks & avoid:
             continue
@@ -442,7 +434,7 @@ def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list:
     return table
 
 
-def image(row: list[tuple[int, int]], states: int) -> tuple[int, int]:
+def image(row: _SparseRow, states: int) -> tuple[int, int]:
     """The union of row[q] over the states q of the bitmask `states`, for a
     row table[letter] of `post_masks`."""
     img = part = 0
@@ -601,9 +593,11 @@ def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
     )
 
 
-def bisim_quotient(a: Tela) -> Tela:
+def bisim_quotient(a: Tela, deadline=None, stage="quotient") -> Tela:
     """The quotient of `a` by strong bisimulation over (letter, marks)
-    transitions, a deterministic function of `a`.
+    transitions, a deterministic function of `a`.  A refinement round that
+    starts after `deadline` (a time.perf_counter() value) raises
+    BudgetExceeded naming `stage`.
 
     Blocks are numbered in order of their smallest state and take that
     state's transitions, deduplicated; the initial states map to their
@@ -611,7 +605,7 @@ def bisim_quotient(a: Tela) -> Tela:
     MDP with the quotient is bisimilar to the product with `a`, so maximal
     probabilities and accepting end components carry over.
     """
-    block = _bisim_blocks(a)
+    block = _bisim_blocks(a, deadline, stage)
     first: list[int] = []
     for q, b in enumerate(block):
         if b == len(first):
@@ -630,7 +624,7 @@ def bisim_quotient(a: Tela) -> Tela:
     )
 
 
-def _bisim_blocks(a: Tela) -> list[int]:
+def _bisim_blocks(a: Tela, deadline=None, stage="quotient") -> list[int]:
     """Each state's block in the coarsest partition where all states of a
     block have the same set of (letter, marks, target block) triples, blocks
     numbered in order of their smallest state.
@@ -653,6 +647,8 @@ def _bisim_blocks(a: Tela) -> list[int]:
     members = [list(range(n))] if n else []
     dirty = set(range(len(members)))
     while dirty:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"{stage} deadline exceeded", "time")
         moved: list[int] = []
         for b in sorted(dirty):
             parts: dict[frozenset[int], list[int]] = {}

@@ -123,7 +123,8 @@ def safra_determinize(
     unsatisfiable pair whose red mark occurs in no other, so dropping it
     keeps the language.  The result is the Moore-minimal quotient of the
     explored trees, deterministic and complete with initial state 0;
-    `state_cap` bounds the number of explored trees, not the returned size.
+    `state_cap` bounds the number of explored trees, not the returned size;
+    `deadline` bounds the exploration and the quotient.
     """
     if b.acceptance == TRUE:
         b, mark = with_all_mark(b)
@@ -174,7 +175,9 @@ def safra_determinize(
             ),
             acceptance=acceptance,
             n_marks=2 * len(kept),
-        )
+        ),
+        deadline,
+        "determinization",
     )
 
 

@@ -5,6 +5,7 @@ small seeded generators for automata and MDPs that stay within oracle reach.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from tela import (
     Inf,
@@ -160,3 +161,19 @@ def random_mdp(
                 lines.append(f"trans {s} a{i} {t1} 1/2")
                 lines.append(f"trans {s} a{i} {t2} 1/2")
     return parse_mdp("\n".join(lines) + "\n")
+
+
+def shifted_from(a: Tela, first: int, k: int) -> Tela:
+    """`a` with states `first` and up renumbered k higher."""
+
+    def move(q: int) -> int:
+        return q + k if q >= first else q
+
+    return replace(
+        a,
+        n_states=a.n_states + k,
+        initial=frozenset(map(move, a.initial)),
+        transitions=tuple(
+            (move(s), letter, move(d), marks) for s, letter, d, marks in a.transitions
+        ),
+    )

@@ -15,11 +15,11 @@ from tela.acceptance import gba_marksets
 from tela.cli import main
 from tela.core import is_complete, is_deterministic
 from tela.determinize import DET_METHODS, empty_language_automaton
-from tela.limitdet import build_gfm
+from tela.limitdet import build_gfm, build_ld
 from tela.randbench import cnf_blowup_automaton, random_tela
 from tela.transforms import GBA_METHODS, ensure_dnf
 
-from helpers import EXAMPLE_MDP, example_automaton
+from helpers import EXAMPLE_MDP, example_automaton, shifted_from
 
 
 def universal_automaton():
@@ -400,7 +400,9 @@ def test_many_unused_states_answer_under_a_memory_cap(tmp_path):
     """A file that declares the most states the parser takes, over eight
     atomic propositions, but uses one: the breakpoint construction's
     successor tables stay the size of the transitions, and printing the
-    result walks the transitions, not every (state, letter) slot."""
+    result walks the transitions, not every (state, letter) slot.  The
+    output is the one-state file's, with the breakpoint states numbered
+    past the unused ones."""
     used = Tela(
         ap=tuple("abcdefgh"),
         n_states=1,
@@ -418,6 +420,9 @@ def test_many_unused_states_answer_under_a_memory_cap(tmp_path):
     # Two breakpoint states follow the input's: the seed and its successor.
     assert lines[1] == f"States: {MAX_STATES + 2}"
     assert lines[-1] == "--END--"
+    small = build_ld(ensure_dnf(used))
+    assert small.n_states == 3
+    assert done.stdout == print_hoa(shifted_from(small, 1, MAX_STATES - 1))
     assert lines.count("State: 1") == 1
 
 

@@ -698,3 +698,12 @@ def test_bisim_quotient_matches_the_pairwise_oracle():
             assert is_complete(quotient) == is_complete(a)
         merged[kind] += a.n_states - quotient.n_states
     assert min(merged.values()) >= 20, merged
+
+
+def test_bisim_quotient_past_deadline_raises_time():
+    a = cnf_blowup_automaton(3)
+    with pytest.raises(BudgetExceeded) as excinfo:
+        bisim_quotient(a, deadline=time.perf_counter() - 1.0, stage="demo")
+    assert excinfo.value.kind == "time"
+    assert str(excinfo.value) == "demo deadline exceeded"
+    assert bisim_quotient(a, deadline=time.perf_counter() + 60.0) == bisim_quotient(a)

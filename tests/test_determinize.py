@@ -272,6 +272,22 @@ def test_safra_budget_errors():
     assert info.value.kind == "time"
 
 
+def test_safra_quotients_within_its_deadline(monkeypatch):
+    """The quotient of the explored trees runs under Safra's deadline and
+    reports a time-out as a determinization one."""
+    quotient = determinize_module.bisim_quotient
+    calls = []
+
+    def recording(a, *args):
+        calls.append(args)
+        return quotient(a, *args)
+
+    monkeypatch.setattr(determinize_module, "bisim_quotient", recording)
+    deadline = time.perf_counter() + 60.0
+    safra_determinize(finitely_many_a_nba(), deadline=deadline)
+    assert calls == [(deadline, "determinization")]
+
+
 def test_determinize_via_gba_methods_agree():
     rng = random.Random(442)
     a = cnf_blowup_automaton(3)

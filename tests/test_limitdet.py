@@ -1,6 +1,7 @@
 """Tests for limit-deterministic and good-for-MDP constructions."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,11 +28,16 @@ from tela import (
     sample_lassos,
 )
 from tela.acceptance import DnfDisjunct, dnf_structure, to_dnf
-from tela.determinize import determinize_product, equivalent_deterministic
+from tela.determinize import (
+    degeneralize,
+    determinize_product,
+    equivalent_deterministic,
+    safra_determinize,
+)
 from tela.limitdet import GFM_STATE_LIMIT, _breakpoint_explore, limit_det_violation
-from tela.transforms import ensure_dnf
+from tela.transforms import ensure_dnf, to_gba
 
-from helpers import example_automaton, random_automaton
+from helpers import example_automaton, random_automaton, shifted_from
 from oracles import (
     eval_marks,
     oracle_accepts,
@@ -418,3 +424,47 @@ def test_gfm_nondeterministic_part_is_the_subset_part():
                 frontier.append(theta)
     q_n, _ = canonical_partition(g)
     assert q_n <= frozenset(range(len(subsets)))
+
+
+def padded(a: Tela, k: int) -> Tela:
+    """`a` declaring k more states, which no transition touches."""
+    return replace(a, n_states=a.n_states + k)
+
+
+def safra_or_budget(b: Tela):
+    """Safra's result on `b` under a 200-state cap, or the cap's message."""
+    try:
+        return safra_determinize(b, state_cap=200)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_unused_states_leave_the_successor_table_constructions_alone():
+    """States that no transition touches have no row entry in post_masks,
+    and they change nothing: Safra and build_gfm (up to its state limit)
+    return the same automaton with or without them, and build_ld the same
+    one with its breakpoint states numbered past them."""
+    determinized = 0
+    for seed in range(30):
+        a = ensure_dnf(
+            random_tela(
+                n_states=4,
+                n_marks=4,
+                edge_density=0.3,
+                mark_prob=0.3,
+                acc="dnf" if seed % 2 else "random-el",
+                seed=seed,
+                n_ap=1 + seed % 2,
+            )
+        )
+        b = degeneralize(to_gba(a, "remfin_split"))
+        d = safra_or_budget(b)
+        determinized += isinstance(d, Tela)
+        ld = build_ld(a)
+        for k in (1, 700):
+            assert safra_or_budget(padded(b, k)) == d
+            assert build_ld(padded(a, k)) == shifted_from(ld, a.n_states, k)
+        gfm = build_gfm(a)
+        for k in (1, GFM_STATE_LIMIT - a.n_states):
+            assert build_gfm(padded(a, k)) == gfm
+    assert determinized >= 10
