@@ -42,7 +42,9 @@ limit-determinism check, so an error witness keeps the input's state
 numbers.  A product with the quotient is bisimilar to the product with the
 automaton, so maximal probabilities and accepting end components are the
 same.  mdp_product does not quotient; reference_pr_max builds on
-determinize_product, whose Safra parts are Moore-minimal.
+determinize_product, whose Safra parts are Moore-minimal, so it runs the
+same quotient kernel and is no check of it: the tests compare both with an
+exact oracle on the unquotiented product.
 """
 
 from __future__ import annotations
@@ -550,9 +552,10 @@ def pr_max_tela(m: Mdp, a: Tela) -> float:
 
 
 def reference_pr_max(m: Mdp, a: Tela) -> float:
-    """Same value as pr_max_tela, computed along an unrelated route: full
+    """Same value as pr_max_tela, computed along another route: full
     determinization, then the standard analysis of the deterministic
-    product.  Serves as a cross-check."""
+    product.  Serves as a cross-check of everything but the quotient,
+    which both routes run."""
     from .determinize import determinize_product
 
     return _pr_max_accepting(mdp_product(m, determinize_product(a)))

@@ -510,10 +510,12 @@ def labelled_trap_mdp(rng: random.Random) -> Mdp:
 
 
 def test_quotiented_pipeline_matches_the_oracle_between_0_and_1():
-    """pr_max_tela, which quotients the GFM automaton, against the exact
-    oracle on the unquotiented product and against reference_pr_max, on
-    trap MDPs and one-state automata that tell a^w from (!a)^w apart.  The
-    oracle tries every scheduler, so it runs where there are at most 100."""
+    """pr_max_tela, which quotients the GFM automaton, and reference_pr_max,
+    whose Safra parts are quotients too, each against the exact oracle on
+    the unquotiented GFM product, on trap MDPs and one-state automata that
+    tell a^w from (!a)^w apart, so a fault of the quotient cannot cancel
+    out between the two.  The oracle tries every scheduler, so it runs
+    where there are at most 100."""
     rng = random.Random(472)
     compared = strictly_between = 0
     for _ in range(400):
@@ -523,7 +525,8 @@ def test_quotiented_pipeline_matches_the_oracle_between_0_and_1():
             if accepts(a, (), (0,)) != accepts(a, (), (1,)):
                 break
         got = pr_max_tela(m, a)
-        assert abs(got - reference_pr_max(m, a)) <= 1e-9
+        reference = reference_pr_max(m, a)
+        assert abs(got - reference) <= 1e-9
         p = mdp_product(m, complete(build_gfm(ensure_dnf(a))))
         target = set()
         for mec in _accepting_mecs(p.actions, to_dnf(p.acceptance)):
@@ -535,6 +538,7 @@ def test_quotiented_pipeline_matches_the_oracle_between_0_and_1():
         if schedulers <= 100:
             want = oracle_max_reach(*question)
             assert abs(got - float(want)) <= 1e-9
+            assert abs(reference - float(want)) <= 1e-9
             compared += 1
             strictly_between += 0 < want < 1
     assert compared >= 350
