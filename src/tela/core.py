@@ -414,15 +414,20 @@ class _SparseRow(dict):
         return (0, 0)
 
 
-def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list[_SparseRow]:
+def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list:
     """table[letter][q]: the successors of q on the letter over transitions
     whose marks avoid `avoid`, and the part of them reached over such
     transitions whose marks meet `meet`, as a pair of state bitmasks.
 
-    Rows hold only the states with such a transition, so an automaton that
-    declares many more states than it uses costs no more than its
+    A row is a list over all states when the table has no more entries
+    than `a` has transitions, as on every complete automaton; list lookups
+    keep `image` fastest.  Otherwise it is a `_SparseRow`, so an automaton
+    that declares many more states than it uses costs no more than its
     transitions."""
-    table = [_SparseRow() for _ in range(a.n_letters)]
+    if a.n_states * a.n_letters <= len(a.transitions):
+        table = [[(0, 0)] * a.n_states for _ in range(a.n_letters)]
+    else:
+        table = [_SparseRow() for _ in range(a.n_letters)]
     for s, letter, d, marks in a.transitions:
         if marks & avoid:
             continue
@@ -434,7 +439,7 @@ def post_masks(a: Tela, avoid: int = 0, meet: int = 0) -> list[_SparseRow]:
     return table
 
 
-def image(row: _SparseRow, states: int) -> tuple[int, int]:
+def image(row, states: int) -> tuple[int, int]:
     """The union of row[q] over the states q of the bitmask `states`, for a
     row table[letter] of `post_masks`."""
     img = part = 0

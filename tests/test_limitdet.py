@@ -34,6 +34,7 @@ from tela.determinize import (
     equivalent_deterministic,
     safra_determinize,
 )
+from tela.core import _SparseRow, complete, post_masks
 from tela.limitdet import GFM_STATE_LIMIT, _breakpoint_explore, limit_det_violation
 from tela.transforms import ensure_dnf, to_gba
 
@@ -440,11 +441,13 @@ def safra_or_budget(b: Tela):
 
 
 def test_unused_states_leave_the_successor_table_constructions_alone():
-    """States that no transition touches have no row entry in post_masks,
-    and they change nothing: Safra and build_gfm (up to its state limit)
-    return the same automaton with or without them, and build_ld the same
-    one with its breakpoint states numbered past them."""
+    """States that no transition touches change nothing: Safra and
+    build_gfm (up to its state limit) return the same automaton with or
+    without them, and build_ld the same one with its breakpoint states
+    numbered past them.  Padding a complete automaton turns its post_masks
+    rows from lists into dicts, so the two forms are compared too."""
     determinized = 0
+    forms = set()
     for seed in range(30):
         a = ensure_dnf(
             random_tela(
@@ -460,11 +463,15 @@ def test_unused_states_leave_the_successor_table_constructions_alone():
         b = degeneralize(to_gba(a, "remfin_split"))
         d = safra_or_budget(b)
         determinized += isinstance(d, Tela)
-        ld = build_ld(a)
         for k in (1, 700):
             assert safra_or_budget(padded(b, k)) == d
-            assert build_ld(padded(a, k)) == shifted_from(ld, a.n_states, k)
-        gfm = build_gfm(a)
-        for k in (1, GFM_STATE_LIMIT - a.n_states):
-            assert build_gfm(padded(a, k)) == gfm
+        for x in (a, complete(a)):
+            forms |= {type(post_masks(y)[0]) for y in (x, padded(x, 700))}
+            ld = build_ld(x)
+            for k in (1, 700):
+                assert build_ld(padded(x, k)) == shifted_from(ld, x.n_states, k)
+            gfm = build_gfm(x)
+            for k in (1, GFM_STATE_LIMIT - x.n_states):
+                assert build_gfm(padded(x, k)) == gfm
     assert determinized >= 10
+    assert forms == {list, _SparseRow}
