@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import inspect
 import pathlib
 from collections import Counter
+
+import tela
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tela"
 
@@ -125,3 +128,35 @@ def test_every_public_function_is_exported_or_used():
         and used[node.name] <= references(node)[node.name]
     ]
     assert not dead, "public names neither exported nor used:\n" + "\n".join(dead)
+
+
+def test_benchmark_calls_bind_to_the_library_signatures():
+    """Each `tela.<name>(...)` call in perfbench/workloads.py binds to the
+    signature of that name, by its positional count and keyword names, so a
+    signature change that would break the benchmark fails here."""
+    path = SRC.parent.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "tela"
+    ]
+    assert calls, "perfbench/workloads.py makes no tela.<name>(...) call"
+    broken = []
+    for call in calls:
+        where = f"workloads.py:{call.lineno}: tela.{call.func.attr}"
+        if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
+            kw.arg is None for kw in call.keywords
+        ):
+            broken.append(f"{where}: unpacked arguments cannot be checked")
+            continue
+        try:
+            inspect.signature(getattr(tela, call.func.attr)).bind(
+                *call.args, **{kw.arg: kw.value for kw in call.keywords}
+            )
+        except (AttributeError, TypeError) as exc:
+            broken.append(f"{where}: {exc}")
+    assert not broken, "benchmark calls that no longer bind:\n" + "\n".join(broken)

@@ -162,6 +162,70 @@ def test_remove_fin_gba_padding_and_marks():
     assert pad and all(t[3] & 2 for t in pad)
 
 
+def three_disjunct_automaton():
+    """Two states over one AP with every (state, letter, state) edge once:
+    disjunct i has i Inf sets, the first and last also Fin(16), and every
+    Inf set recurs on a Fin-free cycle through both states, so Fin-removal
+    prunes no state."""
+    return Tela(
+        ap=("a",),
+        n_states=2,
+        initial=frozenset({0}),
+        transitions=(
+            (0, 0, 0, 1 | 16),
+            (0, 0, 1, 1 | 2),
+            (0, 1, 0, 2 | 8),
+            (0, 1, 1, 4),
+            (1, 0, 0, 1 | 4),
+            (1, 0, 1, 8),
+            (1, 1, 0, 2 | 16),
+            (1, 1, 1, 0),
+        ),
+        acceptance=or_(
+            [
+                and_([inf_(1), fin_(16)]),
+                and_([inf_(2), inf_(4 | 8)]),
+                and_([inf_(1), inf_(4), inf_(8), fin_(16)]),
+            ]
+        ),
+        n_marks=5,
+    )
+
+
+def test_fin_removal_copy_marks_project_each_disjunct():
+    """Copy i's transitions are the disjunct's Fin-free transitions with
+    bit j set iff the marks meet its Inf set j, shifted past the earlier
+    copies' k_1 + ... + k_(i-1) marks by remove_fin and padded with bits
+    k_i .. k-1 by remove_fin_gba."""
+    a = three_disjunct_automaton()
+    disjuncts = dnf_structure(a.acceptance).disjuncts
+    assert [len(d.infs) for d in disjuncts] == [1, 2, 3]
+    assert any(d.fin for d in disjuncts)
+    n, k = a.n_states, 3
+
+    def projected(marks, infs):
+        return sum(1 << j for j, s in enumerate(infs) if marks & s)
+
+    fin_free = remove_fin(a)
+    gba = remove_fin_gba(a)
+    assert fin_free.n_states == gba.n_states == (len(disjuncts) + 1) * n
+    shift = 0
+    for i, d in enumerate(disjuncts):
+        base = (i + 1) * n
+        pad = (1 << k) - (1 << len(d.infs))
+        inner = [(s, l, t, m) for s, l, t, m in a.transitions if not m & d.fin]
+        for g, marks_of in (
+            (fin_free, lambda m: projected(m, d.infs) << shift),
+            (gba, lambda m: projected(m, d.infs) | pad),
+        ):
+            got = {t for t in g.transitions if base <= t[0] < base + n}
+            want = {(base + s, l, base + t, marks_of(m)) for s, l, t, m in inner}
+            assert got == want, (i, g.n_marks)
+        shift += len(d.infs)
+    assert fin_free.n_marks == shift == 6
+    assert gba.n_marks == k
+
+
 def test_remove_fin_gba_matches_remove_fin():
     rng = random.Random(423)
     for _ in range(15):
