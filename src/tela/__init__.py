@@ -70,7 +70,6 @@ from .determinize import (
 )
 from .hoaio import HoaParseError, parse_hoa, print_hoa
 from .limitdet import (
-    breakpoint_component,
     build_gfm,
     build_ld,
     canonical_partition,

@@ -316,9 +316,9 @@ def sum_gba(a0: Tela, a1: Tela) -> Tela:
     k = max(len(sets0), len(sets1), 1)
 
     def renumber(a: Tela, sets: list[int], state_off: int) -> list[Transition]:
-        sets = sets + [ALL] * (k - len(sets))
+        pad = (1 << k) - (1 << len(sets))
         return [
-            (s + state_off, l, d + state_off, project_marks(m, sets))
+            (s + state_off, l, d + state_off, project_marks(m, sets) | pad)
             for s, l, d, m in a.transitions
         ]
 
@@ -333,18 +333,11 @@ def sum_gba(a0: Tela, a1: Tela) -> Tela:
     )
 
 
-# The `project_marks` entry that every transition matches: it pads the
-# shorter generalized-Buchi conditions of `sum_gba` and
-# `transforms.remove_fin_gba` with Inf over all transitions.  It is never a
-# mark set of an acceptance formula.
-ALL = -1
-
-
 def project_marks(marks: int, sets) -> int:
-    """Bit j is set iff `marks` meets sets[j]; an ALL entry always matches."""
+    """Bit j is set iff `marks` meets sets[j]."""
     bits = 0
     for j, s in enumerate(sets):
-        if s == ALL or marks & s:
+        if marks & s:
             bits |= 1 << j
     return bits
 

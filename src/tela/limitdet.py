@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .acceptance import Inf, dnf_structure, mark_indices
+from .acceptance import Inf, dnf_structure
 from .analysis import _dnf_of, _lasso
 from .core import (
     Lasso,
@@ -140,25 +140,6 @@ def _breakpoint_explore(
     return order, flatten_edges(edges)
 
 
-def breakpoint_component(a: Tela, disjunct_index: int) -> Tela:
-    """The standalone breakpoint automaton for one DNF disjunct, seeded from
-    the initial state set."""
-    dnf = dnf_structure(a.acceptance)
-    if not 0 <= disjunct_index < len(dnf.disjuncts):
-        raise TelaError(f"no disjunct {disjunct_index}")
-    d = dnf.disjuncts[disjunct_index]
-    seeds = [sum(1 << q for q in a.initial)] if a.initial else []
-    order, trans = _breakpoint_explore(a, d.fin, d.infs, seeds)
-    return Tela(
-        ap=a.ap,
-        n_states=max(len(order), 1) if seeds else 0,
-        initial=frozenset({0}) if seeds else frozenset(),
-        transitions=trans,
-        acceptance=Inf(1),
-        n_marks=1,
-    )
-
-
 def _add_breakpoint_parts(
     a: Tela,
     seeds: list[int],
@@ -205,14 +186,14 @@ def build_ld(a: Tela) -> Tela:
     )
 
 
-def build_gfm(a: Tela, singleton_bridges: bool = False) -> Tela:
+def build_gfm(a: Tela) -> Tela:
     """Good-for-MDP limit-deterministic Buchi automaton.
 
     The nondeterministic part is the subset automaton; from a subset state,
     on each letter, bridges lead into every breakpoint component seeded with
-    any nonempty subset of the successor set.  With singleton_bridges only
-    one-state seeds are offered, which keeps the language but loses the
-    good-for-MDP property.
+    any nonempty subset of the successor set.  Offering every subset, not
+    only the single states, is what makes it good for MDPs: a one-state seed
+    guesses one run, which the MDP can then defeat with positive probability.
     """
     if a.n_states > GFM_STATE_LIMIT:
         raise TelaError(
@@ -231,15 +212,12 @@ def build_gfm(a: Tela, singleton_bridges: bool = False) -> Tela:
     bridges: list[tuple[int, int, int]] = []
     for src, out in enumerate(sub_edges):
         for letter, _, theta in out:
-            if singleton_bridges:
-                bridges += [(src, letter, 1 << q) for q in mark_indices(theta)]
-            else:
-                # Every nonempty subset of theta, in increasing order: the
-                # seed order fixes the numbering of the breakpoint states.
-                r = -theta & theta
-                while r:
-                    bridges.append((src, letter, r))
-                    r = (r - theta) & theta
+            # Every nonempty subset of theta, in increasing order: the seed
+            # order fixes the numbering of the breakpoint states.
+            r = -theta & theta
+            while r:
+                bridges.append((src, letter, r))
+                r = (r - theta) & theta
     transitions: list[Transition] = [
         (s, letter, d, 0) for s, letter, d, _ in flatten_edges(sub_edges)
     ]

@@ -5,7 +5,9 @@ drops the transitions of the disjunct's Fin set, keeps bridge transitions
 from the main copy into copy i for every original transition, and the
 rewritten condition asks that some copy i sees all of its Inf sets
 infinitely often.  Runs that stay in the main copy see no marks and cannot
-accept; accepting runs commit to one copy.
+accept; accepting runs commit to one copy.  Copy i keeps only the states
+from which all of its Inf sets stay reachable, and the output only the
+states reachable from the initial ones.
 
 Four translations to generalized-Buchi acceptance:
 
@@ -37,7 +39,6 @@ from .acceptance import (
     to_dnf,
 )
 from .core import (
-    ALL,
     Tela,
     TelaError,
     complete,
@@ -68,30 +69,25 @@ def ensure_dnf(a: Tela) -> Tela:
     return a.with_acceptance(dnf_formula(dnf), a.n_marks)
 
 
-def remove_fin(a: Tela, prune: bool = True) -> Tela:
+def remove_fin(a: Tela) -> Tela:
     """Remove Fin atoms from a DNF-acceptance automaton, language-preserving.
 
     The output condition is the disjunction over copies i of the conjunction
     of Inf over that copy's surviving Inf-set transitions, using sum(k_i)
-    fresh marks numbered copy-major.  Before pruning the output has
-    (m+1)*|Q| states.
+    fresh marks numbered copy-major: copy i's marks are shifted past the
+    k_1 + ... + k_(i-1) marks of the copies before it.
     """
     dnf = dnf_structure(a.acceptance)
-    # Copy i's sets start with one empty set per mark of the copies before
-    # it; empty sets never match, so its marks come after theirs.
-    copy_sets = []
-    total = 0
+    layout, conjunctions, total = [], [], 0
     for d in dnf.disjuncts:
-        copy_sets.append((0,) * total + d.infs)
+        layout.append((total, 0))
+        marks = range(total, total + len(d.infs))
+        conjunctions.append(and_(Inf(1 << j) for j in marks))
         total += len(d.infs)
-    acceptance = or_(
-        and_(Inf(1 << j) for j in range(len(sets) - len(d.infs), len(sets)))
-        for sets, d in zip(copy_sets, dnf.disjuncts)
-    )
-    return _fin_removal_structure(a, dnf, copy_sets, acceptance, total, prune)
+    return _fin_removal_structure(a, dnf, layout, or_(conjunctions), total)
 
 
-def remove_fin_gba(a: Tela, prune: bool = True) -> Tela:
+def remove_fin_gba(a: Tela) -> Tela:
     """Fin-removal variant whose output is generalized-Buchi directly.
 
     All copies share k = max k_i acceptance sets; set j on copy i collects
@@ -101,62 +97,57 @@ def remove_fin_gba(a: Tela, prune: bool = True) -> Tela:
     """
     dnf = dnf_structure(a.acceptance)
     k = max((len(d.infs) for d in dnf.disjuncts), default=0)
-    copy_sets = [d.infs + (ALL,) * (k - len(d.infs)) for d in dnf.disjuncts]
+    layout = [(0, (1 << k) - (1 << len(d.infs))) for d in dnf.disjuncts]
     acceptance = and_(Inf(1 << j) for j in range(k)) if k else FALSE
-    return _fin_removal_structure(a, dnf, copy_sets, acceptance, k, prune)
+    return _fin_removal_structure(a, dnf, layout, acceptance, k)
 
 
 def _fin_removal_structure(
     a: Tela,
     dnf: DnfAcceptance,
-    copy_sets: list[tuple[int, ...]],
+    layout: list[tuple[int, int]],
     acceptance,
     n_marks: int,
-    prune: bool,
 ) -> Tela:
-    """Main copy plus copy i per disjunct, whose transition marks are the
-    original marks projected onto copy_sets[i].
+    """Main copy plus copy i per disjunct; with layout[i] = (shift, pad), a
+    copy-i transition carries the original marks projected onto the
+    disjunct's Inf sets, shifted left by `shift`, OR `pad`.
 
-    Pruning keeps the main copy and, in copy i, the states from which every
-    Inf set of disjunct i is reachable over the transitions that avoid its
-    Fin set; it then restricts to the part reachable from the initial states
-    and renumbers it in ascending state order.
+    Copy i keeps the states from which every Inf set of disjunct i is
+    reachable over the transitions that avoid its Fin set.  The result is
+    restricted to the part reachable from the initial states and renumbered
+    in ascending state order.
     """
     n = a.n_states
     transitions = [(s, letter, d, 0) for s, letter, d, _ in a.transitions]
-    for i, (disjunct, sets) in enumerate(zip(dnf.disjuncts, copy_sets)):
+    for i, (disjunct, (shift, pad)) in enumerate(zip(dnf.disjuncts, layout)):
         base = (i + 1) * n
         inner = [t for t in a.transitions if not t[3] & disjunct.fin]
+        back: dict[int, list[int]] = {}
+        for s, _, d, _ in inner:
+            back.setdefault(d, []).append(s)
         useful = set(range(n))
-        if prune:
-            back: dict[int, list[int]] = {}
-            for s, _, d, _ in inner:
-                back.setdefault(d, []).append(s)
-            for inf in disjunct.infs:
-                useful &= reach({s for s, _, _, m in inner if m & inf}, back)
+        for inf in disjunct.infs:
+            useful &= reach({s for s, _, _, m in inner if m & inf}, back)
         transitions += [
             (s, letter, base + d, 0) for s, letter, d, _ in a.transitions if d in useful
         ]
         transitions += [
-            (base + s, letter, base + d, project_marks(m, sets))
+            (base + s, letter, base + d, project_marks(m, disjunct.infs) << shift | pad)
             for s, letter, d, m in inner
             if s in useful and d in useful
         ]
-    n_states, initial = (len(dnf.disjuncts) + 1) * n, a.initial
-    if prune:
-        order = sorted(reachable(initial, ((t[0], t[2]) for t in transitions)))
-        renum = {q: i for i, q in enumerate(order)}
-        n_states, initial = len(order), frozenset(renum[q] for q in initial)
-        transitions = [
+    order = sorted(reachable(a.initial, ((t[0], t[2]) for t in transitions)))
+    renum = {q: i for i, q in enumerate(order)}
+    return Tela(
+        ap=a.ap,
+        n_states=len(order),
+        initial=frozenset(renum[q] for q in a.initial),
+        transitions=tuple(
             (renum[s], letter, renum[d], m)
             for s, letter, d, m in transitions
             if s in renum
-        ]
-    return Tela(
-        ap=a.ap,
-        n_states=n_states,
-        initial=initial,
-        transitions=tuple(transitions),
+        ),
         acceptance=acceptance,
         n_marks=n_marks,
     )

@@ -1,5 +1,7 @@
-"""Shared builders: the running example automaton and Markov chain, plus
-small seeded generators for automata and MDPs that stay within oracle reach.
+"""Shared builders: the running example automaton and Markov chain, small
+seeded generators for automata and MDPs that stay within oracle reach, and
+two automata built from the breakpoint kernel of `tela.limitdet` that no
+library route returns.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from tela import (
     parse_mdp,
     to_dnf,
 )
+from tela.acceptance import dnf_structure
+from tela.core import image, post_masks
+from tela.limitdet import _add_breakpoint_parts, _breakpoint_explore
 
 
 def example_automaton() -> Tela:
@@ -176,4 +181,53 @@ def shifted_from(a: Tela, first: int, k: int) -> Tela:
         transitions=tuple(
             (move(s), letter, move(d), marks) for s, letter, d, marks in a.transitions
         ),
+    )
+
+
+def breakpoint_automaton(a: Tela, disjunct: int = 0) -> Tela:
+    """The breakpoint component of one DNF disjunct alone, seeded with the
+    initial state set: deterministic, Buchi on its break transitions."""
+    d = dnf_structure(a.acceptance).disjuncts[disjunct]
+    seed = sum(1 << q for q in a.initial)
+    order, transitions = _breakpoint_explore(a, d.fin, d.infs, [seed])
+    return Tela(
+        ap=a.ap,
+        n_states=len(order),
+        initial=frozenset({0}),
+        transitions=transitions,
+        acceptance=Inf(1),
+        n_marks=1,
+    )
+
+
+def singleton_seeded_gfm(a: Tela) -> Tela:
+    """`build_gfm` with bridges into one-state seeds only, not into every
+    nonempty subset of the successor set: the language stays, but the
+    automaton is not good for MDPs."""
+    post = post_masks(a)
+    subsets = [sum(1 << q for q in a.initial)]
+    index = {subsets[0]: 0}
+    transitions, bridges = [], []
+    for src, p in enumerate(subsets):  # grows while it is read
+        for letter, row in enumerate(post):
+            theta = image(row, p)[0]
+            if not theta:
+                continue
+            if theta not in index:
+                index[theta] = len(subsets)
+                subsets.append(theta)
+            transitions.append((src, letter, index[theta], 0))
+            bridges += [
+                (src, letter, 1 << q) for q in range(a.n_states) if theta >> q & 1
+            ]
+    n_states = _add_breakpoint_parts(
+        a, [r for _, _, r in bridges], bridges, transitions, len(subsets)
+    )
+    return Tela(
+        ap=a.ap,
+        n_states=n_states,
+        initial=frozenset({0}),
+        transitions=tuple(transitions),
+        acceptance=Inf(1),
+        n_marks=1,
     )

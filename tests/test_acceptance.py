@@ -54,7 +54,13 @@ from tela.mdp import (
 from tela.randbench import cnf_blowup_automaton, parse_bench_config, run_benchmark
 from tela.transforms import GBA_METHODS, ensure_dnf, remove_fin, remove_fin_gba, to_gba
 
-from helpers import example_automaton, example_mdp, random_automaton, random_mdp
+from helpers import (
+    example_automaton,
+    example_mdp,
+    random_automaton,
+    random_mdp,
+    singleton_seeded_gfm,
+)
 from oracles import brute_force_empty, oracle_accepts, random_word
 
 COPY_METHODS = ("remfin_split", "split_remfin", "remfin_rewrite")
@@ -244,7 +250,7 @@ def test_criterion_7_worked_example_end_to_end():
     assert a.n_states == 8
     assert abs(pr_max_tela(m, a) - 1.0) <= 1e-6
 
-    broken = build_gfm(a, singleton_bridges=True)
+    broken = singleton_seeded_gfm(a)
     assert pr_max_buchi(mdp_product(m, complete(broken))) <= 0.5 + 1e-6
     REGISTRY.extend([a, broken])
 

@@ -15,7 +15,6 @@ from tela import (
     and_,
     build_gfm,
     build_ld,
-    breakpoint_component,
     canonical_partition,
     fin_,
     inf_,
@@ -38,7 +37,12 @@ from tela.core import _SparseRow, complete, post_masks
 from tela.limitdet import GFM_STATE_LIMIT, _breakpoint_explore, limit_det_violation
 from tela.transforms import ensure_dnf, to_gba
 
-from helpers import example_automaton, random_automaton, shifted_from
+from helpers import (
+    breakpoint_automaton,
+    example_automaton,
+    random_automaton,
+    shifted_from,
+)
 from oracles import (
     eval_marks,
     oracle_accepts,
@@ -248,21 +252,19 @@ def test_breakpoint_explore_matches_oracle():
 
 
 def test_breakpoint_component_universal_loop():
-    bc = breakpoint_component(universal_buchi(), 0)
+    bc = breakpoint_automaton(universal_buchi(), 0)
     assert bc.n_states == 2
     assert bc.initial == frozenset({0})
     assert is_deterministic(bc)
     assert accepts(bc, (), (1,))
     assert accepts(bc, (), (0, 1))
-    with pytest.raises(TelaError):
-        breakpoint_component(universal_buchi(), 1)
 
 
 def test_breakpoint_component_is_deterministic():
     rng = random.Random(453)
     for _ in range(20):
         a = random_dnf_automaton(rng, n_marks=3, ap=("a",))
-        bc = breakpoint_component(a, 0)
+        bc = breakpoint_automaton(a, 0)
         assert is_deterministic(bc)
         assert bc.acceptance == inf_(1)
 
@@ -313,16 +315,12 @@ def test_build_ld_preserves_language():
 def test_build_gfm_shape_on_the_eight_state_example():
     ex = example_automaton()
     g = build_gfm(ex)
-    gs = build_gfm(ex, singleton_bridges=True)
     assert g.initial == frozenset({0})
     assert g.acceptance == inf_(1)
     # From the initial subset on the first letter: one subset move plus one
-    # bridge per nonempty subset of the four successors, or per singleton.
+    # bridge per nonempty subset of the four successors.
     assert len(g.succ(0, 0)) == 16
-    assert len(gs.succ(0, 0)) == 5
-    assert gs.n_states < g.n_states
     assert is_syntactically_limit_deterministic(g)
-    assert is_syntactically_limit_deterministic(gs)
 
 
 def test_build_gfm_preserves_language():
@@ -330,11 +328,8 @@ def test_build_gfm_preserves_language():
     for _ in range(15):
         a = random_dnf_automaton(rng, max_states=3, n_marks=3, ap=("a",))
         g = build_gfm(a)
-        gs = build_gfm(a, singleton_bridges=True)
         for u, v in sample_lassos(a, 10, seed=rng.randrange(10**6)):
-            expected = oracle_accepts(a, u, v)
-            assert accepts(g, u, v) == expected
-            assert accepts(gs, u, v) == expected
+            assert accepts(g, u, v) == oracle_accepts(a, u, v)
 
 
 def test_build_gfm_refuses_large_inputs():

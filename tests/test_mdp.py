@@ -32,10 +32,17 @@ from tela import (
     reference_pr_max,
 )
 from tela.acceptance import dnf_structure, to_dnf
-from tela.limitdet import breakpoint_component, canonical_partition, limit_det_violation
+from tela.limitdet import canonical_partition, limit_det_violation
 from tela.mdp import MdpAction, _accepting_mecs, _explore_product, _max_reach
 
-from helpers import example_automaton, example_mdp, random_automaton, random_mdp
+from helpers import (
+    breakpoint_automaton,
+    example_automaton,
+    example_mdp,
+    random_automaton,
+    random_mdp,
+    singleton_seeded_gfm,
+)
 from oracles import oracle_max_reach, oracle_mecs
 
 
@@ -230,7 +237,7 @@ def test_breakpoint_product_reaches_a_half_probability_trap():
     # caps the acceptance probability at one half.
     ex = example_automaton()
     m = example_mdp()
-    bp = breakpoint_component(replace(ex, initial=frozenset({0})), 0)
+    bp = breakpoint_automaton(replace(ex, initial=frozenset({0})))
     sink = bp.n_states
     prod = mdp_product(m, complete(bp))
     index = {s: i for i, s in enumerate(prod.states)}
@@ -432,7 +439,7 @@ def test_pr_max_tela_on_the_example():
 
 def test_singleton_bridges_lose_probability_on_the_example():
     m = example_mdp()
-    gs = complete(build_gfm(example_automaton(), singleton_bridges=True))
+    gs = complete(singleton_seeded_gfm(example_automaton()))
     assert pr_max_buchi(mdp_product(m, gs)) <= 0.5 + 1e-6
 
 

@@ -101,7 +101,8 @@ def test_ensure_dnf_output_reads_alike_through_both_dnf_readers():
 
 def test_remove_fin_structure_single_disjunct():
     a = fin_inf_loop()
-    g = remove_fin(a, prune=False)
+    g = remove_fin(a)
+    # Pruning leaves the main copy and the disjunct's copy whole.
     assert g.n_states == 2 * a.n_states
     assert is_finless(g.acceptance)
     # The main copy carries no marks and never leaves the copy it jumps to.
@@ -115,28 +116,13 @@ def test_remove_fin_structure_single_disjunct():
     assert all(t[1] == 1 for t in copy_loops)
 
 
-def test_remove_fin_unpruned_state_count():
-    # Two disjuncts over four states gives the (m+1)*|Q| layout.
-    two = Tela(
-        ap=("a",),
-        n_states=4,
-        initial=frozenset({0}),
-        transitions=tuple((q, l, (q + 1) % 4, q % 2) for q in range(4) for l in range(2)),
-        acceptance=or_([and_([fin_(1), Inf(1)]), Inf(1)]),
-        n_marks=1,
-    )
-    g = remove_fin(two, prune=False)
-    assert g.n_states == 12
-
-
 def test_remove_fin_preserves_language():
     rng = random.Random(422)
     for _ in range(20):
         a = ensure_dnf(random_automaton(rng, n_marks=3, ap=("a",), dnf_only=True))
-        for g in (remove_fin(a), remove_fin(a, prune=False)):
-            assert is_finless(g.acceptance)
-            sample_language_equal(rng, a, g, words=10)
-        assert remove_fin(a).n_states <= remove_fin(a, prune=False).n_states
+        g = remove_fin(a)
+        assert is_finless(g.acceptance)
+        sample_language_equal(rng, a, g, words=10)
 
 
 def test_remove_fin_gba_padding_and_marks():
@@ -149,11 +135,15 @@ def test_remove_fin_gba_padding_and_marks():
             (0, 1, 0, 2),
             (1, 0, 0, 4),
             (1, 1, 1, 6),
+            (0, 1, 1, 0),
         ),
         acceptance=or_([and_([inf_(1), inf_(2)]), and_([fin_(1), inf_(4)])]),
         n_marks=3,
     )
-    g = remove_fin_gba(a, prune=False)
+    g = remove_fin_gba(a)
+    # Both states reach the Inf(4) transitions without mark 1, so pruning
+    # leaves all three copies whole.
+    assert g.n_states == 3 * a.n_states
     assert g.n_marks == 2
     assert g.acceptance == and_([inf_(1), inf_(2)])
     # Copy 2 has a single Inf set, so the second acceptance set pads all of
