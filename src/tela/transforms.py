@@ -81,8 +81,8 @@ def remove_fin(a: Tela) -> Tela:
     layout, conjunctions, total = [], [], 0
     for d in dnf.disjuncts:
         layout.append((total, 0))
-        marks = range(total, total + len(d.infs))
-        conjunctions.append(and_(Inf(1 << j) for j in marks))
+        bits = range(total, total + len(d.infs))
+        conjunctions.append(and_(Inf(1 << j) for j in bits))
         total += len(d.infs)
     return _fin_removal_structure(a, dnf, layout, or_(conjunctions), total)
 

@@ -184,10 +184,10 @@ def shifted_from(a: Tela, first: int, k: int) -> Tela:
     )
 
 
-def breakpoint_automaton(a: Tela, disjunct: int = 0) -> Tela:
-    """The breakpoint component of one DNF disjunct alone, seeded with the
-    initial state set: deterministic, Buchi on its break transitions."""
-    d = dnf_structure(a.acceptance).disjuncts[disjunct]
+def breakpoint_automaton(a: Tela) -> Tela:
+    """The breakpoint component of the first DNF disjunct alone, seeded with
+    the initial state set: deterministic, Buchi on its break transitions."""
+    d = dnf_structure(a.acceptance).disjuncts[0]
     seed = sum(1 << q for q in a.initial)
     order, transitions = _breakpoint_explore(a, d.fin, d.infs, [seed])
     return Tela(

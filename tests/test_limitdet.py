@@ -252,7 +252,7 @@ def test_breakpoint_explore_matches_oracle():
 
 
 def test_breakpoint_component_universal_loop():
-    bc = breakpoint_automaton(universal_buchi(), 0)
+    bc = breakpoint_automaton(universal_buchi())
     assert bc.n_states == 2
     assert bc.initial == frozenset({0})
     assert is_deterministic(bc)
@@ -264,7 +264,7 @@ def test_breakpoint_component_is_deterministic():
     rng = random.Random(453)
     for _ in range(20):
         a = random_dnf_automaton(rng, n_marks=3, ap=("a",))
-        bc = breakpoint_automaton(a, 0)
+        bc = breakpoint_automaton(a)
         assert is_deterministic(bc)
         assert bc.acceptance == inf_(1)
 
