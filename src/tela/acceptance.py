@@ -22,6 +22,7 @@ Acceptance formulas (through `parse_acceptance`) and transition labels
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 
@@ -250,12 +251,15 @@ class DnfAcceptance:
     disjuncts: tuple[DnfDisjunct, ...]
 
 
+@lru_cache(maxsize=1024)
 def to_dnf(phi: Acceptance) -> DnfAcceptance:
     """Distribute into DNF, merging Fin atoms per disjunct.
 
     Duplicate Inf sets within a disjunct and duplicate disjuncts are dropped
     (first occurrence kept); no other subsumption is applied, so the output
-    order is deterministic.
+    order is deterministic.  Results are cached per formula, as the
+    constructions of one input ask for the same acceptance's DNF many times;
+    a DNF is immutable, so every caller may share it.
     """
 
     def walk(node: Acceptance) -> list[tuple[int, tuple[int, ...]]]:

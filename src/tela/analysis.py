@@ -26,7 +26,6 @@ nondeterministic part Q_N alone.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 from .acceptance import DnfAcceptance, DnfDisjunct, to_dnf
 from .core import (
@@ -40,16 +39,14 @@ from .core import (
     scc_split,
 )
 
-_dnf_of = lru_cache(maxsize=None)(to_dnf)
-
 
 def is_empty(a: Tela) -> bool:
-    return dnf_witness(a.transitions, a.initial, _dnf_of(a.acceptance)) is None
+    return dnf_witness(a.transitions, a.initial, to_dnf(a.acceptance)) is None
 
 
 def accepting_lasso(a: Tela) -> Lasso | None:
     """An accepting lasso of `a`, or None when the language is empty."""
-    return _lasso(a.transitions, a.initial, _dnf_of(a.acceptance))
+    return _lasso(a.transitions, a.initial, to_dnf(a.acceptance))
 
 
 def _lasso(
@@ -107,7 +104,7 @@ def accepts(a: Tela, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
             yield letter, number(d * n_pos + nxt), m
 
     _, edges = explore([q * n_pos for q in sorted(a.initial)], expand)
-    return _witness(flatten_edges(edges), _dnf_of(a.acceptance)) is not None
+    return _witness(flatten_edges(edges), to_dnf(a.acceptance)) is not None
 
 
 def sample_lassos(

@@ -34,8 +34,9 @@ from .acceptance import (
     mark_indices,
     offset_dnf,
     or_,
+    to_dnf,
 )
-from .analysis import _dnf_of, _witness
+from .analysis import _witness
 from .core import (
     BudgetExceeded,
     Tela,
@@ -338,8 +339,8 @@ def contains(p: Tela, d: Tela) -> bool:
 
     (qd,), (qp,) = d.initial, p.initial
     _, edges = explore([qd * width + qp], expand)
-    pos = _dnf_of(d.acceptance)
-    neg = offset_dnf(_dnf_of(p.acceptance), off)
+    pos = to_dnf(d.acceptance)
+    neg = offset_dnf(to_dnf(p.acceptance), off)
     return _witness(flatten_edges(edges), pos, neg) is None
 
 

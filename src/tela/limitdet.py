@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .acceptance import Inf, dnf_structure
-from .analysis import _dnf_of, _lasso
+from .acceptance import Inf, dnf_structure, to_dnf
+from .analysis import _lasso
 from .core import (
     Lasso,
     Tela,
@@ -74,7 +74,7 @@ def limit_det_violation(a: Tela) -> Lasso | None:
     """
     q_n, _ = canonical_partition(a)
     inside = tuple(t for t in a.transitions if t[0] in q_n and t[2] in q_n)
-    return _lasso(inside, a.initial & q_n, _dnf_of(a.acceptance))
+    return _lasso(inside, a.initial & q_n, to_dnf(a.acceptance))
 
 
 def is_limit_deterministic(a: Tela) -> bool:
