@@ -517,9 +517,9 @@ def reach(seeds, adj: dict) -> set:
 def _components(adj: dict) -> dict:
     """Strongly connected components of a digraph, one iterative Tarjan pass.
 
-    `adj` maps a node to its successor list; successors need no entry of
-    their own.  Returns a component id for every node in or reached from
-    `adj`.  A node is on the Tarjan stack while it has an index and no id.
+    `adj` maps a node to its successors, any iterable, walked once;
+    successors need no entry of their own.  Returns a component id for
+    every node in or reached from `adj`, below the number of those nodes.  A node is on the Tarjan stack while it has an index and no id.
     """
     index: dict = {}
     low: dict = {}

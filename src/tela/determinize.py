@@ -12,6 +12,31 @@ green somewhere get a mark pair, and the result is Moore-minimal: it is
 returned as its `core.bisim_quotient`.  A state cap bounds the Safra
 exploration, not the returned size.
 
+Labels below the root hold only live states: those whose strongly connected
+component in the completed input has an accepting transition inside it
+(Loding & Pirogov, ATVA 2019).  This keeps the language:
+
+- An accepting run sees accepting transitions infinitely often and
+  eventually stays in one component, so some accepting transition lies
+  inside that component, and from then on the run visits only live states.
+  The root holds every run; a live suffix is handed to the root's children
+  exactly as before, so the usual argument finds a name that goes green
+  infinitely often and is eventually never red.
+- Conversely, a node goes green only when its children cover its label, and
+  each state of a child was reached from the node's label through an
+  accepting transition since the child appeared.  Dropping states from
+  labels keeps that true, so between two greens of a name every state of
+  its label extends a path through an accepting transition from its label
+  at the previous green, and infinitely many greens give an accepting run
+  by Konig's lemma.
+- The root keeps its whole label and goes green only when its children
+  cover all of it, the states that are not live included.  If those did
+  not count, a run held forever in a component with no accepting
+  transition inside it could sit in the root while live children turn it
+  green, and the output would accept a word the input rejects: restricting
+  the root's cover test that way changes the language of the pinned input
+  in `test_safra_root_goes_green_only_when_its_whole_label_is_covered`.
+
 disjunct_determinizations determinizes each DNF disjunct separately via
 Fin-removal, degeneralization and Safra; determinize_product combines the
 parts with the union product, skipping parts whose language is already
@@ -41,6 +66,7 @@ from .core import (
     BudgetExceeded,
     Tela,
     TelaError,
+    _components,
     _require_same_ap,
     bisim_quotient,
     complete,
@@ -66,9 +92,12 @@ def degeneralize(g: Tela) -> Tela:
     """Turn a generalized-Buchi TELA into a Buchi one with a counter.
 
     States are pairs of an original state and a level in 0..k-1, numbered by
-    the int key level * |Q| + q while exploring; level j waits for
-    acceptance set j and advances when it appears, and the single output
-    mark goes on transitions that wrap from level k-1 back to 0.
+    the int key level * |Q| + q while exploring.  Level j waits for
+    acceptance set j, and a transition skips every level whose set it
+    carries (Gastin & Oddoux, CAV 2001): from level j it advances past sets
+    j, j+1, ... as long as it carries them.  On reaching k it takes the
+    single output mark and skips again from level 0, stopping at k-1, so a
+    transition carrying every set marks once and lands on level k-1.
     """
     sets = gba_marksets(g.acceptance)
     if sets is None:
@@ -85,17 +114,26 @@ def degeneralize(g: Tela) -> Tela:
         )
 
     width = g.n_states
+    # moves[level][marks]: the key offset of the next level, and the mark.
+    moves: list[dict[int, tuple[int, int]]] = [{} for _ in range(k)]
+    for marks in {t[3] for t in g.transitions}:
+        for level in range(k):
+            nxt, mark = level, 0
+            while nxt < k and marks & sets[nxt]:
+                nxt += 1
+            if nxt == k:
+                nxt, mark = 0, 1
+                while nxt < k - 1 and marks & sets[nxt]:
+                    nxt += 1
+            moves[level][marks] = nxt * width, mark
 
     def expand(key: int, number):
         level, q = divmod(key, width)
+        row = moves[level]
         for letter in range(g.n_letters):
             for _, _, dst, marks in g.succ(q, letter):
-                if marks & sets[level]:
-                    nxt = (level + 1) % k
-                    mark = 1 if nxt == 0 else 0
-                else:
-                    nxt, mark = level, 0
-                yield letter, number(nxt * width + dst), mark
+                offset, mark = row[marks]
+                yield letter, number(offset + dst), mark
 
     order, edges = explore(sorted(g.initial), expand)
     return Tela(
@@ -123,7 +161,8 @@ def safra_determinize(
     Fin(red) and Inf(green).  A name that never goes green has an
     unsatisfiable pair whose red mark occurs in no other, so dropping it
     keeps the language.  The result is the Moore-minimal quotient of the
-    explored trees, deterministic and complete with initial state 0;
+    explored trees, deterministic and complete with initial state 0.
+    Labels below the root keep only live states (see the module docstring).
     `state_cap` bounds the number of explored trees, not the returned size;
     `deadline` bounds the exploration and the quotient.
     """
@@ -139,6 +178,8 @@ def safra_determinize(
     # reaches through an accepting transition.
     post = post_masks(b, meet=accbits)
 
+    live = _live_states(post)
+
     # images[letter]: label bitmask -> its image pair on the letter,
     # filled as labels turn up; labels recur across the trees of one run.
     images: list[dict[int, tuple[int, int]]] = [{} for _ in post]
@@ -146,7 +187,7 @@ def safra_determinize(
     def expand(tree: _Node, number):
         old = _name_mask(tree)
         for letter, row in enumerate(post):
-            nxt, marks = _safra_step(tree, old, row, images[letter])
+            nxt, marks = _safra_step(tree, old, row, images[letter], live)
             yield letter, number(nxt), marks
 
     root = (0, sum(1 << q for q in b.initial), ())
@@ -182,6 +223,29 @@ def safra_determinize(
     )
 
 
+def _live_states(post) -> int:
+    """The states whose strongly connected component has an accepting
+    transition inside it, as a bitmask, from the `post_masks` table of a
+    complete automaton.  One Tarjan pass runs over the state-to-state edges,
+    each edge once whatever its letters and marks."""
+    n = len(post[0])
+    succ = [0] * n
+    hits = [0] * n
+    for row in post:
+        for q, (img, hit) in enumerate(row):
+            succ[q] |= img
+            hits[q] |= hit
+    comp = _components({q: mark_indices(img) for q, img in enumerate(succ)})
+    members = [0] * n
+    for q in range(n):
+        members[comp[q]] |= 1 << q
+    live = 0
+    for q, hit in enumerate(hits):
+        if hit & members[comp[q]]:
+            live |= members[comp[q]]
+    return live
+
+
 def _name_mask(node: _Node) -> int:
     """The names of a Safra tree as a bitmask."""
     mask = 1 << node[0]
@@ -190,21 +254,24 @@ def _name_mask(node: _Node) -> int:
     return mask
 
 
-def _safra_step(tree: _Node, old: int, post, images: dict) -> tuple[_Node, int]:
+def _safra_step(
+    tree: _Node, old: int, post, images: dict, live: int
+) -> tuple[_Node, int]:
     """One deterministic Safra-tree transition on the letter for which post[q]
     holds q's successor and accepting-successor bitmasks: the successor tree
     and its green and red mark bits.  `old` is the bitmask of the tree's
-    names.  `images` caches, per old label, its `image` in `post`.  Names of
-    the old tree missing from the new one are red.
+    names.  `images` caches, per old label, its `image` in `post`.  Labels
+    below the root keep only the states of `live`.  Names of the old tree
+    missing from the new one are red.
     """
-    new, marks, names, _ = _step(tree, -1, old, post, images)
+    new, marks, names, _ = _step(tree, -1, old, post, images, live)
     for r in mark_indices(old & ~names):
         marks |= 1 << (2 * r + 1)
     return new, marks
 
 
 def _step(
-    node: _Node, allowed: int, taken: int, post, images: dict
+    node: _Node, allowed: int, taken: int, post, images: dict, live: int
 ) -> tuple[_Node, int, int, int]:
     """Rewrite a Safra node in one post-order pass: the new node, its
     greens, the bitmask of the names it keeps, and `taken` updated, the
@@ -214,10 +281,13 @@ def _step(
     parent's new label minus what older siblings kept, and children left
     empty are dropped.  If the old label has accepting successors, the node
     then takes the smallest name not yet taken, so after all of its
-    descendants, and spawns a youngest child labelled with the accepting
-    successors no child kept; the name stays taken even when that child
-    comes out empty.  A node whose children cover its label drops them and
-    their greens and is green itself.
+    descendants, and spawns a youngest child labelled with the live
+    accepting successors no child kept; the name stays taken even when that
+    child comes out empty.  Children are handed only live states.  A node
+    whose children cover its label drops them and their greens and is green
+    itself.  Below the root every label is live already, so only the root
+    can keep states that no child may take, and those keep it from going
+    green.
     """
     name, label, children = node
     pair = images.get(label)
@@ -230,7 +300,7 @@ def _step(
     names = 1 << name
     for child in children:
         new, child_greens, child_names, taken = _step(
-            child, free, taken, post, images
+            child, free & live, taken, post, images, live
         )
         if new[1]:
             kept.append(new)
@@ -240,10 +310,11 @@ def _step(
     if acc:
         fresh = ~taken & (taken + 1)
         taken |= fresh
-        if acc & free:
-            kept.append((fresh.bit_length() - 1, acc & free, ()))
+        spawn = acc & free & live
+        if spawn:
+            kept.append((fresh.bit_length() - 1, spawn, ()))
             names |= fresh
-            free &= ~acc
+            free &= ~spawn
     if kept and not free:
         return (name, label, ()), 1 << (2 * name), 1 << name, taken
     return (name, label, tuple(kept)), greens, names, taken

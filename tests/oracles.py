@@ -10,7 +10,9 @@ product built here.  HOA transition labels are rewritten into Python
 expressions and evaluated per letter.  Maximal reachability probabilities
 come from every memoryless deterministic scheduler, each induced Markov
 chain solved exactly by Gaussian elimination over fractions.  One Safra-tree
-step is recomputed with Python sets of node names and per-state images.
+step is recomputed with Python sets of node names and per-state images, and
+the states on an accepting cycle, which Safra's child labels keep, come from
+one depth-first search per state.
 Determinism and completeness compare transitions pairwise and slot by slot,
 and the breakpoint exploration runs on frozensets with its own numbering.
 Strong bisimulation is the greatest fixpoint of a relation over state pairs,
@@ -359,13 +361,45 @@ def _safra_names(node):
         yield from _safra_names(child)
 
 
-def oracle_safra_step(tree, post):
+def oracle_live_states(a: Tela, accepting: int) -> int:
+    """The states on a cycle through a transition whose marks meet
+    `accepting`, as a bitmask: per state, a depth-first search finds the
+    states it reaches, and the state is live when one of them has such a
+    transition back into a state that reaches it."""
+    succ: dict[int, set[int]] = {}
+    for s, _, d, _ in a.transitions:
+        succ.setdefault(s, set()).add(d)
+
+    def reached(q):
+        seen, stack = {q}, [q]
+        while stack:
+            for d in succ.get(stack.pop(), ()):
+                if d not in seen:
+                    seen.add(d)
+                    stack.append(d)
+        return seen
+
+    forward = {q: reached(q) for q in range(a.n_states)}
+    live = 0
+    for q in range(a.n_states):
+        if any(
+            s in forward[q] and q in forward[d]
+            for s, _, d, marks in a.transitions
+            if marks & accepting
+        ):
+            live |= 1 << q
+    return live
+
+
+def oracle_safra_step(tree, post, live=-1):
     """One Safra-tree step with sets of names: the successor of `tree`, a
     (name, label bitmask, children) node, on the letter for which post[q]
     holds q's successor and accepting-successor bitmasks, and its mark bits
     (2n green, 2n+1 red for name n).  Same rules as
     `determinize._safra_step`, with each label's image recomputed state by
-    state."""
+    state: a child, spawned or kept, may hold only states of the bitmask
+    `live`, while the root keeps its whole image and goes green only when
+    its children hold all of it."""
     old = set(_safra_names(tree))
     taken = set(old)
 
@@ -376,24 +410,31 @@ def oracle_safra_step(tree, post):
             if label >> q & 1:
                 img |= post[q][0]
                 acc |= post[q][1]
-        label = free = img & allowed
+        label = img & allowed
         kept = []
         greens = 0
         for child in children:
-            new, child_greens = step(child, free)
+            claimed = 0
+            for k in kept:
+                claimed |= k[1]
+            new, child_greens = step(child, label & live & ~claimed)
             if new[1]:
                 kept.append(new)
                 greens |= child_greens
-                free &= ~new[1]
         if acc:
             fresh = 0
             while fresh in taken:
                 fresh += 1
             taken.add(fresh)
-            if acc & free:
-                kept.append((fresh, acc & free, ()))
-                free &= ~acc
-        if kept and not free:
+            claimed = 0
+            for k in kept:
+                claimed |= k[1]
+            if acc & live & label & ~claimed:
+                kept.append((fresh, acc & live & label & ~claimed, ()))
+        covered = 0
+        for k in kept:
+            covered |= k[1]
+        if kept and covered == label:
             return (name, label, ()), 1 << (2 * name)
         return (name, label, tuple(kept)), greens
 

@@ -25,6 +25,7 @@ from tela import (
     is_deterministic,
     is_empty,
     or_,
+    parse_hoa,
     product,
     random_tela,
     safra_determinize,
@@ -41,6 +42,7 @@ from oracles import (
     oracle_accepts,
     oracle_bisimulation,
     oracle_empty,
+    oracle_live_states,
     oracle_safra_step,
     random_word,
 )
@@ -131,6 +133,56 @@ def test_degeneralize_true_acceptance():
     assert accepts(b, (), (0,)) and accepts(b, (), (1,))
 
 
+def three_set_gba(transitions, n_states):
+    """A GBA on one letter whose acceptance asks for sets 0, 1 and 2."""
+    return Tela(
+        ap=(),
+        n_states=n_states,
+        initial=frozenset({0}),
+        transitions=transitions,
+        acceptance=and_([inf_(1), inf_(2), inf_(4)]),
+        n_marks=3,
+    )
+
+
+def test_degeneralize_skips_every_level_a_transition_carries():
+    """From level 0, a transition carrying sets 0 and 1 lands on level 2;
+    one carrying set 2 there wraps with the mark back to level 0.  States
+    are numbered as found: 0 is (q0, level 0) and 1 is (q1, level 2)."""
+    g = three_set_gba(((0, 0, 1, 0b011), (1, 0, 1, 0), (1, 0, 0, 0b100)), 2)
+    b = degeneralize(g)
+    assert b.n_states == 2
+    assert set(b.transitions) == {(0, 0, 1, 0), (1, 0, 1, 0), (1, 0, 0, 1)}
+
+
+def test_degeneralize_wraps_once_on_a_transition_carrying_every_set():
+    """A loop carrying all three sets takes the mark once and skips again
+    from level 0, stopping at level 2 rather than wrapping a second time;
+    from level 2 it marks and lands on level 2 again."""
+    b = degeneralize(three_set_gba(((0, 0, 0, 0b111),), 1))
+    assert b.n_states == 2
+    assert set(b.transitions) == {(0, 0, 1, 1), (1, 0, 1, 1)}
+
+
+def test_degeneralize_with_several_sets_per_transition_keeps_the_language():
+    rng = random.Random(447)
+    checked = skipped = 0
+    verdicts = set()
+    for _ in range(40):
+        g = random_automaton(rng, n_marks=3, mark_prob=0.6, ap=("a",))
+        g = g.with_acceptance(and_([inf_(1), inf_(2), inf_(4)]), 3)
+        skipped += any(t[3].bit_count() > 1 for t in g.transitions)
+        b = degeneralize(g)
+        words = [random_word(rng, 2) for _ in range(10)]
+        words += sample_lassos(g, 10, seed=rng.randrange(10**6))
+        for u, v in words:
+            verdict = oracle_accepts(g, u, v)
+            assert accepts(b, u, v) == verdict, (g, u, v)
+            verdicts.add(verdict)
+            checked += 1
+    assert skipped > 30 and checked > 500 and verdicts == {True, False}
+
+
 def test_safra_requires_buchi():
     with pytest.raises(TelaError):
         safra_determinize(universal_buchi().with_acceptance(fin_(1), 1))
@@ -180,15 +232,20 @@ def test_safra_preserves_language():
 
 def test_safra_steps_match_the_set_based_oracle(monkeypatch):
     """Every (tree, letter) step that safra_determinize takes gives the tree
-    and marks of the set-based step, and `old` holds the tree's names."""
+    and marks of the set-based step, `old` holds the tree's names, and
+    `live` the states on an accepting cycle, by the oracle's own search.
+    Many steps differ from the step with every state live."""
     step = determinize_module._safra_step
-    checked = 0
+    checked = restricted = 0
+    live_states = None
 
-    def checked_step(tree, old, post, images):
-        nonlocal checked
+    def checked_step(tree, old, post, images, live):
+        nonlocal checked, restricted
         assert old == determinize_module._name_mask(tree)
-        got = step(tree, old, post, images)
-        assert got == oracle_safra_step(tree, post)
+        assert live == live_states
+        got = step(tree, old, post, images, live)
+        assert got == oracle_safra_step(tree, post, live)
+        restricted += got != oracle_safra_step(tree, post)
         checked += 1
         return got
 
@@ -196,11 +253,63 @@ def test_safra_steps_match_the_set_based_oracle(monkeypatch):
     rng = random.Random(446)
     for i in range(200):
         nba = random_buchi(rng, max_states=5, n_ap=1 + i % 2)
+        live_states = oracle_live_states(nba, 1)
         try:
             safra_determinize(nba, state_cap=300)
         except BudgetExceeded:
             pass
     assert checked > 10000
+    assert restricted > 1000
+
+
+# Input 132 of perfbench's det workload at random.Random(3).  If the root's
+# cover test ignored the states on no accepting cycle, every method's output
+# would accept WITNESS, which the input rejects.
+ROOT_COVER_INPUT = """\
+HOA: v1
+States: 4
+Start: 0
+AP: 1 "a"
+Acceptance: 3 Fin(0) & (Inf(2) | Inf(2) & (Fin(1) | Fin(1)))
+--BODY--
+State: 0
+[!0] 0
+[!0] 1 {2}
+[!0] 3 {0 1}
+[0] 0
+[0] 1 {2}
+[0] 2 {0}
+State: 1
+[!0] 3 {0}
+[0] 1
+State: 2
+[!0] 1
+[!0] 2
+[!0] 3 {0}
+[0] 0
+[0] 1 {2}
+[0] 2
+State: 3
+[!0] 1 {2}
+[!0] 2
+[!0] 3 {0}
+[0] 1 {0}
+[0] 3 {2}
+--END--
+"""
+WITNESS = ((0,), (1, 0))
+
+
+def test_safra_root_goes_green_only_when_its_whole_label_is_covered():
+    """Live child labels must leave the root's cover test whole: on this
+    input every method gives the input's verdicts, on WITNESS too."""
+    a = parse_hoa(ROOT_COVER_INPUT)
+    words = [WITNESS] + sample_lassos(a, 20, seed=132)
+    verdicts = [oracle_accepts(a, u, v) for u, v in words]
+    assert not verdicts[0] and True in verdicts
+    for method in DET_METHODS:
+        d = determinize_by(a, method, state_cap=100)
+        assert [accepts(d, u, v) for u, v in words] == verdicts, method
 
 
 def _inf_marks(d):
