@@ -48,9 +48,9 @@ from tela.transforms import GBA_METHODS
 
 from helpers import random_mdp
 
-GOLDEN = "38a4b2f52dc6c67235814a5bb767237d7c6d85ebf1e2e2b319fee266732da5c1"
-GOLDEN_2AP = "cc3f65af8222da39b0fc8c2b4a454593d1024565766732443a99dfc0f46583ff"
-GOLDEN_WITNESS = "eaf240e6225ff8d56d0c802a15654bec473e832177d7bd1253fe8663b83768c8"
+GOLDEN = "ba799e392fe05e5427665883712680544ae5d87abbcfa0e9559bb648e85e82eb"
+GOLDEN_2AP = "3656e0fd3357428fb00fc598700c0fb8bb316b7865f432439bed79fc59b223b2"
+GOLDEN_WITNESS = "4f04ec4c08ab5f2880d6cc6edad871f54e819dec12a9ce7618cc7b8fd2ffffb4"
 GOLDEN_PRODUCT = "8a394910cc0b8c1d35cfc2cfef5ee9a2e618de4bf5a7b5523b56350eb77b2768"
 
 

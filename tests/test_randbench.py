@@ -273,7 +273,7 @@ PINNED_CONFIGS = (
     "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
 )
 PINNED_REPORT_DIGEST = (
-    "d3e3a9630958c16af99877300cda8d818b975b8a1275fe5a8a9281e2b69706a5"
+    "08ed6f9c7eff9f341e942be131bd8940f58926e32ecbbdbbc70b980dfbf6a08c"
 )
 
 
