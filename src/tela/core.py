@@ -519,7 +519,8 @@ def _components(adj: dict) -> dict:
 
     `adj` maps a node to its successors, any iterable, walked once;
     successors need no entry of their own.  Returns a component id for
-    every node in or reached from `adj`, below the number of those nodes.  A node is on the Tarjan stack while it has an index and no id.
+    every node in or reached from `adj`, below the number of those nodes.
+    A node is on the Tarjan stack while it has an index and no id.
     """
     index: dict = {}
     low: dict = {}

@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -37,9 +38,8 @@ from pathlib import Path
 
 def worker(count: int, seed: int) -> dict:
     """Run in a tree's own process: each input's digest and, per method, the
-    printed output or the name of the exception it raised."""
-    import random
-
+    printed output or the name of the exception it raised.  The library and
+    the workloads come from the tree's own paths, set in its environment."""
     import tela
     import workloads
 
@@ -126,12 +126,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     procs = {side: run_tree(tree, args.count, args.seed) for side, tree in trees.items()}
-    results = {}
+    texts = {side: proc.communicate()[0] for side, proc in procs.items()}
     for side, proc in procs.items():
-        text, _ = proc.communicate()
         if proc.returncode != 0:
             raise SystemExit(f"error: the {side} tree's worker exited with {proc.returncode}")
-        results[side] = json.loads(text)
+    results = {side: json.loads(text) for side, text in texts.items()}
     sys.path.insert(0, str(trees["change"] / "src"))
     report = compare(results["parent"], results["change"])
     report = {"count": args.count, "seed": args.seed, **report}
