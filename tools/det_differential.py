@@ -17,7 +17,8 @@ its own process.  The report, one JSON object on standard output, gives:
 - the language mismatches: each output of the change is compared by
   `contains` both ways with the parent's output of the same method, or, where
   the parent ran out of budget there, with the parent's first output for the
-  same input.
+  same input.  Where the parent returned nothing for the input, the output's
+  verdicts on WORDS lasso words sampled from the input must be the input's.
 
 The comparison runs on the change tree's library.  The command exits 1 on
 any mismatch, on inputs that differ between the trees, or when a
@@ -34,6 +35,8 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+
+WORDS = 20
 
 
 def worker(count: int, seed: int) -> dict:
@@ -52,7 +55,8 @@ def worker(count: int, seed: int) -> dict:
                 outputs[method] = tela.print_hoa(workloads.determinize(a, method))
             except Exception as exc:  # any failure is reported by type
                 outputs[method] = {"error": type(exc).__name__}
-        rows.append({"input": hashlib.sha256(text.encode()).hexdigest(), **outputs})
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        rows.append({"input": digest, "text": text, **outputs})
     return {"methods": list(workloads.DET_METHODS), "rows": rows}
 
 
@@ -79,6 +83,7 @@ def compare(parent: dict, change: dict) -> dict:
         "grew": 0,
         "shrank": 0,
         "compared": 0,
+        "word_checked": 0,
         "mismatches": [],
         "crashes": [],
         "input_mismatches": 0,
@@ -107,8 +112,15 @@ def compare(parent: dict, change: dict) -> dict:
                 report["states_common"]["change"] += c.n_states
                 report["grew"] += c.n_states > p.n_states
                 report["shrank"] += c.n_states < p.n_states
+            if c is None:
+                continue
             ref = p if p is not None else first
-            if c is None or ref is None:
+            if ref is None:
+                report["word_checked"] += 1
+                a = tela.parse_hoa(c_row["text"])
+                for u, v in tela.sample_lassos(a, WORDS, i):
+                    if tela.accepts(c, u, v) != tela.accepts(a, u, v):
+                        report["mismatches"].append([i, method, "word", u, v])
                 continue
             report["compared"] += 1
             both = (tela.contains(ref, c), tela.contains(c, ref))

@@ -44,31 +44,34 @@ def test_one_pair_of_copies_of_one_tree_agrees(tmp_path):
 
 
 def test_a_language_change_a_gain_and_a_crash_are_reported():
+    """Input 0 is checked against the parent's outputs; the parent returns
+    nothing for input 1, so its output is checked on sampled words."""
     ap = ("a",)
     empty = tela.print_hoa(empty_language_automaton(ap))
-    universal = tela.print_hoa(
-        tela.safra_determinize(
-            tela.Tela(
-                ap=ap,
-                n_states=1,
-                initial=frozenset({0}),
-                transitions=((0, 0, 0, 1), (0, 1, 0, 1)),
-                acceptance=tela.inf_(1),
-                n_marks=1,
-            )
-        )
+    universal_nba = tela.Tela(
+        ap=ap,
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 1), (0, 1, 0, 1)),
+        acceptance=tela.inf_(1),
+        n_marks=1,
     )
+    universal = tela.print_hoa(tela.safra_determinize(universal_nba))
     budget = {"error": "BudgetExceeded"}
     methods = ["m1", "m2", "m3"]
     parent = {"methods": methods, "rows": [
         {"input": "x", "m1": universal, "m2": budget, "m3": budget},
+        {"input": "y", "m1": budget, "m2": budget, "m3": budget},
     ]}
     change = {"methods": methods, "rows": [
         {"input": "x", "m1": empty, "m2": universal, "m3": {"error": "KeyError"}},
+        {"input": "y", "text": tela.print_hoa(universal_nba),
+         "m1": empty, "m2": budget, "m3": budget},
     ]}
     report = det_differential.compare(parent, change)
-    assert report["returned"] == {"parent": 1, "change": 2}
-    assert report["gained"] == 1 and report["lost"] == 0
-    assert report["mismatches"] == [[0, "m1", True, False]]
+    assert report["returned"] == {"parent": 1, "change": 3}
+    assert report["gained"] == 2 and report["lost"] == 0
+    assert report["compared"] == 2 and report["word_checked"] == 1
+    assert report["mismatches"][0] == [0, "m1", True, False]
+    assert {tuple(m[:3]) for m in report["mismatches"][1:]} == {(1, "m1", "word")}
     assert report["crashes"] == [["change", 0, "m3", "KeyError"]]
-    assert report["compared"] == 2
