@@ -3,10 +3,10 @@
 Automata carry acceptance marks on transitions and a positive Boolean
 acceptance formula over Inf/Fin atoms.  The package covers the acceptance
 algebra, structural operations (split, sum, product, completion,
-bisimulation quotient), emptiness and membership analysis, translations to
-generalized Buchi, Safra-style and product-based determinization,
-limit-deterministic and good-for-MDP constructions, MDP model checking, and
-a random-automaton benchmark harness.
+bisimulation quotient, simulation reduction), emptiness and membership
+analysis, translations to generalized Buchi, Safra-style and product-based
+determinization, limit-deterministic and good-for-MDP constructions, MDP
+model checking, and a random-automaton benchmark harness.
 """
 
 from .acceptance import (
@@ -56,6 +56,7 @@ from .core import (
     is_complete,
     is_deterministic,
     product,
+    simulation_reduce,
     split,
     sum_automata,
     sum_gba,

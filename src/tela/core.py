@@ -29,7 +29,10 @@ components all run on it, through one iterative Tarjan pass that calls
 `bisim_quotient` is the one partition-refinement kernel: it merges the
 states of the coarsest partition whose blocks agree on their sets of
 (letter, marks, target block) transitions, which on deterministic input is
-Moore minimization.
+Moore minimization.  `simulation_reduce` is the one simulation kernel: on
+generalized-Buchi acceptance it merges the states that directly simulate
+each other and prunes the transitions and initial states that others
+strictly dominate.
 """
 
 from __future__ import annotations
@@ -666,6 +669,157 @@ def _bisim_blocks(a: Tela, deadline=None, stage="quotient") -> list[int]:
         dirty = {block[p] for q in moved for p in preds[q]}
     number: dict[int, int] = {}
     return [number.setdefault(b, len(number)) for b in block]
+
+
+def simulation_reduce(g: Tela, deadline=None, stage="simulation") -> Tela:
+    """Reduce an automaton with generalized-Buchi acceptance by direct
+    simulation, keeping its language (the argument is in `determinize`).
+
+    r simulates q when every transition q -a,M-> p is matched by some
+    r -a,M'-> p' where M' meets every acceptance set that M meets and p'
+    simulates p.  States that simulate each other merge, and a merged state
+    takes the transitions of all its members.  A transition is dropped when
+    a sibling on its letter meets a superset of its acceptance sets and
+    leads to a state simulating its target, unless the two agree on both;
+    an initial state is dropped when another initial state strictly
+    simulates it.  The states still reachable are kept, in order of their
+    smallest member, with the acceptance and the mark count.  A round of
+    the simulation fixpoint that starts after `deadline` raises
+    BudgetExceeded naming `stage`.
+    """
+    sets = gba_marksets(g.acceptance)
+    if sets is None:
+        raise TelaError("simulation reduction needs generalized-Buchi acceptance")
+    sim = _direct_simulation(g, sets, deadline, stage)
+    # cls[q]: the smallest state that simulates q and that q simulates.
+    cls = []
+    for q, above in enumerate(sim):
+        while not sim[(above & -above).bit_length() - 1] >> q & 1:
+            above &= above - 1
+        cls.append((above & -above).bit_length() - 1)
+    merged = {(cls[s], letter, cls[d], marks) for s, letter, d, marks in g.transitions}
+    met = {marks: project_marks(marks, sets) for marks in {t[3] for t in merged}}
+    # slots[s, letter][sets met]: the targets of the merged transitions.
+    slots: dict[tuple[int, int], dict[int, int]] = {}
+    for s, letter, d, marks in merged:
+        row = slots.setdefault((s, letter), {})
+        row[met[marks]] = row.get(met[marks], 0) | 1 << d
+    # tops[s, letter][m]: the targets on sets including m, and on sets
+    # strictly including m.
+    tops = {}
+    for key, row in slots.items():
+        tops[key] = top = {}
+        for m, targets in row.items():
+            above = 0
+            for m2, targets2 in row.items():
+                if m2 != m and not m & ~m2:
+                    above |= targets2
+            top[m] = (above | targets, above)
+    kept = []
+    for t in merged:
+        s, letter, d, marks = t
+        wider, stricter = tops[s, letter][met[marks]]
+        if not (wider & sim[d] & ~(1 << d) or stricter >> d & 1):
+            kept.append(t)
+    initial = {cls[q] for q in g.initial}
+    initial = {
+        i for i in initial if not any(j != i and sim[i] >> j & 1 for j in initial)
+    }
+    adj: dict[int, list[int]] = {}
+    for s, _, d, _ in kept:
+        adj.setdefault(s, []).append(d)
+    number = {q: i for i, q in enumerate(sorted(reach(initial, adj)))}
+    return Tela(
+        ap=g.ap,
+        n_states=len(number),
+        initial=frozenset(number[q] for q in initial),
+        transitions=tuple(
+            (number[s], letter, number[d], marks)
+            for s, letter, d, marks in kept
+            if s in number
+        ),
+        acceptance=g.acceptance,
+        n_marks=g.n_marks,
+    )
+
+
+def _direct_simulation(a: Tela, sets, deadline=None, stage="simulation") -> list[int]:
+    """sim[q]: the bitmask of the states that directly simulate q, where a
+    transition's marks count only through the acceptance sets `sets` they
+    meet.  The greatest fixpoint, in worklist form.
+
+    A move is a code, its letter and the sets its marks meet, with a target;
+    a code dominates those of its letter whose sets it includes.  Each state
+    starts from the states that have a move dominating each of its codes.
+    Each state p keeps, per code of a move into p, the states with a
+    dominating move into one of p's simulators, and recomputes them only
+    when its own set shrinks; a round re-checks only the predecessors of the
+    states whose sets shrank in the round before.
+    """
+    n = a.n_states
+    shift = len(sets)
+    met = {m: project_marks(m, sets) for m in {t[3] for t in a.transitions}}
+    moves: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    for s, letter, d, marks in a.transitions:
+        moves[s].add((letter << shift | met[marks], d))
+    codes = {c for out in moves for c, _ in out}
+    below = {
+        c: [b for b in codes if b >> shift == c >> shift and not b & ~c]
+        for c in codes
+    }
+    # holders[c]: the states with a move dominating c; pre[c][p]: those
+    # with one into p; into[p]: the codes of the moves into p.
+    holders = dict.fromkeys(codes, 0)
+    pre = {c: [0] * n for c in codes}
+    into: list[set[int]] = [set() for _ in range(n)]
+    preds: list[set[int]] = [set() for _ in range(n)]
+    for s, out in enumerate(moves):
+        for c, d in out:
+            into[d].add(c)
+            preds[d].add(s)
+            for b in below[c]:
+                holders[b] |= 1 << s
+                pre[b][d] |= 1 << s
+    sim = []
+    for out in moves:
+        above = (1 << n) - 1
+        for c, _ in out:
+            above &= holders[c]
+        sim.append(above)
+
+    def images(p: int) -> dict[int, int]:
+        above = sim[p]
+        rs = []
+        while above:
+            low = above & -above
+            rs.append(low.bit_length() - 1)
+            above ^= low
+        row = {}
+        for c in into[p]:
+            col = pre[c]
+            acc = 0
+            for r in rs:
+                acc |= col[r]
+            row[c] = acc
+        return row
+
+    img = [images(p) for p in range(n)]
+    dirty: range | set[int] = range(n)
+    while dirty:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded(f"{stage} deadline exceeded", "time")
+        changed = []
+        for q in dirty:
+            above = sim[q]
+            for c, p in moves[q]:
+                above &= img[p][c]
+            if above != sim[q]:
+                sim[q] = above
+                changed.append(q)
+        for p in changed:
+            img[p] = images(p)
+        dirty = {r for p in changed for r in preds[p]}
+    return sim
 
 
 def _require_same_ap(a0: Tela, a1: Tela) -> None:

@@ -1,6 +1,42 @@
 """Determinization: degeneralization, a transition-based Safra construction,
 and a product-of-deterministic-parts route for DNF acceptance.
 
+Both routes hand Safra a generalized-Buchi automaton (GBA), and
+`_determinize_gba` reduces it by direct simulation (`core.simulation_reduce`;
+Somenzi & Bloem, CAV 2000; Clemente & Mayr, POPL 2013) before it is
+degeneralized.  r simulates q when each transition of q is matched on its
+letter by one of r whose marks meet every Inf set the first one's meet, into
+a state simulating the first one's target.  The reduction keeps the
+language:
+
+- From a run of q, step by step, r builds a run on the same word that meets
+  at each step every Inf set the first run meets, and so meets each set
+  infinitely often if the first does.  A conjunction of Inf atoms holds of
+  more sets met whenever it holds of fewer, so r accepts every word q
+  accepts.
+- Merging states that simulate each other: a merged state takes the
+  transitions of all its members.  Each member simulates every other, so
+  it matches every transition of the merged state, into a state that
+  simulates each member of the target.  So, as above, a run of the
+  quotient is matched by a run of the input from any member of the state
+  it starts in, and a run of the input maps onto the quotient unchanged.
+- Pruning: a transition goes when a sibling on its letter strictly
+  dominates it, meeting a superset of its sets and leading to a state
+  simulating its target, not the other way round as well.  Strict
+  dominance is a strict order, so each transition is dominated by one that
+  stays; simulation is still a simulation after pruning, and each state
+  keeps its words.  A rule that is not strict would drop two siblings that
+  each dominate the other, and lose their words; likewise an initial state
+  goes only when another initial state strictly simulates it.
+
+This needs acceptance that is a conjunction of Inf atoms, as a GBA's is.
+Under a Fin atom, meeting more marks can reject, so a simulating state need
+not accept what it simulates.  The Safra outputs carry Rabin acceptance, so
+they are quotiented by `core.bisim_quotient` instead, as is the good-for-MDP
+automaton: its MDP products must keep their probabilities, which
+bisimulation guarantees and a reduction that only keeps the language need
+not.
+
 The Safra construction tracks ordered trees of named, state-set-labelled
 nodes.  A node spawns a youngest child holding the accepting image of its
 old label, younger siblings give up states claimed by older ones, nodes with
@@ -78,6 +114,7 @@ from .core import (
     is_deterministic,
     post_masks,
     product,
+    simulation_reduce,
     with_all_mark,
 )
 from .transforms import GBA_METHODS, ensure_dnf, remove_fin, to_gba
@@ -324,9 +361,20 @@ def determinize_via_gba(
     a: Tela, method: str = "split_remfin", state_cap: int | None = None,
     deadline: float | None = None,
 ) -> Tela:
-    """Determinize by translating to generalized Buchi, degeneralizing and
-    running the Safra construction."""
-    return safra_determinize(degeneralize(to_gba(a, method)), state_cap, deadline)
+    """Determinize by translating to generalized Buchi, then reducing,
+    degeneralizing and running the Safra construction."""
+    return _determinize_gba(to_gba(a, method), state_cap, deadline)
+
+
+def _determinize_gba(
+    g: Tela, state_cap: int | None = None, deadline: float | None = None
+) -> Tela:
+    """Determinize a generalized-Buchi automaton: reduce it by direct
+    simulation, degeneralize it and run the Safra construction, whose
+    exploration `state_cap` bounds."""
+    return safra_determinize(
+        degeneralize(simulation_reduce(g, deadline)), state_cap, deadline
+    )
 
 
 def determinize_by(
@@ -362,7 +410,9 @@ def determinize_product(
         else:
             if state_cap is not None and acc.n_states * det.n_states > state_cap:
                 raise BudgetExceeded(
-                    f"union product exceeded {state_cap} states", "states"
+                    f"union product of {acc.n_states} x {det.n_states} states"
+                    f" would pass the cap {state_cap}",
+                    "states",
                 )
             acc = product(acc, det, "or")
     return empty_language_automaton(a.ap) if acc is None else acc
@@ -372,12 +422,13 @@ def disjunct_determinizations(
     a: Tela, state_cap: int | None = None, deadline: float | None = None
 ):
     """Deterministic automata, one per DNF disjunct of a's acceptance, whose
-    languages together make up a's; each is built by Fin-removal,
-    degeneralization and Safra only when the previous one has been taken."""
+    languages together make up a's; each is built by Fin-removal, simulation
+    reduction, degeneralization and Safra only when the previous one has
+    been taken."""
     a = ensure_dnf(a)
     for disjunct in dnf_structure(a.acceptance).disjuncts:
         part = a.with_acceptance(disjunct_formula(disjunct), a.n_marks)
-        yield safra_determinize(degeneralize(remove_fin(part)), state_cap, deadline)
+        yield _determinize_gba(remove_fin(part), state_cap, deadline)
 
 
 def contains(p: Tela, d: Tela) -> bool:

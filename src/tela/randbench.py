@@ -40,10 +40,9 @@ from .core import MAX_AP, Tela, TelaError
 from .determinize import (
     DET_METHODS,
     BudgetExceeded,
-    degeneralize,
+    _determinize_gba,
     determinize_by,
     equivalent_deterministic,
-    safra_determinize,
 )
 from .transforms import GBA_METHODS, to_gba
 
@@ -327,7 +326,7 @@ def _run_method(a: Tela, method: str, config: BenchConfig, deadline: float):
     if not method.startswith("via-gba:"):
         return determinize_by(a, method, config.state_budget, deadline), {}
     g = to_gba(a, method.removeprefix("via-gba:"))
-    d = safra_determinize(degeneralize(g), config.state_budget, deadline)
+    d = _determinize_gba(g, config.state_budget, deadline)
     return d, {"gba_states": g.n_states, "gba_marks": g.n_marks}
 
 

@@ -16,10 +16,12 @@ one depth-first search per state.
 Determinism and completeness compare transitions pairwise and slot by slot,
 and the breakpoint exploration runs on frozensets with its own numbering.
 Strong bisimulation is the greatest fixpoint of a relation over state pairs,
-shrunk pair by pair, with no partition refinement.  Limit-determinism grows
-the nondeterministic part by a plain predecessor fixpoint and checks the
-emptiness of the automaton restricted to it, exits sent to a trap and a
-fresh mark demanded on the internal transitions.
+shrunk pair by pair, with no partition refinement; direct simulation under
+generalized-Buchi acceptance is shrunk the same way, comparing the sets of
+Inf indices each transition meets, with no worklist and no bitmasks.
+Limit-determinism grows the nondeterministic part by a plain predecessor
+fixpoint and checks the emptiness of the automaton restricted to it, exits
+sent to a trap and a fresh mark demanded on the internal transitions.
 """
 
 from __future__ import annotations
@@ -593,3 +595,44 @@ def oracle_bisimulation(a: Tela) -> list[frozenset[int]]:
         for p in range(a.n_states)
     }
     return sorted(classes, key=min)
+
+
+def oracle_direct_simulation(a: Tela) -> set[tuple[int, int]]:
+    """The pairs (q, r) where r directly simulates q, for an automaton whose
+    acceptance is t, one Inf atom or a conjunction of Inf atoms.
+
+    A transition's weight is the set of indices of the Inf atoms its marks
+    meet.  Start from every pair of states and drop (q, r) while some
+    transition of q has no transition of r with the same letter, a weight
+    including its weight and a target related to its target's.
+    """
+    acc = a.acceptance
+    if acc == BoolConst(True):
+        atoms = []
+    elif isinstance(acc, Inf):
+        atoms = [acc]
+    else:
+        assert isinstance(acc, And) and all(isinstance(p, Inf) for p in acc.parts)
+        atoms = list(acc.parts)
+
+    def weight(marks: int) -> set[int]:
+        return {j for j, atom in enumerate(atoms) if marks & atom.marks}
+
+    moves = [[] for _ in range(a.n_states)]
+    for s, letter, d, marks in a.transitions:
+        moves[s].append((letter, weight(marks), d))
+    related = {(q, r) for q in range(a.n_states) for r in range(a.n_states)}
+    changed = True
+    while changed:
+        changed = False
+        for q, r in sorted(related):
+            if not all(
+                any(
+                    letter2 == letter and w <= w2 and (d, d2) in related
+                    for letter2, w2, d2 in moves[r]
+                )
+                for letter, w, d in moves[q]
+            ):
+                related.discard((q, r))
+                changed = True
+    return related

@@ -29,23 +29,28 @@ from tela import (
     or_,
     product,
     split,
+    simulation_reduce,
     sum_automata,
     sum_gba,
 )
 from tela.core import (
     BudgetExceeded,
     _bisim_blocks,
+    _direct_simulation,
     explore,
     reachable,
     scc_split,
     with_all_mark,
 )
+from tela.acceptance import gba_marksets
 from tela.randbench import cnf_blowup_automaton
 
 from helpers import example_automaton, random_automaton, random_formula
 from oracles import (
     kosaraju,
+    oracle_accepts,
     oracle_bisimulation,
+    oracle_direct_simulation,
     oracle_is_complete,
     oracle_is_deterministic,
     random_word,
@@ -707,3 +712,155 @@ def test_bisim_quotient_past_deadline_raises_time():
     assert excinfo.value.kind == "time"
     assert str(excinfo.value) == "demo deadline exceeded"
     assert bisim_quotient(a, deadline=time.perf_counter() + 60.0) == bisim_quotient(a)
+
+
+def random_gba(rng: random.Random) -> Tela:
+    """A `random_automaton` of 1-5 states over 0 or 1 atomic propositions
+    and 3 marks, at density 0.3 or 0.6 so that many are incomplete, under a
+    conjunction of 0-3 Inf atoms over random mark sets (0 atoms is t)."""
+    a = random_automaton(
+        rng,
+        max_states=5,
+        n_marks=3,
+        n_ap=rng.randint(0, 1),
+        density=rng.choice((0.3, 0.6)),
+        mark_prob=0.4,
+    )
+    atoms = [Inf(rng.randrange(1, 8)) for _ in range(rng.randint(0, 3))]
+    return a.with_acceptance(and_(atoms), a.n_marks)
+
+
+def test_direct_simulation_matches_the_pairwise_oracle():
+    rng = random.Random(1823)
+    seen = dict.fromkeys(("k=0", "several initial", "incomplete", "proper pairs"), 0)
+    for _ in range(400):
+        a = random_gba(rng)
+        sim = _direct_simulation(a, gba_marksets(a.acceptance))
+        states = range(a.n_states)
+        pairs = {(q, r) for q in states for r in states if sim[q] >> r & 1}
+        assert pairs == oracle_direct_simulation(a), a
+        seen["k=0"] += a.acceptance == TRUE
+        seen["several initial"] += len(a.initial) > 1
+        seen["incomplete"] += not is_complete(a)
+        seen["proper pairs"] += sum(q != r for q, r in pairs)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_simulation_reduce_keeps_the_language_on_random_words():
+    rng = random.Random(1824)
+    removed = dict.fromkeys(("states", "transitions", "initial"), 0)
+    for _ in range(300):
+        a = random_gba(rng)
+        r = simulation_reduce(a)
+        assert (r.ap, r.acceptance, r.n_marks) == (a.ap, a.acceptance, a.n_marks)
+        assert r.n_states <= a.n_states
+        for _ in range(12):
+            u, v = random_word(rng, a.n_letters)
+            assert oracle_accepts(r, u, v) == oracle_accepts(a, u, v), (a, u, v)
+        removed["states"] += a.n_states - r.n_states
+        removed["transitions"] += len(a.transitions) - len(r.transitions)
+        removed["initial"] += len(a.initial) - len(r.initial)
+    assert min(removed.values()) >= 40, removed
+
+
+def test_simulation_reduce_needs_inf_only_acceptance():
+    a = example_automaton()
+    with pytest.raises(TelaError, match="generalized-Buchi"):
+        simulation_reduce(a.with_acceptance(fin_(1), 1))
+    # Every state of the example reads its own letters: nothing to reduce.
+    assert simulation_reduce(a) == a
+
+
+def test_simulation_reduce_past_deadline_raises_time():
+    a = example_automaton()
+    with pytest.raises(BudgetExceeded) as excinfo:
+        simulation_reduce(a, deadline=time.perf_counter() - 1.0, stage="demo")
+    assert excinfo.value.kind == "time"
+    assert str(excinfo.value) == "demo deadline exceeded"
+    with pytest.raises(BudgetExceeded, match="^simulation deadline exceeded$"):
+        simulation_reduce(a, deadline=time.perf_counter() - 1.0)
+    assert simulation_reduce(a, deadline=time.perf_counter() + 60.0) == a
+
+
+def test_simulation_pruning_keeps_siblings_that_dominate_each_other():
+    """0 reads b into 1 or 2 with mark 0, and mark 1 on the way into 2 only;
+    1 and 2 read a with mark 0 forever.  Acceptance Inf(0) ignores mark 1,
+    so each of the two transitions dominates the other.  A rule dropping a
+    transition that is merely dominated, not strictly, drops both and loses
+    the word b a^w."""
+    a = Tela(
+        ap=("a",),
+        n_states=3,
+        initial=frozenset({0}),
+        transitions=((0, 1, 1, 1), (0, 1, 2, 3), (1, 0, 1, 1), (2, 0, 2, 1)),
+        acceptance=inf_(1),
+        n_marks=2,
+    )
+    r = simulation_reduce(a)
+    assert r.n_states == 2
+    assert r.transitions == ((0, 1, 1, 1), (0, 1, 1, 3), (1, 0, 1, 1))
+    assert oracle_accepts(r, (1,), (0,))
+
+
+def test_simulation_drops_only_strictly_simulated_initial_states():
+    """3 accepts everything.  Initial 0 reads a unmarked into 3 and initial 1
+    reads a marked into 3, so 1 strictly simulates 0; initial 2 reads b into
+    3 and is comparable with neither.  Only 0 goes, and with it its state."""
+    a = Tela(
+        ap=("a",),
+        n_states=4,
+        initial=frozenset({0, 1, 2}),
+        transitions=(
+            (0, 0, 3, 0), (1, 0, 3, 1), (2, 1, 3, 1), (3, 0, 3, 1), (3, 1, 3, 1)
+        ),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    r = simulation_reduce(a)
+    assert r.n_states == 3
+    assert r.initial == frozenset({0, 1})
+    assert r.transitions == ((0, 0, 2, 1), (1, 1, 2, 1), (2, 0, 2, 1), (2, 1, 2, 1))
+    for u, v in [((0,), (1,)), ((1,), (0,)), ((), (0, 1))]:
+        assert oracle_accepts(r, u, v) == oracle_accepts(a, u, v)
+
+
+def test_simulation_reduce_worked_example():
+    """GF a & GF !a with set 0 on a and set 1 on !a (letter 1 is a).
+
+    - 1 and 2 loop with the marks the condition needs; they simulate each
+      other and merge.
+    - 3 loops like them but without set 0 on a, and 4 loops with no marks,
+      so 1 strictly simulates 3 and 3 strictly simulates 4.
+    - 0 loops with set 0 on a, and without marks on both letters, and moves
+      unmarked into 1 on both letters, into 2 on a and into 3 on !a.  1
+      strictly simulates 0, so the unmarked loops lose to the moves into 1,
+      and the move into 3 loses too.  The loop with set 0 on a stays.
+    - Initial state 4 is strictly simulated by initial state 0 and goes.
+
+    Left: 0 with its marked loop and its moves into the merged 1 and 2.
+    """
+    a = Tela(
+        ap=("a",),
+        n_states=5,
+        initial=frozenset({0, 4}),
+        transitions=(
+            (0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 1),
+            (0, 0, 1, 0), (0, 1, 1, 0), (0, 1, 2, 0), (0, 0, 3, 0),
+            (1, 1, 1, 1), (1, 0, 1, 2), (2, 1, 2, 1), (2, 0, 2, 2),
+            (3, 1, 3, 0), (3, 0, 3, 2), (4, 0, 4, 0), (4, 1, 4, 0),
+        ),
+        acceptance=and_([inf_(1), inf_(2)]),
+        n_marks=2,
+    )
+    sim = _direct_simulation(a, gba_marksets(a.acceptance))
+    assert sim == [0b00111, 0b00110, 0b00110, 0b01110, 0b11111]
+    r = simulation_reduce(a)
+    assert (r.n_states, len(r.transitions)) == (2, 5)
+    assert r.initial == frozenset({0})
+    assert r.transitions == (
+        (0, 0, 1, 0), (0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 2), (1, 1, 1, 1)
+    )
+    rng = random.Random(1825)
+    for _ in range(40):
+        u, v = random_word(rng, 2)
+        assert oracle_accepts(r, u, v) == oracle_accepts(a, u, v)

@@ -35,7 +35,7 @@ from tela import (
 from tela import determinize as determinize_module
 from tela.determinize import DET_METHODS, determinize_by, empty_language_automaton
 from tela.randbench import cnf_blowup_automaton
-from tela.transforms import GBA_METHODS, to_gba
+from tela.transforms import GBA_METHODS, ensure_dnf, to_gba
 
 from helpers import random_automaton
 from oracles import (
@@ -438,6 +438,48 @@ def test_determinize_product_budget():
     a = cnf_blowup_automaton(4)
     with pytest.raises(BudgetExceeded):
         determinize_product(a, state_cap=2)
+
+
+def test_union_product_budget_names_both_operands_and_the_cap():
+    """Parts of 4 and 2 states each fit a cap of 5, their product would not,
+    and the error says so before building it; a cap of 8 builds it."""
+    a = Tela(
+        ap=("a",),
+        n_states=2,
+        initial=frozenset({0}),
+        transitions=((0, 0, 1, 4), (0, 1, 1, 5), (1, 0, 0, 4), (1, 1, 0, 6)),
+        acceptance=or_([and_([inf_(1), inf_(4)]), inf_(2)]),
+        n_marks=3,
+    )
+    match = r"^union product of 4 x 2 states would pass the cap 5$"
+    with pytest.raises(BudgetExceeded, match=match) as info:
+        determinize_product(a, langcover=False, state_cap=5)
+    assert info.value.kind == "states"
+    assert determinize_product(a, langcover=False, state_cap=8).n_states <= 8
+
+
+def test_every_gba_is_reduced_once_before_degeneralization(monkeypatch):
+    """Both routes into Safra reduce each GBA by simulation once, under the
+    construction's deadline; a reduction past it names its own stage."""
+    reduce = determinize_module.simulation_reduce
+    calls = []
+
+    def recording(g, *args):
+        calls.append((g.n_states, args))
+        return reduce(g, *args)
+
+    monkeypatch.setattr(determinize_module, "simulation_reduce", recording)
+    a = cnf_blowup_automaton(2)
+    deadline = time.perf_counter() + 60.0
+    g = to_gba(a, "remfin_rewrite")
+    determinize_via_gba(a, "remfin_rewrite", deadline=deadline)
+    assert calls == [(g.n_states, (deadline,))]
+    calls.clear()
+    determinize_product(a, langcover=False, deadline=deadline)
+    assert calls and all(args == (deadline,) for _, args in calls)
+    assert len(calls) == len(to_dnf(ensure_dnf(a).acceptance).disjuncts)
+    with pytest.raises(BudgetExceeded, match="^simulation deadline exceeded$"):
+        determinize_via_gba(a, deadline=time.perf_counter() - 1.0)
 
 
 def test_determinizers_agree_with_each_other():

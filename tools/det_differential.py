@@ -12,6 +12,9 @@ workload's state cap (the calls `perfbench/workloads.determinize` makes), in
 its own process.  The report, one JSON object on standard output, gives:
 
 - the constructions each tree returns, and those the change gains and loses;
+- each tree's `ok_share`, its returned share of all constructions, and the
+  mean size of everything it returns: the `det` workload's two size metrics,
+  on a fixed input set;
 - the state sums, and how many outputs grew or shrank, over the
   constructions both trees return;
 - the language mismatches: each output of the change is compared by
@@ -76,6 +79,8 @@ def compare(parent: dict, change: dict) -> dict:
     report = {
         "constructions": len(change["rows"]) * len(methods),
         "returned": {"parent": 0, "change": 0},
+        "ok_share": {},
+        "states_mean": {},
         "gained": 0,
         "lost": 0,
         "common": 0,
@@ -88,6 +93,7 @@ def compare(parent: dict, change: dict) -> dict:
         "crashes": [],
         "input_mismatches": 0,
     }
+    states = {"parent": 0, "change": 0}
     for i, (p_row, c_row) in enumerate(zip(parent["rows"], change["rows"])):
         if p_row["input"] != c_row["input"]:
             report["input_mismatches"] += 1
@@ -99,6 +105,7 @@ def compare(parent: dict, change: dict) -> dict:
                 if isinstance(got, str):
                     out[method] = tela.parse_hoa(got)
                     report["returned"][side] += 1
+                    states[side] += out[method].n_states
                 elif got["error"] != "BudgetExceeded":
                     report["crashes"].append([side, i, method, got["error"]])
         first = next(iter(p_out.values()), None)
@@ -126,6 +133,9 @@ def compare(parent: dict, change: dict) -> dict:
             both = (tela.contains(ref, c), tela.contains(c, ref))
             if both != (True, True):
                 report["mismatches"].append([i, method, *both])
+    for side, returned in report["returned"].items():
+        report["ok_share"][side] = returned / max(report["constructions"], 1)
+        report["states_mean"][side] = states[side] / max(returned, 1)
     return report
 
 

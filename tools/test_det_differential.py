@@ -39,6 +39,10 @@ def test_one_pair_of_copies_of_one_tree_agrees(tmp_path):
     assert report["gained"] == report["lost"] == 0
     assert report["common"] == report["compared"] == report["returned"]["change"]
     assert report["states_common"]["parent"] == report["states_common"]["change"]
+    share = report["returned"]["change"] / report["constructions"]
+    assert report["ok_share"] == {"parent": share, "change": share}
+    mean = report["states_common"]["change"] / report["common"]
+    assert report["states_mean"] == {"parent": mean, "change": mean}
     assert report["grew"] == report["shrank"] == 0
     assert report["mismatches"] == report["crashes"] == []
 
@@ -70,6 +74,9 @@ def test_a_language_change_a_gain_and_a_crash_are_reported():
     ]}
     report = det_differential.compare(parent, change)
     assert report["returned"] == {"parent": 1, "change": 3}
+    assert report["ok_share"] == {"parent": 1 / 6, "change": 3 / 6}
+    u = tela.parse_hoa(universal).n_states
+    assert report["states_mean"] == {"parent": u, "change": (1 + u + 1) / 3}
     assert report["gained"] == 2 and report["lost"] == 0
     assert report["compared"] == 2 and report["word_checked"] == 1
     assert report["mismatches"][0] == [0, "m1", True, False]
