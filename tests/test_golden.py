@@ -48,9 +48,9 @@ from tela.transforms import GBA_METHODS
 
 from helpers import random_mdp
 
-GOLDEN = "ba799e392fe05e5427665883712680544ae5d87abbcfa0e9559bb648e85e82eb"
-GOLDEN_2AP = "3656e0fd3357428fb00fc598700c0fb8bb316b7865f432439bed79fc59b223b2"
-GOLDEN_WITNESS = "4f04ec4c08ab5f2880d6cc6edad871f54e819dec12a9ce7618cc7b8fd2ffffb4"
+GOLDEN = "b5e0334ed868d167e806cfea6669927e8ec139254c0eeeb05124489d52471c60"
+GOLDEN_2AP = "0bf32a327fcaf4e3f3263d4488d0b4147a760684e943958c48c36916bdcb8eed"
+GOLDEN_WITNESS = "c99708f248f218ec4107b717fe5155025fec475bb8a4626e396653db38a95509"
 GOLDEN_PRODUCT = "8a394910cc0b8c1d35cfc2cfef5ee9a2e618de4bf5a7b5523b56350eb77b2768"
 
 

@@ -273,7 +273,7 @@ PINNED_CONFIGS = (
     "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
 )
 PINNED_REPORT_DIGEST = (
-    "08ed6f9c7eff9f341e942be131bd8940f58926e32ecbbdbbc70b980dfbf6a08c"
+    "7508058d4610f4c39327bc7cb3d79012ed5a46a523062e62c09a565c02886d60"
 )
 
 
