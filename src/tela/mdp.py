@@ -42,9 +42,10 @@ limit-determinism check, so an error witness keeps the input's state
 numbers.  A product with the quotient is bisimilar to the product with the
 automaton, so maximal probabilities and accepting end components are the
 same.  mdp_product does not quotient; reference_pr_max builds on
-determinize_product, whose Safra parts are Moore-minimal, so it runs the
-same quotient kernel and is no check of it: the tests compare both with an
-exact oracle on the unquotiented product.
+determinize_product, which reduces each GBA by simulation and whose Safra
+parts are Moore-minimal, so it runs the same quotient kernel and is no
+check of it: the tests compare both with an exact oracle on the
+unquotiented product.
 """
 
 from __future__ import annotations
