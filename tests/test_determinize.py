@@ -476,8 +476,8 @@ def test_every_gba_is_reduced_once_before_degeneralization(monkeypatch):
     assert calls == [(g.n_states, (deadline,))]
     calls.clear()
     determinize_product(a, langcover=False, deadline=deadline)
-    assert calls and all(args == (deadline,) for _, args in calls)
-    assert len(calls) == len(to_dnf(ensure_dnf(a).acceptance).disjuncts)
+    parts = len(to_dnf(ensure_dnf(a).acceptance).disjuncts)
+    assert [args for _, args in calls] == [(deadline,)] * parts
     with pytest.raises(BudgetExceeded, match="^simulation deadline exceeded$"):
         determinize_via_gba(a, deadline=time.perf_counter() - 1.0)
 
