@@ -671,7 +671,7 @@ def _bisim_blocks(a: Tela, deadline=None, stage="quotient") -> list[int]:
     return [number.setdefault(b, len(number)) for b in block]
 
 
-def simulation_reduce(g: Tela, deadline=None, stage="simulation") -> Tela:
+def simulation_reduce(g: Tela, deadline=None) -> Tela:
     """Reduce an automaton with generalized-Buchi acceptance by direct
     simulation, keeping its language (the argument is in `determinize`).
 
@@ -683,14 +683,14 @@ def simulation_reduce(g: Tela, deadline=None, stage="simulation") -> Tela:
     leads to a state simulating its target, unless the two agree on both;
     an initial state is dropped when another initial state strictly
     simulates it.  The states still reachable are kept, in order of their
-    smallest member, with the acceptance and the mark count.  A round of
-    the simulation fixpoint that starts after `deadline` raises
-    BudgetExceeded naming `stage`.
+    smallest member, with the acceptance and the mark count.  The
+    simulation fixpoint checks `deadline` once its tables are built and
+    before each round, and raises BudgetExceeded past it.
     """
     sets = gba_marksets(g.acceptance)
     if sets is None:
         raise TelaError("simulation reduction needs generalized-Buchi acceptance")
-    sim = _direct_simulation(g, sets, deadline, stage)
+    sim = _direct_simulation(g, sets, deadline)
     # cls[q]: the smallest state that simulates q and that q simulates.
     cls = []
     for q, above in enumerate(sim):
@@ -743,7 +743,7 @@ def simulation_reduce(g: Tela, deadline=None, stage="simulation") -> Tela:
     )
 
 
-def _direct_simulation(a: Tela, sets, deadline=None, stage="simulation") -> list[int]:
+def _direct_simulation(a: Tela, sets, deadline=None) -> list[int]:
     """sim[q]: the bitmask of the states that directly simulate q, where a
     transition's marks count only through the acceptance sets `sets` they
     meet.  The greatest fixpoint, in worklist form.
@@ -803,11 +803,15 @@ def _direct_simulation(a: Tela, sets, deadline=None, stage="simulation") -> list
             row[c] = acc
         return row
 
+    def check_deadline() -> None:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise BudgetExceeded("simulation deadline exceeded", "time")
+
+    check_deadline()
     img = [images(p) for p in range(n)]
     dirty: range | set[int] = range(n)
     while dirty:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"{stage} deadline exceeded", "time")
+        check_deadline()
         changed = []
         for q in dirty:
             above = sim[q]
