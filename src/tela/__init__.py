@@ -60,6 +60,7 @@ from .core import (
     split,
     sum_automata,
     sum_gba,
+    time_limit,
 )
 from .determinize import (
     contains,

@@ -16,11 +16,11 @@ letter and `image` takes the union over a set, the one image kernel of the
 Safra, breakpoint and subset constructions.
 
 Constructions that explore a new state space on the fly number it through
-`explore`, which owns the numbering, the state cap and the deadline.  Pair
-states go to it as int keys, q0 * |Q1| + q1 in `product` and likewise in
-degeneralization, containment, lasso membership and the MDP product, so a
-product state costs no tuple; keys sort as their pairs do, so seeds and
-numbering are those of the pairs.
+`explore`, which owns the numbering and the state cap; time is bounded once
+around a whole run, by `time_limit`.  Pair states go to it as int keys,
+q0 * |Q1| + q1 in `product` and likewise in degeneralization, containment,
+lasso membership and the MDP product, so a product state costs no tuple;
+keys sort as their pairs do, so seeds and numbering are those of the pairs.
 `scc_split` is the one split of a graph into strongly connected components
 with the edges kept inside each; emptiness, containment and maximal end
 components all run on it, through one iterative Tarjan pass that calls
@@ -37,7 +37,9 @@ strictly dominate.
 
 from __future__ import annotations
 
-import time
+import signal
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -68,11 +70,39 @@ class TelaError(ValueError):
 
 
 class BudgetExceeded(TelaError):
-    """A construction went past its state cap or deadline."""
+    """A construction went past its state cap or an enclosing `time_limit`."""
 
     def __init__(self, message: str, kind: str):
         super().__init__(message)
         self.kind = kind
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise BudgetExceeded of kind "time" in the block once `seconds` of
+    wall time have passed, from the SIGALRM handler of a one-shot POSIX
+    timer.  Off the main thread, or without `setitimer`, nothing is armed.
+    Limits do not nest.  Every exit disarms the timer, then restores the
+    previous handler."""
+    if not seconds > 0:
+        raise TelaError(f"time limit must be positive, got {seconds}")
+    main = threading.current_thread() is threading.main_thread()
+    if not (main and hasattr(signal, "setitimer")):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise BudgetExceeded(f"time limit of {seconds:g} s exceeded", "time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, min(seconds, 1e9))  # fits time_t
+        yield
+    finally:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:
+            signal.signal(signal.SIGALRM, previous)
 
 
 @dataclass(frozen=True)
@@ -448,7 +478,7 @@ def image(row, states: int) -> tuple[int, int]:
     return img, part
 
 
-def explore(seeds, expand, state_cap=None, deadline=None, stage="exploration"):
+def explore(seeds, expand, state_cap=None, stage="exploration"):
     """Breadth-first numbering of the states reachable from `seeds`.
 
     Seeds take the first numbers, duplicates dropped.  `expand(state, number)`
@@ -458,8 +488,7 @@ def explore(seeds, expand, state_cap=None, deadline=None, stage="exploration"):
     of each state's edges.
 
     Numbering a new state when `state_cap` states exist already (seeds are
-    always numbered), or expanding a state after `deadline` (a
-    time.perf_counter() value), raises BudgetExceeded naming `stage`.
+    always numbered) raises BudgetExceeded naming `stage`.
     """
     index: dict = {}
     order: list = []
@@ -480,8 +509,6 @@ def explore(seeds, expand, state_cap=None, deadline=None, stage="exploration"):
     results = []
     pos = 0
     while pos < len(order):
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"{stage} deadline exceeded", "time")
         results.append(list(expand(order[pos], number)))
         pos += 1
     return order, results
@@ -595,11 +622,9 @@ def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
     )
 
 
-def bisim_quotient(a: Tela, deadline=None, stage="quotient") -> Tela:
+def bisim_quotient(a: Tela) -> Tela:
     """The quotient of `a` by strong bisimulation over (letter, marks)
-    transitions, a deterministic function of `a`.  A refinement round that
-    starts after `deadline` (a time.perf_counter() value) raises
-    BudgetExceeded naming `stage`.
+    transitions, a deterministic function of `a`.
 
     Blocks are numbered in order of their smallest state and take that
     state's transitions, deduplicated; the initial states map to their
@@ -607,7 +632,7 @@ def bisim_quotient(a: Tela, deadline=None, stage="quotient") -> Tela:
     MDP with the quotient is bisimilar to the product with `a`, so maximal
     probabilities and accepting end components carry over.
     """
-    block = _bisim_blocks(a, deadline, stage)
+    block = _bisim_blocks(a)
     first: list[int] = []
     for q, b in enumerate(block):
         if b == len(first):
@@ -626,7 +651,7 @@ def bisim_quotient(a: Tela, deadline=None, stage="quotient") -> Tela:
     )
 
 
-def _bisim_blocks(a: Tela, deadline=None, stage="quotient") -> list[int]:
+def _bisim_blocks(a: Tela) -> list[int]:
     """Each state's block in the coarsest partition where all states of a
     block have the same set of (letter, marks, target block) triples, blocks
     numbered in order of their smallest state.
@@ -649,8 +674,6 @@ def _bisim_blocks(a: Tela, deadline=None, stage="quotient") -> list[int]:
     members = [list(range(n))] if n else []
     dirty = set(range(len(members)))
     while dirty:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded(f"{stage} deadline exceeded", "time")
         moved: list[int] = []
         for b in sorted(dirty):
             parts: dict[frozenset[int], list[int]] = {}
@@ -671,7 +694,7 @@ def _bisim_blocks(a: Tela, deadline=None, stage="quotient") -> list[int]:
     return [number.setdefault(b, len(number)) for b in block]
 
 
-def simulation_reduce(g: Tela, deadline=None) -> Tela:
+def simulation_reduce(g: Tela) -> Tela:
     """Reduce an automaton with generalized-Buchi acceptance by direct
     simulation, keeping its language (the argument is in `determinize`).
 
@@ -683,14 +706,12 @@ def simulation_reduce(g: Tela, deadline=None) -> Tela:
     leads to a state simulating its target, unless the two agree on both;
     an initial state is dropped when another initial state strictly
     simulates it.  The states still reachable are kept, in order of their
-    smallest member, with the acceptance and the mark count.  The
-    simulation fixpoint checks `deadline` once its tables are built and
-    before each round, and raises BudgetExceeded past it.
+    smallest member, with the acceptance and the mark count.
     """
     sets = gba_marksets(g.acceptance)
     if sets is None:
         raise TelaError("simulation reduction needs generalized-Buchi acceptance")
-    sim = _direct_simulation(g, sets, deadline)
+    sim = _direct_simulation(g, sets)
     # cls[q]: the smallest state that simulates q and that q simulates.
     cls = []
     for q, above in enumerate(sim):
@@ -725,25 +746,30 @@ def simulation_reduce(g: Tela, deadline=None) -> Tela:
     initial = {
         i for i in initial if not any(j != i and sim[i] >> j & 1 for j in initial)
     }
-    adj: dict[int, list[int]] = {}
-    for s, _, d, _ in kept:
-        adj.setdefault(s, []).append(d)
-    number = {q: i for i, q in enumerate(sorted(reach(initial, adj)))}
+    return _reachable_part(g.ap, initial, kept, g.acceptance, g.n_marks)
+
+
+def _reachable_part(ap, initial, transitions, acceptance, n_marks) -> Tela:
+    """The automaton on the states reachable from `initial` over
+    `transitions`, renumbered in ascending order, with the transitions
+    whose source is kept."""
+    order = sorted(reachable(initial, ((s, d) for s, _, d, _ in transitions)))
+    number = {q: i for i, q in enumerate(order)}
     return Tela(
-        ap=g.ap,
+        ap=ap,
         n_states=len(number),
         initial=frozenset(number[q] for q in initial),
         transitions=tuple(
             (number[s], letter, number[d], marks)
-            for s, letter, d, marks in kept
+            for s, letter, d, marks in transitions
             if s in number
         ),
-        acceptance=g.acceptance,
-        n_marks=g.n_marks,
+        acceptance=acceptance,
+        n_marks=n_marks,
     )
 
 
-def _direct_simulation(a: Tela, sets, deadline=None) -> list[int]:
+def _direct_simulation(a: Tela, sets) -> list[int]:
     """sim[q]: the bitmask of the states that directly simulate q, where a
     transition's marks count only through the acceptance sets `sets` they
     meet.  The greatest fixpoint, in worklist form.
@@ -803,15 +829,9 @@ def _direct_simulation(a: Tela, sets, deadline=None) -> list[int]:
             row[c] = acc
         return row
 
-    def check_deadline() -> None:
-        if deadline is not None and time.perf_counter() > deadline:
-            raise BudgetExceeded("simulation deadline exceeded", "time")
-
-    check_deadline()
     img = [images(p) for p in range(n)]
     dirty: range | set[int] = range(n)
     while dirty:
-        check_deadline()
         changed = []
         for q in dirty:
             above = sim[q]

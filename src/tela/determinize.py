@@ -186,9 +186,7 @@ def degeneralize(g: Tela) -> Tela:
 _Node = tuple[int, int, tuple]  # name, label (a bitmask of states), children
 
 
-def safra_determinize(
-    b: Tela, state_cap: int | None = None, deadline: float | None = None
-) -> Tela:
+def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
     """Determinize a Buchi TELA into a Rabin one via Safra trees.
 
     Output marks come in pairs per kept tree-node name, the names that go
@@ -200,8 +198,7 @@ def safra_determinize(
     keeps the language.  The result is the Moore-minimal quotient of the
     explored trees, deterministic and complete with initial state 0.
     Labels below the root keep only live states (see the module docstring).
-    `state_cap` bounds the number of explored trees, not the returned size;
-    `deadline` bounds the exploration and the quotient.
+    `state_cap` bounds the number of explored trees, not the returned size.
     """
     if b.acceptance == TRUE:
         b, mark = with_all_mark(b)
@@ -228,7 +225,7 @@ def safra_determinize(
             yield letter, number(nxt), marks
 
     root = (0, sum(1 << q for q in b.initial), ())
-    order, edges = explore([root], expand, state_cap, deadline, "determinization")
+    order, edges = explore([root], expand, state_cap, "determinization")
     seen = {marks for out in edges for _, _, marks in out}
     used = 0
     for marks in seen:
@@ -254,9 +251,7 @@ def safra_determinize(
             ),
             acceptance=acceptance,
             n_marks=2 * len(kept),
-        ),
-        deadline,
-        "determinization",
+        )
     )
 
 
@@ -358,42 +353,32 @@ def _step(
 
 
 def determinize_via_gba(
-    a: Tela, method: str = "split_remfin", state_cap: int | None = None,
-    deadline: float | None = None,
+    a: Tela, method: str = "split_remfin", state_cap: int | None = None
 ) -> Tela:
     """Determinize by translating to generalized Buchi, then reducing,
     degeneralizing and running the Safra construction."""
-    return _determinize_gba(to_gba(a, method), state_cap, deadline)
+    return _determinize_gba(to_gba(a, method), state_cap)
 
 
-def _determinize_gba(
-    g: Tela, state_cap: int | None = None, deadline: float | None = None
-) -> Tela:
+def _determinize_gba(g: Tela, state_cap: int | None = None) -> Tela:
     """Determinize a generalized-Buchi automaton: reduce it by direct
     simulation, degeneralize it and run the Safra construction, whose
     exploration `state_cap` bounds."""
-    return safra_determinize(
-        degeneralize(simulation_reduce(g, deadline)), state_cap, deadline
-    )
+    return safra_determinize(degeneralize(simulation_reduce(g)), state_cap)
 
 
-def determinize_by(
-    a: Tela, method: str, state_cap: int | None = None, deadline: float | None = None
-) -> Tela:
+def determinize_by(a: Tela, method: str, state_cap: int | None = None) -> Tela:
     """Determinize with a method named in DET_METHODS."""
     if method not in DET_METHODS:
         raise TelaError(f"unknown determinization method {method!r}")
     gba_method = method.removeprefix("via-gba:")
     if gba_method != method:
-        return determinize_via_gba(a, gba_method, state_cap, deadline)
-    return determinize_product(a, method == "product", state_cap, deadline)
+        return determinize_via_gba(a, gba_method, state_cap)
+    return determinize_product(a, method == "product", state_cap)
 
 
 def determinize_product(
-    a: Tela,
-    langcover: bool = True,
-    state_cap: int | None = None,
-    deadline: float | None = None,
+    a: Tela, langcover: bool = True, state_cap: int | None = None
 ) -> Tela:
     """Determinize a TELA by determinizing each DNF disjunct on its own and
     folding the parts together with the union product.
@@ -402,7 +387,7 @@ def determinize_product(
     built so far is skipped.
     """
     acc: Tela | None = None
-    for det in disjunct_determinizations(a, state_cap, deadline):
+    for det in disjunct_determinizations(a, state_cap):
         if acc is None:
             acc = det
         elif langcover and contains(acc, det):
@@ -418,9 +403,7 @@ def determinize_product(
     return empty_language_automaton(a.ap) if acc is None else acc
 
 
-def disjunct_determinizations(
-    a: Tela, state_cap: int | None = None, deadline: float | None = None
-):
+def disjunct_determinizations(a: Tela, state_cap: int | None = None):
     """Deterministic automata, one per DNF disjunct of a's acceptance, whose
     languages together make up a's; each is built by Fin-removal, simulation
     reduction, degeneralization and Safra only when the previous one has
@@ -428,7 +411,7 @@ def disjunct_determinizations(
     a = ensure_dnf(a)
     for disjunct in dnf_structure(a.acceptance).disjuncts:
         part = a.with_acceptance(disjunct_formula(disjunct), a.n_marks)
-        yield _determinize_gba(remove_fin(part), state_cap, deadline)
+        yield _determinize_gba(remove_fin(part), state_cap)
 
 
 def contains(p: Tela, d: Tela) -> bool:

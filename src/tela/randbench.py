@@ -8,17 +8,20 @@ at most 4 and keeps formulas whose DNF has at least two disjuncts and
 length between 2 and 21; `dnf` draws 2-3 disjuncts with 2-3 Inf atoms and
 0-1 Fin atoms each, over distinct marks.
 
-The harness runs a method set over seeded instances under per-instance
-time and state budgets.  Each instance is one unit of work, done in one
-pass by one worker: it runs every method, cross-validates the outputs it
-still holds, and hands back only the per-method records (status, time,
-sizes), the number of checks and the mismatch texts.  Two pipelines: `gba`
-compares the TELA-to-GBA translations (validated by sampled lasso words
-against the input), `det` compares full determinizations (validated by
-language equality with the first method's output).  The parent aggregates:
-lower medians where timeouts count as larger than every finite value, and
-ratio tables against a baseline with the conventions baseline failed -> 0,
-method failed -> infinity, both failed -> instance skipped.
+The harness runs a method set over seeded instances under per-instance time
+and state budgets: each method runs inside `time_limit` of the time budget,
+which stops any construction, and one that returns past the budget is a
+timeout too; the state budget caps the det pipeline's Safra explorations
+and union products.  Each instance is one unit of work, done in one pass by
+one worker: it runs every method, cross-validates the outputs it still
+holds, and hands back only the per-method records (status, time, sizes),
+the number of checks and the mismatch texts.  Two pipelines: `gba` compares
+the TELA-to-GBA translations (validated by sampled lasso words against the
+input), `det` compares full determinizations (validated by language
+equality with the first method's output).  The parent aggregates: lower
+medians where timeouts count as larger than every finite value, and ratio
+tables against a baseline with the conventions baseline failed -> 0, method
+failed -> infinity, both failed -> instance skipped.
 
 Reports have a line-oriented machine format with the schema header
 `telabench 1`, plus a human-readable table.
@@ -36,7 +39,7 @@ from fractions import Fraction
 
 from .acceptance import Acceptance, dnf_length, fin_, inf_, and_, or_, to_dnf
 from .analysis import accepts, sample_lassos
-from .core import MAX_AP, Tela, TelaError
+from .core import MAX_AP, Tela, TelaError, time_limit
 from .determinize import (
     DET_METHODS,
     BudgetExceeded,
@@ -218,19 +221,20 @@ def _parse_range(value: str, key: str) -> tuple[int, int]:
     return lo, hi
 
 
-# Keys that set one BenchConfig field to their converted value.
+# Keys that set one BenchConfig field to their converted value, with the
+# bound a budget or count must lie above, finite; None checks nothing.
 _FIELD_KEYS = {
-    "instances": ("instances", int),
-    "seed": ("seed", int),
-    "marks": ("n_marks", int),
-    "ap": ("n_ap", int),
-    "mark_prob": ("mark_prob", float),
-    "baseline": ("baseline", str),
-    "time_budget": ("time_budget", float),
-    "state_budget": ("state_budget", int),
-    "validate_words": ("validate_words", int),
-    "workers": ("workers", int),
-    "report": ("report_path", str),
+    "instances": ("instances", int, 0),
+    "seed": ("seed", int, None),
+    "marks": ("n_marks", int, None),
+    "ap": ("n_ap", int, None),
+    "mark_prob": ("mark_prob", float, None),
+    "baseline": ("baseline", str, None),
+    "time_budget": ("time_budget", float, 0),
+    "state_budget": ("state_budget", int, 0),
+    "validate_words": ("validate_words", int, -1),
+    "workers": ("workers", int, 0),
+    "report": ("report_path", str, None),
 }
 
 # Every key `parse_bench_config` accepts.
@@ -251,8 +255,10 @@ def parse_bench_config(text: str) -> BenchConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key in _FIELD_KEYS:
-                name, convert = _FIELD_KEYS[key]
+                name, convert, above = _FIELD_KEYS[key]
                 setattr(config, name, convert(value))
+                if above is not None and not above < getattr(config, name) < math.inf:
+                    raise ValueError(f"{key} out of range: {value}")
             elif key == "pipeline":
                 if value not in ("gba", "det"):
                     raise ValueError("pipeline must be gba or det")
@@ -318,15 +324,15 @@ def _bench_instances(config: BenchConfig) -> list[Tela]:
     return out
 
 
-def _run_method(a: Tela, method: str, config: BenchConfig, deadline: float):
+def _run_method(a: Tela, method: str, config: BenchConfig):
     """One method's output and its extra record fields: the via-gba
     determinizations also report the GBA they went through."""
     if config.pipeline == "gba":
         return to_gba(a, method), {}
     if not method.startswith("via-gba:"):
-        return determinize_by(a, method, config.state_budget, deadline), {}
+        return determinize_by(a, method, config.state_budget), {}
     g = to_gba(a, method.removeprefix("via-gba:"))
-    d = _determinize_gba(g, config.state_budget, deadline)
+    d = _determinize_gba(g, config.state_budget)
     return d, {"gba_states": g.n_states, "gba_marks": g.n_marks}
 
 
@@ -366,7 +372,8 @@ def _bench_worker(payload) -> tuple[dict[str, dict], int, list[str]]:
     for method in config.resolved_methods():
         start = time.perf_counter()
         try:
-            result, extra = _run_method(a, method, config, start + config.time_budget)
+            with time_limit(config.time_budget):
+                result, extra = _run_method(a, method, config)
             status = "ok"
         except BudgetExceeded as exc:
             status = "timeout" if exc.kind == "time" else "memout"

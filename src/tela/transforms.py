@@ -41,11 +41,11 @@ from .acceptance import (
 from .core import (
     Tela,
     TelaError,
+    _reachable_part,
     complete,
     empty_language_automaton,
     project_marks,
     reach,
-    reachable,
     split,
     sum_gba,
     with_all_mark,
@@ -137,20 +137,7 @@ def _fin_removal_structure(
             for s, letter, d, m in inner
             if s in useful and d in useful
         ]
-    order = sorted(reachable(a.initial, ((t[0], t[2]) for t in transitions)))
-    renum = {q: i for i, q in enumerate(order)}
-    return Tela(
-        ap=a.ap,
-        n_states=len(order),
-        initial=frozenset(renum[q] for q in a.initial),
-        transitions=tuple(
-            (renum[s], letter, renum[d], m)
-            for s, letter, d, m in transitions
-            if s in renum
-        ),
-        acceptance=acceptance,
-        n_marks=n_marks,
-    )
+    return _reachable_part(a.ap, a.initial, transitions, acceptance, n_marks)
 
 
 def to_gba(a: Tela, method: str) -> Tela:

@@ -1,6 +1,8 @@
 """Tests for the automaton data type and structural operations."""
 
 import random
+import signal
+import threading
 import time
 from dataclasses import replace
 
@@ -32,6 +34,7 @@ from tela import (
     simulation_reduce,
     sum_automata,
     sum_gba,
+    time_limit,
 )
 from tela.core import (
     BudgetExceeded,
@@ -494,11 +497,67 @@ def test_explore_state_cap_counts_only_new_states():
     assert str(excinfo.value) == "demo exceeded 5 states"
 
 
-def test_explore_past_deadline_raises_time():
-    with pytest.raises(BudgetExceeded) as excinfo:
-        explore_graph([2], deadline=time.perf_counter() - 1.0, stage="demo")
-    assert excinfo.value.kind == "time"
-    assert str(excinfo.value) == "demo deadline exceeded"
+def assert_disarmed(handler):
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler
+
+
+needs_timer = pytest.mark.skipif(
+    not hasattr(signal, "setitimer"), reason="no POSIX interval timer"
+)
+
+
+@needs_timer
+def test_time_limit_disarms_and_restores_the_handler_on_every_exit():
+    """A normal exit, the limit's own raise and a raise from the block all
+    leave no timer armed and the handler from before the block in place."""
+
+    def before(signum, frame):
+        raise AssertionError("SIGALRM after the block")
+
+    outer = signal.signal(signal.SIGALRM, before)
+    try:
+        with time_limit(60.0):
+            assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] <= 60.0
+        assert_disarmed(before)
+        with time_limit(1e12):  # past setitimer's range: capped, not an error
+            assert signal.getitimer(signal.ITIMER_REAL)[0] > 60.0
+        assert_disarmed(before)
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as excinfo:
+            with time_limit(0.05):
+                while True:
+                    pass
+        assert excinfo.value.kind == "time"
+        assert time.perf_counter() - start < 1.0
+        assert_disarmed(before)
+        with pytest.raises(KeyError):
+            with time_limit(60.0):
+                raise KeyError
+        assert_disarmed(before)
+    finally:
+        signal.signal(signal.SIGALRM, outer)
+
+
+@needs_timer
+def test_time_limit_rejects_no_time_and_arms_nothing_off_the_main_thread():
+    for seconds in (0, -1.0, float("nan")):
+        with pytest.raises(TelaError, match="time limit must be positive"):
+            with time_limit(seconds):
+                pass
+    handler = signal.getsignal(signal.SIGALRM)
+    done = []
+
+    def run():
+        with time_limit(0.01):
+            time.sleep(0.05)
+        done.append(signal.getitimer(signal.ITIMER_REAL))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join()
+    assert done == [(0.0, 0.0)]
+    assert signal.getsignal(signal.SIGALRM) is handler
 
 
 def sccs(a):
@@ -705,15 +764,6 @@ def test_bisim_quotient_matches_the_pairwise_oracle():
     assert min(merged.values()) >= 20, merged
 
 
-def test_bisim_quotient_past_deadline_raises_time():
-    a = cnf_blowup_automaton(3)
-    with pytest.raises(BudgetExceeded) as excinfo:
-        bisim_quotient(a, deadline=time.perf_counter() - 1.0, stage="demo")
-    assert excinfo.value.kind == "time"
-    assert str(excinfo.value) == "demo deadline exceeded"
-    assert bisim_quotient(a, deadline=time.perf_counter() + 60.0) == bisim_quotient(a)
-
-
 def random_gba(rng: random.Random) -> Tela:
     """A `random_automaton` of 1-5 states over 0 or 1 atomic propositions
     and 3 marks, at density 0.3 or 0.6 so that many are incomplete, under a
@@ -769,15 +819,6 @@ def test_simulation_reduce_needs_inf_only_acceptance():
         simulation_reduce(a.with_acceptance(fin_(1), 1))
     # Every state of the example reads its own letters: nothing to reduce.
     assert simulation_reduce(a) == a
-
-
-def test_simulation_reduce_past_deadline_raises_time():
-    a = example_automaton()
-    past = time.perf_counter() - 1.0
-    with pytest.raises(BudgetExceeded, match="^simulation deadline exceeded$") as err:
-        simulation_reduce(a, deadline=past)
-    assert err.value.kind == "time"
-    assert simulation_reduce(a, deadline=time.perf_counter() + 60.0) == a
 
 
 def test_simulation_pruning_keeps_siblings_that_dominate_each_other():

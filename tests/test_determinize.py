@@ -30,6 +30,7 @@ from tela import (
     random_tela,
     safra_determinize,
     sample_lassos,
+    time_limit,
     to_dnf,
 )
 from tela import determinize as determinize_module
@@ -371,30 +372,34 @@ def test_safra_outputs_are_minimal_and_every_green_occurs(monkeypatch):
     assert outputs > 90
 
 
+def nth_letter_back_nba(n: int) -> Tela:
+    """Infinitely often a letter a with n - 1 letters after it; Safra
+    explores some 2^(n/2) trees on it."""
+    transitions = [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 1, 0)]
+    for q in range(1, n):
+        transitions += [(q, 0, q + 1, 0), (q, 1, q + 1, 0)]
+    transitions += [(n, 0, 0, 1), (n, 1, 0, 1)]
+    return Tela(
+        ap=("a",),
+        n_states=n + 1,
+        initial=frozenset({0}),
+        transitions=tuple(transitions),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+
+
 def test_safra_budget_errors():
-    nba = finitely_many_a_nba()
     with pytest.raises(BudgetExceeded) as info:
-        safra_determinize(nba, state_cap=1)
+        safra_determinize(finitely_many_a_nba(), state_cap=1)
     assert info.value.kind == "states"
+    # Uncapped, n = 16 takes seconds; the limit stops it within its 0.1 s.
+    start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as info:
-        safra_determinize(nba, deadline=time.perf_counter() - 1.0)
+        with time_limit(0.1):
+            safra_determinize(nth_letter_back_nba(16))
     assert info.value.kind == "time"
-
-
-def test_safra_quotients_within_its_deadline(monkeypatch):
-    """The quotient of the explored trees runs under Safra's deadline and
-    reports a time-out as a determinization one."""
-    quotient = determinize_module.bisim_quotient
-    calls = []
-
-    def recording(a, *args):
-        calls.append(args)
-        return quotient(a, *args)
-
-    monkeypatch.setattr(determinize_module, "bisim_quotient", recording)
-    deadline = time.perf_counter() + 60.0
-    safra_determinize(finitely_many_a_nba(), deadline=deadline)
-    assert calls == [(deadline, "determinization")]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_determinize_via_gba_methods_agree():
@@ -459,27 +464,21 @@ def test_union_product_budget_names_both_operands_and_the_cap():
 
 
 def test_every_gba_is_reduced_once_before_degeneralization(monkeypatch):
-    """Both routes into Safra reduce each GBA by simulation once, under the
-    construction's deadline; a reduction past it names its own stage."""
+    """Both routes into Safra reduce each GBA by simulation once."""
     reduce = determinize_module.simulation_reduce
     calls = []
 
-    def recording(g, *args):
-        calls.append((g.n_states, args))
-        return reduce(g, *args)
+    def recording(g):
+        calls.append(g.n_states)
+        return reduce(g)
 
     monkeypatch.setattr(determinize_module, "simulation_reduce", recording)
     a = cnf_blowup_automaton(2)
-    deadline = time.perf_counter() + 60.0
-    g = to_gba(a, "remfin_rewrite")
-    determinize_via_gba(a, "remfin_rewrite", deadline=deadline)
-    assert calls == [(g.n_states, (deadline,))]
+    determinize_via_gba(a, "remfin_rewrite")
+    assert calls == [to_gba(a, "remfin_rewrite").n_states]
     calls.clear()
-    determinize_product(a, langcover=False, deadline=deadline)
-    parts = len(to_dnf(ensure_dnf(a).acceptance).disjuncts)
-    assert [args for _, args in calls] == [(deadline,)] * parts
-    with pytest.raises(BudgetExceeded, match="^simulation deadline exceeded$"):
-        determinize_via_gba(a, deadline=time.perf_counter() - 1.0)
+    determinize_product(a, langcover=False)
+    assert len(calls) == len(to_dnf(ensure_dnf(a).acceptance).disjuncts)
 
 
 def test_determinizers_agree_with_each_other():

@@ -1,6 +1,7 @@
 """Tests for limit-deterministic and good-for-MDP constructions."""
 
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -25,6 +26,7 @@ from tela import (
     limit_det_sum,
     random_tela,
     sample_lassos,
+    time_limit,
 )
 from tela.acceptance import DnfDisjunct, dnf_structure, to_dnf
 from tela.determinize import (
@@ -379,6 +381,20 @@ def test_limit_det_sum_stops_at_its_state_cap():
     )
     with pytest.raises(BudgetExceeded):
         limit_det_sum(a, state_cap=100)
+
+
+def test_limit_det_sum_stops_at_a_time_limit():
+    # Uncapped, limit_det_sum runs for more than 2 s on this input.
+    a = random_tela(
+        n_states=5, n_marks=4, edge_density=0.4, mark_prob=0.3, acc="dnf",
+        seed=0, n_ap=2,
+    )
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as info:
+        with time_limit(0.2):
+            limit_det_sum(a)
+    assert info.value.kind == "time"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_limit_det_sum_properties():

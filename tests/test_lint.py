@@ -131,23 +131,26 @@ def test_every_public_function_is_exported_or_used():
 
 
 def test_benchmark_calls_bind_to_the_library_signatures():
-    """Each `tela.<name>(...)` call in perfbench/workloads.py binds to the
-    signature of that name, by its positional count and keyword names, so a
-    signature change that would break the benchmark fails here."""
-    path = SRC.parent.parent / "perfbench" / "workloads.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+    """Each `tela.<name>(...)` call in perfbench/workloads.py and tools/*.py
+    binds to the signature of that name, by its positional count and keyword
+    names, so a signature change that would break the benchmark or a tool
+    fails here."""
+    root = SRC.parent.parent
+    paths = [root / "perfbench" / "workloads.py", *sorted(root.glob("tools/*.py"))]
     calls = [
-        node
-        for node in ast.walk(tree)
+        (path, node)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "tela"
     ]
-    assert calls, "perfbench/workloads.py makes no tela.<name>(...) call"
+    callers = {path.name for path, _ in calls}
+    assert {"workloads.py", "det_differential.py"} <= callers, callers
     broken = []
-    for call in calls:
-        where = f"workloads.py:{call.lineno}: tela.{call.func.attr}"
+    for path, call in calls:
+        where = f"{path.name}:{call.lineno}: tela.{call.func.attr}"
         if any(isinstance(arg, ast.Starred) for arg in call.args) or any(
             kw.arg is None for kw in call.keywords
         ):
@@ -159,4 +162,4 @@ def test_benchmark_calls_bind_to_the_library_signatures():
             )
         except (AttributeError, TypeError) as exc:
             broken.append(f"{where}: {exc}")
-    assert not broken, "benchmark calls that no longer bind:\n" + "\n".join(broken)
+    assert not broken, "calls that no longer bind:\n" + "\n".join(broken)

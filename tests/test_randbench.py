@@ -175,6 +175,15 @@ def test_parse_bench_config_errors():
         ("methods=product\n", "not available in gba pipeline"),
         ("pipeline=det\nmethods=cnf\n", "not available in det pipeline"),
         ("methods=cnf\nbaseline=remfin_rewrite\n", "baseline must be one of"),
+        ("seed=1\ntime_budget=nan\n", "^line 2: time_budget out of range"),
+        ("time_budget=inf\n", "^line 1: time_budget out of range"),
+        ("time_budget=0\n", "^line 1: time_budget out of range"),
+        ("time_budget=-1\n", "^line 1: time_budget out of range"),
+        ("state_budget=0\n", "^line 1: state_budget out of range"),
+        ("state_budget=-5\n", "^line 1: state_budget out of range"),
+        ("workers=0\n", "^line 1: workers out of range"),
+        ("instances=-2\n", "^line 1: instances out of range"),
+        ("validate_words=-1\n", "^line 1: validate_words out of range"),
     ]
     for text, fragment in cases:
         with pytest.raises(BenchError, match=fragment):
@@ -193,6 +202,31 @@ def test_run_benchmark_fig2_family():
         assert all(report.results[i][m]["status"] == "ok" for m in GBA_METHODS)
     assert list(report.ratios) == ["all"]
     assert report.ratios["all"]["cnf"] == {"states": 1.0, "time": 1.0, "marks": 1.0}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_benchmark_stops_each_method_at_its_time_budget(workers):
+    """Determinizations that run for seconds uncapped stop at the 0.05 s
+    budget, in this process and in pool workers alike."""
+    cfg = parse_bench_config(
+        "pipeline=det\nfamily=dnf\ninstances=2\nstates=5\nmarks=4\nap=2\n"
+        "density=0.4\nmark_prob=0.3\nseed=1\ntime_budget=0.05\n"
+        f"state_budget=1000000\nworkers={workers}\n"
+    )
+    records = [r for row in run_benchmark(cfg).results for r in row.values()]
+    assert any(r["status"] == "timeout" for r in records)
+    assert all(r["time"] <= cfg.time_budget + 0.5 for r in records)
+
+
+def test_run_benchmark_records_a_gba_timeout():
+    """cnf's 2^12 acceptance sets take longer than the budget."""
+    cfg = parse_bench_config(
+        "pipeline=gba\nfamily=fig2\nfig2=12..12\ntime_budget=0.002\n"
+        "validate_words=2\n"
+    )
+    (row,) = run_benchmark(cfg).results
+    assert row["cnf"]["status"] == "timeout"
+    assert all(r["time"] <= cfg.time_budget + 0.5 for r in row.values())
 
 
 def test_run_benchmark_random_family():
