@@ -56,6 +56,25 @@ class BenchError(TelaError):
     pass
 
 
+# The ranges of random_tela's size and probability arguments, as (lowest,
+# highest, whether the lowest itself is allowed); parse_bench_config checks
+# the keys that set these arguments against the same ranges.
+RANDOM_RANGES = {
+    "n_states": (4, 50, True),
+    "n_marks": (1, 16, True),
+    "edge_density": (0, 1, False),
+    "mark_prob": (0, 1, True),
+    "n_ap": (1, MAX_AP, True),
+}
+
+
+def _in_range(arg: str, value) -> bool:
+    """Whether `value` lies in the range of random_tela's argument `arg`;
+    NaN lies in none."""
+    lo, hi, closed = RANDOM_RANGES[arg]
+    return (lo <= value if closed else lo < value) and value <= hi
+
+
 def random_tela(
     n_states: int,
     n_marks: int,
@@ -66,18 +85,18 @@ def random_tela(
     n_ap: int = 2,
 ) -> Tela:
     """Seeded random TELA; identical arguments give identical automata."""
-    if not 4 <= n_states <= 50:
-        raise TelaError("n_states must be in [4, 50]")
-    if not 1 <= n_marks <= 16:
-        raise TelaError("n_marks must be in [1, 16]")
-    if not 0 < edge_density <= 1:
-        raise TelaError("edge_density must be in (0, 1]")
-    if not 0 <= mark_prob <= 1:
-        raise TelaError("mark_prob must be in [0, 1]")
+    for arg, value in (
+        ("n_states", n_states),
+        ("n_marks", n_marks),
+        ("edge_density", edge_density),
+        ("mark_prob", mark_prob),
+        ("n_ap", n_ap),
+    ):
+        if not _in_range(arg, value):
+            lo, hi, closed = RANDOM_RANGES[arg]
+            raise TelaError(f"{arg} must be in {'[' if closed else '('}{lo}, {hi}]")
     if acc not in ("random-el", "dnf"):
         raise TelaError("acc must be 'random-el' or 'dnf'")
-    if not 1 <= n_ap <= MAX_AP:
-        raise TelaError(f"n_ap must be in [1, {MAX_AP}]")
     if acc == "dnf" and n_marks < 4:
         raise TelaError("the dnf family needs at least 4 marks")
     rng = random.Random(seed)
@@ -221,14 +240,22 @@ def _parse_range(value: str, key: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_random_arg(key: str, value: str, arg: str, *numbers) -> None:
+    """Reject the config value of `key` when one of the numbers it sets lies
+    outside the range of random_tela's argument `arg`."""
+    if not all(_in_range(arg, x) for x in numbers):
+        raise ValueError(f"{key} out of range: {value}")
+
+
 # Keys that set one BenchConfig field to their converted value, with the
-# bound a budget or count must lie above, finite; None checks nothing.
+# bound a budget or count must lie above, finite, or the random_tela
+# argument whose range the value must lie in; None checks nothing.
 _FIELD_KEYS = {
     "instances": ("instances", int, 0),
     "seed": ("seed", int, None),
-    "marks": ("n_marks", int, None),
-    "ap": ("n_ap", int, None),
-    "mark_prob": ("mark_prob", float, None),
+    "marks": ("n_marks", int, "n_marks"),
+    "ap": ("n_ap", int, "n_ap"),
+    "mark_prob": ("mark_prob", float, "mark_prob"),
     "baseline": ("baseline", str, None),
     "time_budget": ("time_budget", float, 0),
     "state_budget": ("state_budget", int, 0),
@@ -255,9 +282,12 @@ def parse_bench_config(text: str) -> BenchConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         try:
             if key in _FIELD_KEYS:
-                name, convert, above = _FIELD_KEYS[key]
-                setattr(config, name, convert(value))
-                if above is not None and not above < getattr(config, name) < math.inf:
+                name, convert, bound = _FIELD_KEYS[key]
+                number = convert(value)
+                setattr(config, name, number)
+                if isinstance(bound, str):
+                    _check_random_arg(key, value, bound, number)
+                elif bound is not None and not bound < number < math.inf:
                     raise ValueError(f"{key} out of range: {value}")
             elif key == "pipeline":
                 if value not in ("gba", "det"):
@@ -269,8 +299,13 @@ def parse_bench_config(text: str) -> BenchConfig:
                 config.family = value
             elif key == "states":
                 config.states_min, config.states_max = _parse_range(value, key)
+                _check_random_arg(
+                    key, value, "n_states", config.states_min, config.states_max
+                )
             elif key == "density":
                 config.edge_density = None if value == "auto" else float(value)
+                if value != "auto":
+                    _check_random_arg(key, value, "edge_density", config.edge_density)
             elif key == "fig2":
                 config.fig2_min, config.fig2_max = _parse_range(value, key)
             elif key == "methods":

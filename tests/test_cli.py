@@ -319,6 +319,10 @@ def test_bad_inputs_exit_3(tmp_path, capsys):
     assert main(["bench", "--config", str(cfg)]) == 3
     assert "pipeline" in capsys.readouterr().err
 
+    cfg.write_text("seed=1\nmarks=0\n")
+    assert main(["bench", "--config", str(cfg)]) == 3
+    assert "error: line 2: marks out of range: 0" in capsys.readouterr().err
+
 
 def test_deep_nesting_exits_3_with_line(tmp_path, capsys):
     depth = 5000

@@ -184,6 +184,18 @@ def test_parse_bench_config_errors():
         ("workers=0\n", "^line 1: workers out of range"),
         ("instances=-2\n", "^line 1: instances out of range"),
         ("validate_words=-1\n", "^line 1: validate_words out of range"),
+        ("seed=1\nmarks=0\n", "^line 2: marks out of range: 0$"),
+        ("marks=17\n", "^line 1: marks out of range: 17$"),
+        ("states=1..3\n", "^line 1: states out of range: 1..3$"),
+        ("states=4..51\n", "^line 1: states out of range: 4..51$"),
+        ("ap=0\n", "^line 1: ap out of range: 0$"),
+        ("ap=9\n", "^line 1: ap out of range: 9$"),
+        ("mark_prob=2\n", "^line 1: mark_prob out of range: 2$"),
+        ("mark_prob=-0.5\n", "^line 1: mark_prob out of range: -0.5$"),
+        ("mark_prob=nan\n", "^line 1: mark_prob out of range: nan$"),
+        ("density=0\n", "^line 1: density out of range: 0$"),
+        ("density=1.5\n", "^line 1: density out of range: 1.5$"),
+        ("density=nan\n", "^line 1: density out of range: nan$"),
     ]
     for text, fragment in cases:
         with pytest.raises(BenchError, match=fragment):
