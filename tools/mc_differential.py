@@ -1,0 +1,151 @@
+"""Differential of the model-checking answers between a parent and a change
+source tree, on the perfbench `mc` inputs.
+
+Run from anywhere, with two checkouts (each holding src/ and perfbench/):
+
+    python3 tools/mc_differential.py --parent ../parent --change . \\
+        --count 300 --seed 3
+
+Each tree answers the first COUNT inputs of perfbench's `mc` generator at
+`random.Random(SEED)` in its own process, with the calls the workload's item
+makes: `pr_max_tela` on the MDP and the automaton, and `qualitative_positive`
+on `build_ld` of the automaton.  It also records the sizes of the automata
+those answers go through: the good-for-MDP automaton `build_gfm`, the
+quotient `bisim_quotient(complete(...))` that `pr_max_tela` multiplies with
+the MDP, the limit-deterministic `build_ld` and its quotient.  The report,
+one JSON object on standard output, gives:
+
+- the sum of each size over the inputs, per tree, and on how many inputs
+  the change's size grew or shrank;
+- the largest difference between the two trees' `pr_max_tela` values;
+- the mismatches: inputs whose `pr_max_tela` values differ by more than
+  TOLERANCE or whose qualitative answers differ;
+- the crashes: every exception a tree raised, by input, call and type.
+
+The command exits 1 on any mismatch or crash, or on inputs that differ
+between the trees.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+TOLERANCE = 1e-9
+SIZES = ("gfm", "gfm_quotient", "ld", "ld_quotient")
+
+
+def worker(count: int, seed: int) -> dict:
+    """Run in a tree's own process: each input's digest, answers and sizes,
+    or the name of the exception a call raised.  The library and the
+    workloads come from the tree's own paths, set in its environment."""
+    import tela
+    import workloads
+
+    def attempt(row: dict, key: str, call):
+        try:
+            row[key] = call()
+        except Exception as exc:  # any failure is reported by type
+            row[key] = {"error": type(exc).__name__}
+        return row[key]
+
+    rows = []
+    for mdp_text, aut_text in workloads.mc_generate(random.Random(seed), count):
+        m = tela.parse_mdp(mdp_text)
+        a = tela.parse_hoa(aut_text)
+        dnf = tela.ensure_dnf(a)
+        digest = hashlib.sha256(f"{mdp_text}\n{aut_text}".encode()).hexdigest()
+        row = {"input": digest}
+        attempt(row, "pr", lambda: tela.pr_max_tela(m, a))
+        gfm = attempt(row, "gfm", lambda: tela.build_gfm(dnf))
+        if isinstance(gfm, tela.Tela):
+            row["gfm_quotient"] = tela.bisim_quotient(tela.complete(gfm)).n_states
+            row["gfm"] = gfm.n_states
+        ld = attempt(row, "ld", lambda: tela.build_ld(dnf))
+        if isinstance(ld, tela.Tela):
+            attempt(row, "positive", lambda: tela.qualitative_positive(m, ld))
+            row["ld_quotient"] = tela.bisim_quotient(ld).n_states
+            row["ld"] = ld.n_states
+        rows.append(row)
+    return {"rows": rows}
+
+
+def run_tree(tree: Path, count: int, seed: int) -> subprocess.Popen:
+    env = dict(os.environ)
+    paths = [str(tree / "src"), str(tree / "perfbench")]
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    cmd = [sys.executable, __file__, "--worker", str(count), str(seed)]
+    return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
+
+
+def compare(parent: dict, change: dict) -> dict:
+    """The report for two workers' results."""
+    report = {
+        "items": len(change["rows"]),
+        "sizes": {key: {"parent": 0, "change": 0} for key in SIZES},
+        "grew": dict.fromkeys(SIZES, 0),
+        "shrank": dict.fromkeys(SIZES, 0),
+        "pr_max_diff": 0.0,
+        "mismatches": [],
+        "crashes": [],
+        "input_mismatches": 0,
+    }
+    for i, (p_row, c_row) in enumerate(zip(parent["rows"], change["rows"])):
+        if p_row["input"] != c_row["input"]:
+            report["input_mismatches"] += 1
+            continue
+        crashed = False
+        for side, row in (("parent", p_row), ("change", c_row)):
+            for key, got in row.items():
+                if isinstance(got, dict):
+                    report["crashes"].append([side, i, key, got["error"]])
+                    crashed = True
+        if crashed:
+            continue
+        for key in SIZES:
+            p, c = p_row[key], c_row[key]
+            report["sizes"][key]["parent"] += p
+            report["sizes"][key]["change"] += c
+            report["grew"][key] += c > p
+            report["shrank"][key] += c < p
+        diff = abs(p_row["pr"] - c_row["pr"])
+        report["pr_max_diff"] = max(report["pr_max_diff"], diff)
+        if diff > TOLERANCE:
+            report["mismatches"].append([i, "pr", p_row["pr"], c_row["pr"]])
+        if p_row["positive"] != c_row["positive"]:
+            report["mismatches"].append([i, "positive", p_row["positive"], c_row["positive"]])
+    return report
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--count", type=int, default=300)
+    parser.add_argument("--seed", type=int, default=3)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    procs = {side: run_tree(tree, args.count, args.seed) for side, tree in trees.items()}
+    texts = {side: proc.communicate()[0] for side, proc in procs.items()}
+    for side, proc in procs.items():
+        if proc.returncode != 0:
+            raise SystemExit(f"error: the {side} tree's worker exited with {proc.returncode}")
+    results = {side: json.loads(text) for side, text in texts.items()}
+    report = compare(results["parent"], results["change"])
+    report = {"count": args.count, "seed": args.seed, **report}
+    print(json.dumps(report, indent=1))
+    bad = report["mismatches"] or report["crashes"] or report["input_mismatches"]
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        json.dump(worker(int(sys.argv[2]), int(sys.argv[3])), sys.stdout)
+        sys.exit(0)
+    sys.exit(main())
