@@ -28,6 +28,38 @@ Level 0 breaks immediately; level l waits until B covers R.  The single
 output mark sits on break transitions.  R, B and the subsets of build_gfm
 are state bitmasks, whose successors `core.image` takes from one
 `core.post_masks` table per breakpoint level and one for the subsets.
+
+Each component tracks live states only.  A state is live for a disjunct
+when it reaches, over the transitions that avoid the disjunct's Fin marks,
+a strongly connected component whose inside transitions meet every Inf set
+(for a disjunct with no Inf set, any component with a transition inside):
+`_live_mask` runs one `core.scc_split` on those transitions and one
+`core.reach` over their backward adjacency.  A component is seeded with
+R & live, a bridge whose R & live is empty is dropped, and every step ANDs
+R, the hits and B with the mask.  This keeps the language:
+
+- A dead state has only dead successors, so the trimmed R after any word
+  is the untrimmed R after that word, intersected with the live states.
+- B at a step of a level phase holds the states of R reached from R at the
+  phase's start by a path over a transition of the level's Inf set.  Every
+  path into a live state stays in live states, so the trimmed B holds at
+  least the untrimmed B's live part, and a phase that started earlier
+  covers at least as much.  When the untrimmed component accepts a word,
+  an accepting run from its seed exists and stays live, so the trimmed R
+  never empties, and by induction its j-th break comes no later than the
+  untrimmed one's: the trimmed component accepts every word the untrimmed
+  one accepts.
+- A break means that every state of R has a path back to the previous
+  break through the level's Inf set.  Breaking infinitely often, by
+  König's lemma, gives one run from the seed that avoids Fin and visits
+  every Inf set infinitely often: the trimmed component accepts only words
+  with an accepting run from its seed, as the untrimmed one does.
+
+So build_ld and build_gfm accept the language of their input, as before.
+A GFM product cannot exceed Pr(L), since it accepts only words of L, and
+cannot fall below it: every strategy of the untrimmed product, with each
+jump into R taken into R & live, accepts at least as often in the trimmed
+one, and a jump into a seed with no live state accepted nothing anyway.
 """
 
 from __future__ import annotations
@@ -35,7 +67,7 @@ from __future__ import annotations
 from functools import reduce
 
 from .acceptance import Inf, dnf_structure, to_dnf
-from .analysis import _lasso
+from .analysis import _dst, _lasso
 from .core import (
     Lasso,
     Tela,
@@ -46,7 +78,9 @@ from .core import (
     flatten_edges,
     image,
     post_masks,
+    reach,
     reachable,
+    scc_split,
     sum_automata,
 )
 from .determinize import disjunct_determinizations
@@ -107,14 +141,37 @@ def limit_det_sum(a: Tela, state_cap: int | None = None) -> Tela:
 _BpState = tuple[int, int, int]
 
 
+def _live_mask(a: Tela, fin: int, infs: tuple[int, ...]) -> int:
+    """The states that reach, over transitions avoiding `fin`, a strongly
+    connected component whose inside transitions meet every set of `infs`,
+    as a bitmask: the states with an accepting run for the disjunct."""
+    free = [t for t in a.transitions if not t[3] & fin]
+    seeds: list[int] = []
+    for nodes, inside in scc_split(free, _dst):
+        marks = 0
+        for t in inside:
+            marks |= t[3]
+        if all(marks & s for s in infs):
+            seeds.extend(nodes)
+    back: dict[int, list[int]] = {}
+    for s, _, d, _ in free:
+        back.setdefault(d, []).append(s)
+    live = 0
+    for q in reach(seeds, back):
+        live |= 1 << q
+    return live
+
+
 def _breakpoint_explore(
-    a: Tela, fin: int, infs: tuple[int, ...], seed_sets: list[int]
+    a: Tela, fin: int, infs: tuple[int, ...], seed_sets: list[int], live: int
 ) -> tuple[list[_BpState], tuple[Transition, ...]]:
-    """Deterministic breakpoint exploration over Fin-deleted transitions.
+    """Deterministic breakpoint exploration over Fin-deleted transitions,
+    restricted to the states of the bitmask `live`.
 
     Returns the discovered (R, B, l) states, R and B state bitmasks, seeded
-    from (R, 0, 0) for each given R, and the internal transitions, marked 1
-    where they break.  Transitions with an empty successor set are omitted.
+    from (R & live, 0, 0) for each given R with a live state, and the
+    internal transitions, marked 1 where they break.  Transitions with an
+    empty successor set are omitted.
     """
     k = len(infs)
     # tables[l][letter][q]: q's successors over Fin-deleted transitions, and
@@ -125,18 +182,20 @@ def _breakpoint_explore(
         r, b, level = state
         for letter, row in enumerate(tables[level]):
             r2, hits = image(row, r)
+            r2 &= live
             if not r2:
                 continue
             if level == 0:
                 yield letter, number((r2, 0, 1 % (k + 1))), 1
                 continue
-            b2 = hits | image(row, b)[0]
+            b2 = (hits | image(row, b)[0]) & live
             if b2 == r2:
                 yield letter, number((r2, 0, (level + 1) % (k + 1))), 1
             else:
                 yield letter, number((r2, b2, level)), 0
 
-    order, edges = explore([(r, 0, 0) for r in seed_sets], expand)
+    seeds = [(r & live, 0, 0) for r in seed_sets if r & live]
+    order, edges = explore(seeds, expand)
     return order, flatten_edges(edges)
 
 
@@ -149,14 +208,19 @@ def _add_breakpoint_parts(
 ) -> int:
     """Append one breakpoint component per DNF disjunct, numbered from
     `offset`, and a transition (src, letter) into each component's seed
-    (R, 0, 0) for every bridge (src, letter, R); returns the state count."""
+    (R & live, 0, 0) for every bridge (src, letter, R) whose R holds a
+    state live for the disjunct; returns the state count."""
     for disjunct in dnf_structure(a.acceptance).disjuncts:
-        order, trans = _breakpoint_explore(a, disjunct.fin, disjunct.infs, seeds)
+        live = _live_mask(a, disjunct.fin, disjunct.infs)
+        order, trans = _breakpoint_explore(
+            a, disjunct.fin, disjunct.infs, seeds, live
+        )
         index = {state: offset + j for j, state in enumerate(order)}
         for si, letter, di, brk in trans:
             transitions.append((offset + si, letter, offset + di, brk))
         for src, letter, r in bridges:
-            transitions.append((src, letter, index[(r, 0, 0)], 0))
+            if r & live:
+                transitions.append((src, letter, index[(r & live, 0, 0)], 0))
         offset += len(order)
     return offset
 

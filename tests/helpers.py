@@ -23,7 +23,7 @@ from tela import (
 )
 from tela.acceptance import dnf_structure
 from tela.core import image, post_masks
-from tela.limitdet import _add_breakpoint_parts, _breakpoint_explore
+from tela.limitdet import _add_breakpoint_parts, _breakpoint_explore, _live_mask
 
 
 def example_automaton() -> Tela:
@@ -186,13 +186,16 @@ def shifted_from(a: Tela, first: int, k: int) -> Tela:
 
 def breakpoint_automaton(a: Tela) -> Tela:
     """The breakpoint component of the first DNF disjunct alone, seeded with
-    the initial state set: deterministic, Buchi on its break transitions."""
+    the initial state set: deterministic, Buchi on its break transitions,
+    and a lone state with no transition when no initial state is live for
+    the disjunct."""
     d = dnf_structure(a.acceptance).disjuncts[0]
     seed = sum(1 << q for q in a.initial)
-    order, transitions = _breakpoint_explore(a, d.fin, d.infs, [seed])
+    live = _live_mask(a, d.fin, d.infs)
+    order, transitions = _breakpoint_explore(a, d.fin, d.infs, [seed], live)
     return Tela(
         ap=a.ap,
-        n_states=len(order),
+        n_states=max(1, len(order)),
         initial=frozenset({0}),
         transitions=transitions,
         acceptance=Inf(1),

@@ -14,7 +14,8 @@ step is recomputed with Python sets of node names and per-state images, and
 the states on an accepting cycle, which Safra's child labels keep, come from
 one depth-first search per state.
 Determinism and completeness compare transitions pairwise and slot by slot,
-and the breakpoint exploration runs on frozensets with its own numbering.
+and the breakpoint exploration runs on frozensets with its own numbering,
+restricted to the states that one emptiness check per state finds live.
 Strong bisimulation is the greatest fixpoint of a relation over state pairs,
 shrunk pair by pair, with no partition refinement; direct simulation under
 generalized-Buchi acceptance is shrunk the same way, comparing the sets of
@@ -509,13 +510,37 @@ def oracle_limit_det(a: Tela) -> bool:
     return oracle_empty(restricted)
 
 
-def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):
+def oracle_breakpoint_live(a: Tela, fin: int, infs) -> frozenset[int]:
+    """The states with an accepting run for the disjunct Fin(fin) & Inf(s)
+    for each s of `infs`: per state, `oracle_empty` on the transitions that
+    avoid `fin`, from that state alone, under the conjunction of the Inf
+    atoms (true when there is none)."""
+    free = tuple(t for t in a.transitions if not t[3] & fin)
+    condition = And(tuple(Inf(s) for s in infs))
+    return frozenset(
+        q
+        for q in range(a.n_states)
+        if not oracle_empty(
+            Tela(
+                ap=a.ap,
+                n_states=a.n_states,
+                initial=frozenset({q}),
+                transitions=free,
+                acceptance=condition,
+                n_marks=a.n_marks,
+            )
+        )
+    )
+
+
+def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets, live):
     """Breakpoint exploration with frozenset state sets and its own
-    breadth-first numbering: the (R, B, l) states, seeded from (R, {}, l=0)
-    for each R of `seed_sets`, and the (src, letter, dst, break flag)
-    transitions.  Same rules as `limitdet._breakpoint_explore`, with the
-    successors of each state looked up per (state, letter) among the
-    transitions that avoid `fin`."""
+    breadth-first numbering: the (R, B, l) states, seeded from
+    (R & live, {}, l=0) for each R of `seed_sets` that meets the set `live`,
+    and the (src, letter, dst, break flag) transitions.  Same rules as
+    `limitdet._breakpoint_explore`, with the successors of each state looked
+    up per (state, letter) among the transitions that avoid `fin`, and every
+    set of successors cut down to `live`."""
     k = len(infs)
     by_src = {}
     for s, letter, d, marks in a.transitions:
@@ -525,9 +550,10 @@ def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):
     order = []
     index = {}
     for r in seed_sets:
-        if (r, empty, 0) not in index:
-            index[(r, empty, 0)] = len(order)
-            order.append((r, empty, 0))
+        key = (r & live, empty, 0)
+        if key[0] and key not in index:
+            index[key] = len(order)
+            order.append(key)
     trans = []
     pos = 0
     while pos < len(order):
@@ -540,6 +566,7 @@ def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):
                     r2.add(d)
                     if marks & marked:
                         hits.add(d)
+            r2 &= live
             if not r2:
                 continue
             if level == 0:
@@ -548,6 +575,7 @@ def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets):
                 b2 = set(hits)
                 for q in b:
                     b2.update(d for d, _ in by_src.get((q, letter), ()))
+                b2 &= live
                 if b2 == r2:
                     key, brk = (frozenset(r2), empty, (level + 1) % (k + 1)), True
                 else:

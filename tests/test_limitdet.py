@@ -36,7 +36,13 @@ from tela.determinize import (
     safra_determinize,
 )
 from tela.core import _SparseRow, complete, post_masks
-from tela.limitdet import GFM_STATE_LIMIT, _breakpoint_explore, limit_det_violation
+from tela.limitdet import (
+    GFM_STATE_LIMIT,
+    _add_breakpoint_parts,
+    _breakpoint_explore,
+    _live_mask,
+    limit_det_violation,
+)
 from tela.transforms import ensure_dnf, to_gba
 
 from helpers import (
@@ -49,6 +55,7 @@ from oracles import (
     eval_marks,
     oracle_accepts,
     oracle_breakpoint_explore,
+    oracle_breakpoint_live,
     oracle_limit_det,
     oracle_nondet_part,
     random_word,
@@ -211,9 +218,13 @@ def test_breakpoint_explore_invariants():
         seeds = [1 << q for q in range(a.n_states)]
         for disjunct in dnf.disjuncts:
             k = len(disjunct.infs)
-            order, trans = _breakpoint_explore(a, disjunct.fin, disjunct.infs, seeds)
+            live = _live_mask(a, disjunct.fin, disjunct.infs)
+            order, trans = _breakpoint_explore(
+                a, disjunct.fin, disjunct.infs, seeds, live
+            )
             for r, b, level in order:
                 assert r
+                assert not r & ~live
                 assert not b & ~r
                 assert 0 <= level <= k
             for si, _, di, brk in trans:
@@ -231,7 +242,38 @@ def mask(states):
     return sum(1 << q for q in states)
 
 
+def test_live_mask_matches_the_oracle():
+    """`_live_mask` against one emptiness check per state, for every DNF
+    disjunct and two disjuncts with no Inf set, on random_tela inputs and
+    on small random automata."""
+    rng = random.Random(455)
+    inputs = [
+        random_tela(
+            n_states=4,
+            n_marks=3,
+            edge_density=rng.choice((0.2, 0.3, 0.5)),
+            mark_prob=0.3,
+            seed=rng.randrange(2**32),
+            n_ap=1,
+        )
+        for _ in range(30)
+    ] + [random_dnf_automaton(rng, n_marks=3, ap=("a",)) for _ in range(30)]
+    dead = 0
+    for a in inputs:
+        disjuncts = list(to_dnf(a.acceptance).disjuncts) + [
+            DnfDisjunct(0, ()),
+            DnfDisjunct(1 << rng.randrange(3), ()),
+        ]
+        for d in disjuncts:
+            want = mask(oracle_breakpoint_live(a, d.fin, d.infs))
+            assert _live_mask(a, d.fin, d.infs) == want
+            dead += bin(want).count("1") < a.n_states
+    assert dead > 50
+
+
 def test_breakpoint_explore_matches_oracle():
+    """The exploration against the oracle's, both cut down to the live
+    states and over every state."""
     rng = random.Random(454)
     for _ in range(60):
         a = random_dnf_automaton(rng, n_marks=3, ap=("a", "b")[: rng.randint(1, 2)])
@@ -247,10 +289,14 @@ def test_breakpoint_explore_matches_oracle():
         ]
         masks = [mask(r) for r in seeds]
         for d in disjuncts:
-            want_order, want_trans = oracle_breakpoint_explore(a, d.fin, d.infs, seeds)
-            order, trans = _breakpoint_explore(a, d.fin, d.infs, masks)
-            assert order == [(mask(r), mask(b), level) for r, b, level in want_order]
-            assert trans == tuple((s, l, t, int(brk)) for s, l, t, brk in want_trans)
+            live = oracle_breakpoint_live(a, d.fin, d.infs)
+            for kept in (live, frozenset(states)):
+                want_order, want_trans = oracle_breakpoint_explore(
+                    a, d.fin, d.infs, seeds, kept
+                )
+                order, trans = _breakpoint_explore(a, d.fin, d.infs, masks, mask(kept))
+                assert order == [(mask(r), mask(b), level) for r, b, level in want_order]
+                assert trans == tuple((s, l, t, int(brk)) for s, l, t, brk in want_trans)
 
 
 def test_breakpoint_component_universal_loop():

@@ -32,7 +32,7 @@ from tela import (
     reference_pr_max,
 )
 from tela.acceptance import dnf_structure, to_dnf
-from tela.limitdet import canonical_partition, limit_det_violation
+from tela.limitdet import _add_breakpoint_parts, canonical_partition, limit_det_violation
 from tela.mdp import MdpAction, _accepting_mecs, _explore_product, _max_reach
 
 from helpers import (
@@ -550,6 +550,42 @@ def test_quotiented_pipeline_matches_the_oracle_between_0_and_1():
             strictly_between += 0 < want < 1
     assert compared >= 350
     assert strictly_between >= 100
+
+
+def test_breakpoint_components_leave_out_a_dead_trap():
+    """State 0 loops marked on a and also moves on a into an unmarked trap,
+    the only state with a transition on !a.  The trap is dead: no
+    breakpoint state of build_ld or build_gfm holds it, so none has a !a
+    transition, and a seed of dead states alone gives no component.  The
+    language is a^w, and pr_max_tela still matches the exact oracle."""
+    trap = Tela(
+        ap=("a",),
+        n_states=2,
+        initial=frozenset({0}),
+        transitions=((0, 1, 0, 1), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 1, 0)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    # build_ld keeps the input in front; build_gfm's subsets {0}, {0,1} and
+    # {1} come first.  Each component is the two states of the seed {0}.
+    for built, front in ((build_ld(trap), 2), (build_gfm(trap), 3)):
+        assert built.n_states == front + 2
+        assert not any(s >= front and letter == 0 for s, letter, _, _ in built.transitions)
+    transitions = []
+    assert _add_breakpoint_parts(trap, [0b10], [(0, 1, 0b10)], transitions, 2) == 2
+    assert transitions == []
+    m = parse_mdp(
+        "states 3\nlabel 0 {a}\nlabel 1 {a}\nlabel 2 {}\n"
+        "trans 0 x 1 1/3\ntrans 0 x 2 2/3\ntrans 0 y 2 1\n"
+        "trans 1 stay 1 1\ntrans 2 stay 2 1\n"
+    )
+    p = mdp_product(m, complete(build_gfm(trap)))
+    target = set()
+    for mec in _accepting_mecs(p.actions, to_dnf(p.acceptance)):
+        target |= mec.states
+    want = oracle_max_reach(*reach_question(p.actions, p.initial, target))
+    assert want == Fraction(1, 3)
+    assert abs(pr_max_tela(m, trap) - float(want)) <= 1e-9
 
 
 def test_qualitative_positive_is_the_same_without_the_quotient():
