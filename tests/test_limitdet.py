@@ -299,6 +299,38 @@ def test_breakpoint_explore_matches_oracle():
                 assert trans == tuple((s, l, t, int(brk)) for s, l, t, brk in want_trans)
 
 
+def test_a_dead_run_no_longer_blocks_a_break():
+    """State 0 loops marked on a and unmarked on !a, and also moves on !a
+    into state 1, which loops unmarked on a and is dead.  From the seed {0}
+    on !a a^w, the untrimmed component keeps state 1 in R, which B never
+    covers, so it rejects; the trimmed one drops it and accepts the word,
+    which the input accepts too."""
+    a = Tela(
+        ap=("a",),
+        n_states=2,
+        initial=frozenset({0}),
+        transitions=((0, 1, 0, 1), (0, 0, 0, 0), (0, 0, 1, 0), (1, 1, 1, 0)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    live = _live_mask(a, 0, (1,))
+    assert live == 0b01
+    verdicts = []
+    for kept in (0b11, live):
+        order, trans = _breakpoint_explore(a, 0, (1,), [0b01], kept)
+        component = Tela(
+            ap=a.ap,
+            n_states=len(order),
+            initial=frozenset({0}),
+            transitions=trans,
+            acceptance=inf_(1),
+            n_marks=1,
+        )
+        verdicts.append(accepts(component, (0,), (1,)))
+    assert verdicts == [False, True]
+    assert oracle_accepts(a, (0,), (1,))
+
+
 def test_breakpoint_component_universal_loop():
     bc = breakpoint_automaton(universal_buchi())
     assert bc.n_states == 2
