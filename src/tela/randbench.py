@@ -283,11 +283,11 @@ def parse_bench_config(text: str) -> BenchConfig:
         try:
             if key in _FIELD_KEYS:
                 name, convert, bound = _FIELD_KEYS[key]
-                number = convert(value)
-                setattr(config, name, number)
+                converted = convert(value)
+                setattr(config, name, converted)
                 if isinstance(bound, str):
-                    _check_random_arg(key, value, bound, number)
-                elif bound is not None and not bound < number < math.inf:
+                    _check_random_arg(key, value, bound, converted)
+                elif bound is not None and not bound < converted < math.inf:
                     raise ValueError(f"{key} out of range: {value}")
             elif key == "pipeline":
                 if value not in ("gba", "det"):

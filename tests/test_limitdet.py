@@ -38,7 +38,6 @@ from tela.determinize import (
 from tela.core import _SparseRow, complete, post_masks
 from tela.limitdet import (
     GFM_STATE_LIMIT,
-    _add_breakpoint_parts,
     _breakpoint_explore,
     _live_mask,
     limit_det_violation,
