@@ -13,7 +13,8 @@ to the transitions in that slot; determinism, completeness, HOA printing,
 lasso membership and the products read it.  State sets are int bitmasks
 with bit q for state q: `post_masks` tabulates each state's successors per
 letter and `image` takes the union over a set, the one image kernel of the
-Safra, breakpoint and subset constructions.
+Safra, breakpoint and subset constructions; `closure` takes the states a
+bitmask reaches, given one successor bitmask per state.
 
 Constructions that explore a new state space on the fly number it through
 `explore`, which owns the numbering and the state cap; time is bounded once
@@ -32,7 +33,10 @@ states of the coarsest partition whose blocks agree on their sets of
 Moore minimization.  `simulation_reduce` is the one simulation kernel: on
 generalized-Buchi acceptance it merges the states that directly simulate
 each other and prunes the transitions and initial states that others
-strictly dominate.
+strictly dominate.  It makes one pass over the transitions, whose table of
+moves serves both the simulation fixpoint and the merge and prune step;
+that step visits only the merged states reached from the kept initial
+ones and emits their transitions already renumbered.
 """
 
 from __future__ import annotations
@@ -330,36 +334,45 @@ def sum_automata(a0: Tela, a1: Tela) -> Tela:
     )
 
 
-def sum_gba(a0: Tela, a1: Tela) -> Tela:
-    """Disjoint union of two generalized-Buchi automata, staying GBA.
+def sum_gba(*parts: Tela) -> Tela:
+    """Disjoint union of generalized-Buchi automata, staying GBA.
 
-    The shorter condition is padded with Inf over all own transitions until
-    both have k sets, then set j of the result marks a transition iff the
-    component's set j did (or the set is padding).  The result has exactly
-    k marks and acceptance /\\ Inf(j).
+    Each part's states follow those of the parts before it.  The shorter
+    conditions are padded with Inf over all own transitions until every
+    part has k sets, then set j of the result marks a transition iff its
+    part's set j did (or the set is padding).  The result has exactly k
+    marks and acceptance /\\ Inf(j); a single part is returned as it is.
     """
-    _require_same_ap(a0, a1)
-    sets0 = gba_marksets(a0.acceptance)
-    sets1 = gba_marksets(a1.acceptance)
-    if sets0 is None or sets1 is None:
-        raise TelaError("sum_gba requires generalized-Buchi acceptance on both inputs")
-    for name, a in (("first", a0), ("second", a1)):
+    if len(parts) == 1:
+        return parts[0]
+    if not parts:
+        raise TelaError("sum_gba needs at least one automaton")
+    for a in parts[1:]:
+        _require_same_ap(parts[0], a)
+    all_sets = [gba_marksets(a.acceptance) for a in parts]
+    if None in all_sets:
+        inputs = "both inputs" if len(parts) == 2 else "every input"
+        raise TelaError(f"sum_gba requires generalized-Buchi acceptance on {inputs}")
+    for i, a in enumerate(parts):
         if not is_complete(a):
+            name = ("first", "second", "third")[i] if i < 3 else f"#{i + 1}"
             raise TelaError(f"sum_gba requires complete automata; {name} input is not")
-    k = max(len(sets0), len(sets1), 1)
-
-    def renumber(a: Tela, sets: list[int], state_off: int) -> list[Transition]:
+    k = max(max(len(sets) for sets in all_sets), 1)
+    transitions: list[Transition] = []
+    initial: set[int] = set()
+    off = 0
+    for a, sets in zip(parts, all_sets):
         pad = (1 << k) - (1 << len(sets))
-        return [
-            (s + state_off, l, d + state_off, project_marks(m, sets) | pad)
-            for s, l, d, m in a.transitions
+        project = {m: project_marks(m, sets) | pad for m in {t[3] for t in a.transitions}}
+        transitions += [
+            (s + off, letter, d + off, project[m]) for s, letter, d, m in a.transitions
         ]
-
-    transitions = renumber(a0, sets0, 0) + renumber(a1, sets1, a0.n_states)
+        initial.update(q + off for q in a.initial)
+        off += a.n_states
     return Tela(
-        ap=a0.ap,
-        n_states=a0.n_states + a1.n_states,
-        initial=a0.initial | frozenset(q + a0.n_states for q in a1.initial),
+        ap=parts[0].ap,
+        n_states=off,
+        initial=frozenset(initial),
         transitions=tuple(transitions),
         acceptance=and_([Inf(1 << j) for j in range(k)]),
         n_marks=k,
@@ -544,6 +557,19 @@ def reach(seeds, adj: dict) -> set:
     return seen
 
 
+def closure(states: int, succ: list[int]) -> int:
+    """The states reachable from the bitmask `states`, as a bitmask, where
+    succ[q] is the bitmask of q's successors."""
+    todo = states
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = succ[low.bit_length() - 1] & ~states
+        states |= new
+        todo |= new
+    return states
+
+
 def _components(adj: dict) -> dict:
     """Strongly connected components of a digraph, one iterative Tarjan pass.
 
@@ -707,69 +733,68 @@ def simulation_reduce(g: Tela) -> Tela:
     an initial state is dropped when another initial state strictly
     simulates it.  The states still reachable are kept, in order of their
     smallest member, with the acceptance and the mark count.
+
+    The moves that `_direct_simulation` tabulates in its one pass over the
+    transitions serve the merge and the pruning too, which visit only the
+    merged states reached from the kept initial ones, breadth first.
     """
     sets = gba_marksets(g.acceptance)
     if sets is None:
         raise TelaError("simulation reduction needs generalized-Buchi acceptance")
-    sim = _direct_simulation(g, sets)
+    sim, moves, above = _direct_simulation(g, sets)
+    shift = len(sets)
     # cls[q]: the smallest state that simulates q and that q simulates.
     cls = []
-    for q, above in enumerate(sim):
-        while not sim[(above & -above).bit_length() - 1] >> q & 1:
-            above &= above - 1
-        cls.append((above & -above).bit_length() - 1)
-    merged = {(cls[s], letter, cls[d], marks) for s, letter, d, marks in g.transitions}
-    met = {marks: project_marks(marks, sets) for marks in {t[3] for t in merged}}
-    # slots[s, letter][sets met]: the targets of the merged transitions.
-    slots: dict[tuple[int, int], dict[int, int]] = {}
-    for s, letter, d, marks in merged:
-        row = slots.setdefault((s, letter), {})
-        row[met[marks]] = row.get(met[marks], 0) | 1 << d
-    # tops[s, letter][m]: the targets on sets including m, and on sets
-    # strictly including m.
-    tops = {}
-    for key, row in slots.items():
-        tops[key] = top = {}
-        for m, targets in row.items():
-            above = 0
-            for m2, targets2 in row.items():
-                if m2 != m and not m & ~m2:
-                    above |= targets2
-            top[m] = (above | targets, above)
-    kept = []
-    for t in merged:
-        s, letter, d, marks = t
-        wider, stricter = tops[s, letter][met[marks]]
-        if not (wider & sim[d] & ~(1 << d) or stricter >> d & 1):
-            kept.append(t)
+    members: dict[int, list[int]] = {}
+    for q, up in enumerate(sim):
+        while not sim[(up & -up).bit_length() - 1] >> q & 1:
+            up &= up - 1
+        cls.append((up & -up).bit_length() - 1)
+        members.setdefault(cls[q], []).append(q)
     initial = {cls[q] for q in g.initial}
     initial = {
         i for i in initial if not any(j != i and sim[i] >> j & 1 for j in initial)
     }
-    return _reachable_part(g.ap, initial, kept, g.acceptance, g.n_marks)
-
-
-def _reachable_part(ap, initial, transitions, acceptance, n_marks) -> Tela:
-    """The automaton on the states reachable from `initial` over
-    `transitions`, renumbered in ascending order, with the transitions
-    whose source is kept."""
-    order = sorted(reachable(initial, ((s, d) for s, _, d, _ in transitions)))
-    number = {q: i for i, q in enumerate(order)}
+    order = sorted(initial)
+    seen = set(initial)
+    kept = []
+    for s in order:
+        # targets[c]: the merged targets of s's moves on code c.
+        targets: dict[int, int] = {}
+        for q in members[s]:
+            for c, d, _ in moves[q]:
+                targets[c] = targets.get(c, 0) | 1 << cls[d]
+        # tops[c]: the targets on codes dominating c, and on codes strictly
+        # dominating it.
+        tops = {}
+        for c, own in targets.items():
+            stricter = 0
+            for b in above[c][1:]:
+                stricter |= targets.get(b, 0)
+            tops[c] = (stricter | own, stricter)
+        for q in members[s]:
+            for c, d, marks in moves[q]:
+                d = cls[d]
+                wider, stricter = tops[c]
+                if not (wider & sim[d] & ~(1 << d) or stricter >> d & 1):
+                    kept.append((s, c >> shift, d, marks))
+                    if d not in seen:
+                        seen.add(d)
+                        order.append(d)
+    number = {q: i for i, q in enumerate(sorted(order))}
     return Tela(
-        ap=ap,
+        ap=g.ap,
         n_states=len(number),
         initial=frozenset(number[q] for q in initial),
         transitions=tuple(
-            (number[s], letter, number[d], marks)
-            for s, letter, d, marks in transitions
-            if s in number
+            (number[s], letter, number[d], marks) for s, letter, d, marks in kept
         ),
-        acceptance=acceptance,
-        n_marks=n_marks,
+        acceptance=g.acceptance,
+        n_marks=g.n_marks,
     )
 
 
-def _direct_simulation(a: Tela, sets) -> list[int]:
+def _direct_simulation(a: Tela, sets) -> tuple[list[int], list, dict]:
     """sim[q]: the bitmask of the states that directly simulate q, where a
     transition's marks count only through the acceptance sets `sets` they
     meet.  The greatest fixpoint, in worklist form.
@@ -781,48 +806,70 @@ def _direct_simulation(a: Tela, sets) -> list[int]:
     dominating move into one of p's simulators, and recomputes them only
     when its own set shrinks; a round re-checks only the predecessors of the
     states whose sets shrank in the round before.
+
+    One pass over the transitions tabulates each state's moves, as (code,
+    target, marks) triples, and per code the sources of its moves into each
+    state.  Returns sim with the moves and above[c], the codes that
+    dominate code c, c first.
     """
     n = a.n_states
     shift = len(sets)
-    met = {m: project_marks(m, sets) for m in {t[3] for t in a.transitions}}
-    moves: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+    met: dict[int, int] = {}
+    moves: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    # pre[c][p]: the states with a move of code c into p.
+    pre: dict[int, list[int]] = {}
     for s, letter, d, marks in a.transitions:
-        moves[s].add((letter << shift | met[marks], d))
-    codes = {c for out in moves for c, _ in out}
-    below = {
-        c: [b for b in codes if b >> shift == c >> shift and not b & ~c]
-        for c in codes
+        m = met.get(marks)
+        if m is None:
+            m = met[marks] = project_marks(marks, sets)
+        c = letter << shift | m
+        moves[s].append((c, d, marks))
+        col = pre.get(c)
+        if col is None:
+            col = pre[c] = [0] * n
+        col[d] |= 1 << s
+    above = {
+        c: [c] + [b for b in pre if b != c and b >> shift == c >> shift and not c & ~b]
+        for c in pre
     }
-    # holders[c]: the states with a move dominating c; pre[c][p]: those
-    # with one into p; into[p]: the codes of the moves into p.
-    holders = dict.fromkeys(codes, 0)
-    pre = {c: [0] * n for c in codes}
-    into: list[set[int]] = [set() for _ in range(n)]
-    preds: list[set[int]] = [set() for _ in range(n)]
-    for s, out in enumerate(moves):
-        for c, d in out:
-            into[d].add(c)
-            preds[d].add(s)
-            for b in below[c]:
-                holders[b] |= 1 << s
-                pre[b][d] |= 1 << s
+    # dom[c][p]: the states with a move into p whose code dominates c;
+    # holders[c]: the states with any such move.
+    dom: dict[int, list[int]] = {}
+    holders: dict[int, int] = {}
+    for c, up in above.items():
+        col = pre[c]
+        for b in up[1:]:
+            col = [x | y for x, y in zip(col, pre[b])]
+        dom[c] = col
+        acc = 0
+        for x in col:
+            acc |= x
+        holders[c] = acc
+    # into[p]: the codes of the moves into p; preds[p]: their sources.
+    into: list[list[int]] = [[] for _ in range(n)]
+    preds = [0] * n
+    for c, col in pre.items():
+        for p, sources in enumerate(col):
+            if sources:
+                into[p].append(c)
+                preds[p] |= sources
     sim = []
     for out in moves:
-        above = (1 << n) - 1
-        for c, _ in out:
-            above &= holders[c]
-        sim.append(above)
+        up = (1 << n) - 1
+        for c, _, _ in out:
+            up &= holders[c]
+        sim.append(up)
 
     def images(p: int) -> dict[int, int]:
-        above = sim[p]
+        up = sim[p]
         rs = []
-        while above:
-            low = above & -above
+        while up:
+            low = up & -up
             rs.append(low.bit_length() - 1)
-            above ^= low
+            up ^= low
         row = {}
         for c in into[p]:
-            col = pre[c]
+            col = dom[c]
             acc = 0
             for r in rs:
                 acc |= col[r]
@@ -830,20 +877,23 @@ def _direct_simulation(a: Tela, sets) -> list[int]:
         return row
 
     img = [images(p) for p in range(n)]
-    dirty: range | set[int] = range(n)
+    dirty = (1 << n) - 1
     while dirty:
         changed = []
-        for q in dirty:
-            above = sim[q]
-            for c, p in moves[q]:
-                above &= img[p][c]
-            if above != sim[q]:
-                sim[q] = above
+        while dirty:
+            low = dirty & -dirty
+            dirty ^= low
+            q = low.bit_length() - 1
+            up = sim[q]
+            for c, p, _ in moves[q]:
+                up &= img[p][c]
+            if up != sim[q]:
+                sim[q] = up
                 changed.append(q)
         for p in changed:
             img[p] = images(p)
-        dirty = {r for p in changed for r in preds[p]}
-    return sim
+            dirty |= preds[p]
+    return sim, moves, above
 
 
 def _require_same_ap(a0: Tela, a1: Tela) -> None:

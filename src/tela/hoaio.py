@@ -30,6 +30,7 @@ from .core import (
     MAX_AP,
     MAX_MARKS,
     MAX_STATES,
+    BudgetExceeded,
     Tela,
     TelaError,
     Transition,
@@ -239,6 +240,8 @@ def parse_hoa(text: str) -> Tela:
             acceptance=acceptance,
             n_marks=n_marks,
         )
+    except BudgetExceeded:
+        raise
     except TelaError as exc:
         raise HoaParseError(str(exc), len(lines)) from exc
 

@@ -64,6 +64,7 @@ from .acceptance import (
     to_dnf,
 )
 from .core import (
+    BudgetExceeded,
     Tela,
     TelaError,
     bisim_quotient,
@@ -195,7 +196,7 @@ def parse_mdp(text: str) -> Mdp:
                 dists.setdefault((s, name), []).append((lineno, t, p))
             else:
                 raise ValueError(f"unknown directive {kind!r}")
-        except MdpParseError:
+        except (MdpParseError, BudgetExceeded):
             raise
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise MdpParseError(lineno, str(exc) or "malformed line") from exc

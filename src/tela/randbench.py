@@ -314,7 +314,7 @@ def parse_bench_config(text: str) -> BenchConfig:
                 )
             else:
                 raise ValueError(f"unknown key {key!r}")
-        except BenchError:
+        except (BenchError, BudgetExceeded):
             raise
         except ValueError as exc:
             raise BenchError(f"line {lineno}: {exc}") from exc

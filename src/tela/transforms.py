@@ -7,7 +7,10 @@ rewritten condition asks that some copy i sees all of its Inf sets
 infinitely often.  Runs that stay in the main copy see no marks and cannot
 accept; accepting runs commit to one copy.  Copy i keeps only the states
 from which all of its Inf sets stay reachable, and the output only the
-states reachable from the initial ones.
+states reachable from the initial ones.  Both are found on bitmasks of the
+input's states, one successor mask per state per copy, before any output
+transition exists; each kept transition is then emitted once, already
+renumbered, its marks projected through a table keyed by mark value.
 
 Four translations to generalized-Buchi acceptance:
 
@@ -15,6 +18,7 @@ Four translations to generalized-Buchi acceptance:
   clause's Inf atoms merged; up to 2^|acc| acceptance sets.
 - remfin_split: disjoint GBA sum over the split of the Fin-removal output.
 - split_remfin: split first, Fin-removal per disjunct, then the GBA sum.
+  Both sum all parts in one n-ary `sum_gba` call.
 - remfin_rewrite: single Fin-removal structure whose copies share k = max k_i
   acceptance sets, padding shorter disjuncts with Inf over all their copy's
   transitions.
@@ -23,8 +27,6 @@ The copy-based methods use at most |acc| acceptance sets.
 """
 
 from __future__ import annotations
-
-from functools import reduce
 
 from .acceptance import (
     FALSE,
@@ -41,11 +43,10 @@ from .acceptance import (
 from .core import (
     Tela,
     TelaError,
-    _reachable_part,
+    closure,
     complete,
     empty_language_automaton,
     project_marks,
-    reach,
     split,
     sum_gba,
     with_all_mark,
@@ -114,30 +115,73 @@ def _fin_removal_structure(
     disjunct's Inf sets, shifted left by `shift`, OR `pad`.
 
     Copy i keeps the states from which every Inf set of disjunct i is
-    reachable over the transitions that avoid its Fin set.  The result is
-    restricted to the part reachable from the initial states and renumbered
-    in ascending state order.
+    reachable over the transitions that avoid its Fin set.  Reachability
+    runs on bitmasks of the input's states, with one successor mask per
+    state per copy: the main copy keeps what the initial states reach, copy
+    i what the bridges from it reach among the copy's useful states (no
+    useful state is reachable from one that is not).  The kept states are
+    numbered main copy first, then copy by copy, each in ascending state
+    order, and each kept transition is emitted once, already renumbered.
     """
     n = a.n_states
-    transitions = [(s, letter, d, 0) for s, letter, d, _ in a.transitions]
-    for i, (disjunct, (shift, pad)) in enumerate(zip(dnf.disjuncts, layout)):
-        base = (i + 1) * n
-        inner = [t for t in a.transitions if not t[3] & disjunct.fin]
-        back: dict[int, list[int]] = {}
+    full = (1 << n) - 1
+    succ = [0] * n
+    for s, _, d, _ in a.transitions:
+        succ[s] |= 1 << d
+    main = closure(sum(1 << q for q in a.initial), succ)
+    entry = 0
+    for q in range(n):
+        if main >> q & 1:
+            entry |= succ[q]
+    number, top = _numbering(main, 0, n)
+    transitions = [
+        (number[s], letter, number[d], 0)
+        for s, letter, d, _ in a.transitions
+        if number[s] is not None
+    ]
+    marks = {t[3] for t in a.transitions}
+    for disjunct, (shift, pad) in zip(dnf.disjuncts, layout):
+        fin = disjunct.fin
+        inner = [t for t in a.transitions if not t[3] & fin]
+        post, back = [0] * n, [0] * n
         for s, _, d, _ in inner:
-            back.setdefault(d, []).append(s)
-        useful = set(range(n))
+            post[s] |= 1 << d
+            back[d] |= 1 << s
+        useful = full
         for inf in disjunct.infs:
-            useful &= reach({s for s, _, _, m in inner if m & inf}, back)
+            useful &= closure(sum({1 << t[0] for t in inner if t[3] & inf}), back)
+        copy, top = _numbering(closure(entry & useful, post) & useful, top, n)
         transitions += [
-            (s, letter, base + d, 0) for s, letter, d, _ in a.transitions if d in useful
+            (number[s], letter, copy[d], 0)
+            for s, letter, d, _ in a.transitions
+            if number[s] is not None and copy[d] is not None
         ]
+        project = {m: project_marks(m, disjunct.infs) << shift | pad for m in marks}
         transitions += [
-            (base + s, letter, base + d, project_marks(m, disjunct.infs) << shift | pad)
+            (copy[s], letter, copy[d], project[m])
             for s, letter, d, m in inner
-            if s in useful and d in useful
+            if copy[s] is not None and copy[d] is not None
         ]
-    return _reachable_part(a.ap, a.initial, transitions, acceptance, n_marks)
+    return Tela(
+        ap=a.ap,
+        n_states=top,
+        initial=frozenset(number[q] for q in a.initial),
+        transitions=tuple(transitions),
+        acceptance=acceptance,
+        n_marks=n_marks,
+    )
+
+
+def _numbering(states: int, top: int, n: int) -> tuple[list[int | None], int]:
+    """Numbers from `top` on for the states of the bitmask `states` in
+    ascending order, None for the other states below n; and the next free
+    number."""
+    number: list[int | None] = [None] * n
+    for q in range(n):
+        if states >> q & 1:
+            number[q] = top
+            top += 1
+    return number, top
 
 
 def to_gba(a: Tela, method: str) -> Tela:
@@ -150,10 +194,8 @@ def to_gba(a: Tela, method: str) -> Tela:
     if method == "cnf":
         g = remove_fin(a)
         clause_sets = finless_to_gba(g.acceptance)
-        transitions = [
-            (s, letter, d, project_marks(marks, clause_sets))
-            for s, letter, d, marks in g.transitions
-        ]
+        project = {m: project_marks(m, clause_sets) for m in {t[3] for t in g.transitions}}
+        transitions = [(s, letter, d, project[m]) for s, letter, d, m in g.transitions]
         return Tela(
             ap=g.ap,
             n_states=g.n_states,
@@ -168,4 +210,4 @@ def to_gba(a: Tela, method: str) -> Tela:
         parts = split(complete(remove_fin(a)))
     else:  # split_remfin
         parts = [complete(remove_fin(part)) for part in split(a)]
-    return reduce(sum_gba, parts)
+    return sum_gba(*parts)

@@ -19,7 +19,11 @@ restricted to the states that one emptiness check per state finds live.
 Strong bisimulation is the greatest fixpoint of a relation over state pairs,
 shrunk pair by pair, with no partition refinement; direct simulation under
 generalized-Buchi acceptance is shrunk the same way, comparing the sets of
-Inf indices each transition meets, with no worklist and no bitmasks.
+Inf indices each transition meets, with no worklist and no bitmasks; the
+reduction by it merges and prunes in two passes over every transition, then
+keeps the part reachable from the initial states by a plain fixpoint.
+Fin-removal builds every copy in full over Python sets and only then cuts
+the result to its reachable part.
 Limit-determinism grows the nondeterministic part by a plain predecessor
 fixpoint and checks the emptiness of the automaton restricted to it, exits
 sent to a trap and a fresh mark demanded on the internal transitions.
@@ -32,7 +36,8 @@ import random
 import re
 from fractions import Fraction
 
-from tela import And, BoolConst, Fin, Inf, Or, Tela, TelaError
+from tela import FALSE, And, BoolConst, Fin, Inf, Or, Tela, TelaError, and_, or_
+from tela.acceptance import dnf_structure
 
 ORACLE_STATE_LIMIT = 7
 ORACLE_MARK_LIMIT = 16
@@ -664,3 +669,133 @@ def oracle_direct_simulation(a: Tela) -> set[tuple[int, int]]:
                 related.discard((q, r))
                 changed = True
     return related
+
+
+def _reachable(initial, transitions) -> set[int]:
+    """The states reachable from `initial` over `transitions`, by a plain
+    fixpoint."""
+    seen = set(initial)
+    changed = True
+    while changed:
+        changed = False
+        for s, _, d, _ in transitions:
+            if s in seen and d not in seen:
+                seen.add(d)
+                changed = True
+    return seen
+
+
+def _renumbered(ap, initial, transitions, seen, acceptance, n_marks) -> Tela:
+    """The automaton on the states `seen`, renumbered in ascending order,
+    with the transitions whose source is kept."""
+    number = {q: i for i, q in enumerate(sorted(seen))}
+    return Tela(
+        ap=ap,
+        n_states=len(number),
+        initial=frozenset(number[q] for q in initial),
+        transitions=tuple(
+            (number[s], letter, number[d], marks)
+            for s, letter, d, marks in transitions
+            if s in seen
+        ),
+        acceptance=acceptance,
+        n_marks=n_marks,
+    )
+
+
+def oracle_fin_removal(a: Tela, gba: bool) -> tuple[Tela, list[tuple[int, int]]]:
+    """`remove_fin(a)`, or `remove_fin_gba(a)` when `gba`, built in full
+    first: the main copy, then per DNF disjunct a copy of its useful states
+    (each Inf set reachable over the Fin-free transitions, by a plain
+    fixpoint per set) with its bridges from every main state, and only then
+    the part reachable from the initial states, renumbered in ascending
+    order.  Also returns, per copy, its useful and its reachable state
+    counts.
+    """
+    n = a.n_states
+    disjuncts = dnf_structure(a.acceptance).disjuncts
+    k = max((len(d.infs) for d in disjuncts), default=0)
+    transitions = [(s, letter, d, 0) for s, letter, d, _ in a.transitions]
+    conjunctions, shift, useful_counts = [], 0, []
+    for i, disjunct in enumerate(disjuncts):
+        base = (i + 1) * n
+        inner = [t for t in a.transitions if not t[3] & disjunct.fin]
+        useful = set(range(n))
+        for inf in disjunct.infs:
+            reaching = {s for s, _, _, m in inner if m & inf}
+            changed = True
+            while changed:
+                changed = False
+                for s, _, d, _ in inner:
+                    if d in reaching and s not in reaching:
+                        reaching.add(s)
+                        changed = True
+            useful &= reaching
+        useful_counts.append(len(useful))
+        pad = (1 << k) - (1 << len(disjunct.infs))
+        for s, letter, d, m in a.transitions:
+            if d in useful:
+                transitions.append((s, letter, base + d, 0))
+        for s, letter, d, m in inner:
+            if s in useful and d in useful:
+                bits = sum(1 << j for j, inf in enumerate(disjunct.infs) if m & inf)
+                marks = bits | pad if gba else bits << shift
+                transitions.append((base + s, letter, base + d, marks))
+        conjunctions.append(
+            and_([Inf(1 << j) for j in range(shift, shift + len(disjunct.infs))])
+        )
+        shift += len(disjunct.infs)
+    if gba:
+        acceptance = and_([Inf(1 << j) for j in range(k)]) if k else FALSE
+    else:
+        acceptance = or_(conjunctions)
+    seen = _reachable(a.initial, transitions)
+    out = _renumbered(
+        a.ap, a.initial, transitions, seen, acceptance, k if gba else shift
+    )
+    copies = [
+        (useful, sum(1 for q in seen if q // n == i + 1))
+        for i, useful in enumerate(useful_counts)
+    ]
+    return out, copies
+
+
+def oracle_simulation_reduce(a: Tela) -> Tela:
+    """`simulation_reduce(a)` from the pairs of `oracle_direct_simulation`:
+    each state goes to the smallest state of its class of mutual
+    simulation, one pass merges every transition, a second drops each
+    merged transition some sibling on its letter dominates (weight
+    including its weight, target simulating its target, not both equal),
+    the initial classes strictly simulated by another are dropped, and the
+    part reachable from the rest is kept, renumbered in ascending order."""
+    related = oracle_direct_simulation(a)
+    atoms = list(a.acceptance.parts) if isinstance(a.acceptance, And) else (
+        [] if a.acceptance == BoolConst(True) else [a.acceptance]
+    )
+
+    def weight(marks: int) -> frozenset[int]:
+        return frozenset(j for j, atom in enumerate(atoms) if marks & atom.marks)
+
+    cls = [
+        min(r for r in range(a.n_states) if (q, r) in related and (r, q) in related)
+        for q in range(a.n_states)
+    ]
+    merged = {(cls[s], letter, cls[d], marks) for s, letter, d, marks in a.transitions}
+    kept = []
+    for s, letter, d, marks in merged:
+        w = weight(marks)
+        if not any(
+            s2 == s
+            and letter2 == letter
+            and w <= weight(marks2)
+            and (d, d2) in related
+            and (weight(marks2) != w or d2 != d)
+            for s2, letter2, d2, marks2 in merged
+        ):
+            kept.append((s, letter, d, marks))
+    initial = {cls[q] for q in a.initial}
+    initial = {
+        i for i in initial if not any(j != i and (i, j) in related for j in initial)
+    }
+    seen = _reachable(initial, kept)
+    return _renumbered(a.ap, initial, kept, seen, a.acceptance, a.n_marks)

@@ -1,5 +1,6 @@
 """Tests for the automaton data type and structural operations."""
 
+import itertools
 import random
 import signal
 import threading
@@ -56,6 +57,7 @@ from oracles import (
     oracle_direct_simulation,
     oracle_is_complete,
     oracle_is_deterministic,
+    oracle_simulation_reduce,
     random_word,
 )
 
@@ -366,6 +368,42 @@ def test_sum_gba_matches_general_sum():
             expected = accepts(a0, u, v) or accepts(a1, u, v)
             assert accepts(s_gba, u, v) == expected
             assert accepts(s_gen, u, v) == expected
+
+
+def test_sum_gba_of_several_parts_is_the_fold():
+    """The n-ary sum equals the binary sums folded from the left, for parts
+    with 0, 1 and 2 acceptance sets; a single part comes back as it is."""
+    rng = random.Random(411)
+    conditions = (TRUE, inf_(1), and_([inf_(1), inf_(2)]))
+    for ks in itertools.product(range(3), repeat=3):
+        parts = []
+        for k in ks:
+            a = complete(random_automaton(rng, n_marks=2, ap=("a",)))
+            parts.append(a.with_acceptance(conditions[k], a.n_marks))
+        s = sum_gba(*parts)
+        assert s == sum_gba(sum_gba(parts[0], parts[1]), parts[2]), ks
+        assert s.n_marks == max(*ks, 1)
+    assert sum_gba(parts[0]) is parts[0]
+
+
+def test_sum_gba_names_the_part_that_fails_a_check():
+    buchi = rejecting_loop().with_acceptance(inf_(1), 1)
+    with pytest.raises(TelaError, match="on every input"):
+        sum_gba(buchi, buchi, rejecting_loop())
+    partial = Tela(
+        ap=("a",),
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 1),),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    with pytest.raises(TelaError, match="complete automata; third input"):
+        sum_gba(buchi, buchi, partial)
+    with pytest.raises(TelaError, match="mismatched atomic propositions"):
+        sum_gba(buchi, buchi, replace(buchi, ap=("b",)))
+    with pytest.raises(TelaError, match="at least one"):
+        sum_gba()
 
 
 def test_product_validates_inputs():
@@ -785,7 +823,7 @@ def test_direct_simulation_matches_the_pairwise_oracle():
     seen = dict.fromkeys(("k=0", "several initial", "incomplete", "proper pairs"), 0)
     for _ in range(400):
         a = random_gba(rng)
-        sim = _direct_simulation(a, gba_marksets(a.acceptance))
+        sim = _direct_simulation(a, gba_marksets(a.acceptance))[0]
         states = range(a.n_states)
         pairs = {(q, r) for q in states for r in states if sim[q] >> r & 1}
         assert pairs == oracle_direct_simulation(a), a
@@ -811,6 +849,25 @@ def test_simulation_reduce_keeps_the_language_on_random_words():
         removed["transitions"] += len(a.transitions) - len(r.transitions)
         removed["initial"] += len(a.initial) - len(r.initial)
     assert min(removed.values()) >= 40, removed
+
+
+def test_simulation_reduce_matches_the_two_pass_reference():
+    """The breadth-first merge and prune equals the reference that merges
+    and prunes every transition, then keeps the reachable part."""
+    rng = random.Random(1826)
+    seen = dict.fromkeys(("several initial", "unreached classes"), 0)
+    for _ in range(300):
+        a = random_gba(rng)
+        r = simulation_reduce(a)
+        assert r == oracle_simulation_reduce(a), a
+        pairs = oracle_direct_simulation(a)
+        classes = {
+            frozenset(p for p in range(a.n_states) if {(q, p), (p, q)} <= pairs)
+            for q in range(a.n_states)
+        }
+        seen["several initial"] += len(a.initial) > 1
+        seen["unreached classes"] += r.n_states < len(classes)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_simulation_reduce_needs_inf_only_acceptance():
@@ -891,7 +948,7 @@ def test_simulation_reduce_worked_example():
         acceptance=and_([inf_(1), inf_(2)]),
         n_marks=2,
     )
-    sim = _direct_simulation(a, gba_marksets(a.acceptance))
+    sim = _direct_simulation(a, gba_marksets(a.acceptance))[0]
     assert sim == [0b00111, 0b00110, 0b00110, 0b01110, 0b11111]
     r = simulation_reduce(a)
     assert (r.n_states, len(r.transitions)) == (2, 5)

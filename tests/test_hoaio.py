@@ -7,7 +7,8 @@ import pytest
 
 from tela import Tela, parse_hoa, print_hoa
 from tela.acceptance import and_, fin_, inf_
-from tela.core import is_deterministic
+import tela.hoaio as hoaio
+from tela.core import BudgetExceeded, is_deterministic
 from tela.determinize import empty_language_automaton
 from tela.hoaio import HoaParseError
 from tela.randbench import random_tela
@@ -45,6 +46,20 @@ def test_parse_minimal_buechi():
         (1, 1, 1, 1),
         (1, 0, 0, 0),
     }
+
+
+def test_parse_hoa_lets_a_budget_failure_through(monkeypatch):
+    """A time limit expiring while the parsed automaton is built stays a
+    BudgetExceeded, not a parse error."""
+
+    def expire(**fields):
+        raise BudgetExceeded("time limit of 1 s exceeded", "time")
+
+    monkeypatch.setattr(hoaio, "Tela", expire)
+    with pytest.raises(BudgetExceeded) as info:
+        parse_hoa(MINIMAL)
+    assert not isinstance(info.value, HoaParseError)
+    assert info.value.kind == "time"
 
 
 def test_parse_acceptance_header_formula():

@@ -31,7 +31,9 @@ from tela import (
     qualitative_positive,
     reference_pr_max,
 )
+import tela.mdp as mdp_module
 from tela.acceptance import dnf_structure, to_dnf
+from tela.core import BudgetExceeded
 from tela.limitdet import _add_breakpoint_parts, canonical_partition, limit_det_violation
 from tela.mdp import MdpAction, _accepting_mecs, _explore_product, _max_reach
 
@@ -116,6 +118,20 @@ def test_parse_mdp_rejects_a_second_initial_line():
     with pytest.raises(MdpParseError) as info:
         parse_mdp(text)
     assert str(info.value) == "line 4: duplicate initial line"
+
+
+def test_parse_mdp_lets_a_budget_failure_through(monkeypatch):
+    """A time limit expiring inside the parse stays a BudgetExceeded, not a
+    parse error of the line being read."""
+
+    def expire(text):
+        raise BudgetExceeded("time limit of 1 s exceeded", "time")
+
+    monkeypatch.setattr(mdp_module, "Fraction", expire)
+    with pytest.raises(BudgetExceeded) as info:
+        parse_mdp("states 1\ntrans 0 a 0 1\n")
+    assert not isinstance(info.value, MdpParseError)
+    assert info.value.kind == "time"
 
 
 def test_parse_mdp_semantic_errors():

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import tela.randbench as randbench
 from tela import Tela, TelaError, inf_
+from tela.core import BudgetExceeded
 from tela.randbench import (
     CONFIG_KEYS,
     BenchConfig,
@@ -161,6 +163,20 @@ def test_parse_bench_config_defaults_and_overrides():
     assert auto.resolved_methods() == GBA_METHODS
     assert auto.resolved_baseline() == "cnf"
     assert parse_bench_config("pipeline=det\n").resolved_methods() == DET_METHODS
+
+
+def test_parse_bench_config_lets_a_budget_failure_through(monkeypatch):
+    """A time limit expiring while a value is converted stays a
+    BudgetExceeded, not a config error of its line."""
+
+    def expire(value, key):
+        raise BudgetExceeded("time limit of 1 s exceeded", "time")
+
+    monkeypatch.setattr(randbench, "_parse_range", expire)
+    with pytest.raises(BudgetExceeded) as info:
+        parse_bench_config("states = 4..6\n")
+    assert not isinstance(info.value, BenchError)
+    assert info.value.kind == "time"
 
 
 def test_parse_bench_config_errors():

@@ -1,6 +1,7 @@
 """Tests for Fin-removal and the generalized-Buchi translations."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +28,7 @@ from tela.randbench import cnf_blowup_automaton, random_tela
 from tela.transforms import GBA_METHODS, ensure_dnf, remove_fin, remove_fin_gba, to_gba
 
 from helpers import example_automaton, random_automaton
-from oracles import oracle_empty, random_word
+from oracles import oracle_empty, oracle_fin_removal, random_word
 
 
 def fin_inf_loop():
@@ -224,6 +225,33 @@ def test_remove_fin_gba_matches_remove_fin():
         assert gba_marksets(g.acceptance) is not None
         sample_language_equal(rng, remove_fin(a), g, words=10)
         sample_language_equal(rng, a, g, words=10)
+
+
+def test_fin_removal_matches_the_construction_in_full():
+    """Both Fin-removals equal the construction that builds every copy in
+    full and only then cuts it to its reachable part, also where a copy has
+    no useful state or none that the main copy reaches."""
+    rng = random.Random(424)
+    seen = dict.fromkeys(("no useful state", "not reached", "reached"), 0)
+    for _ in range(300):
+        a = random_automaton(
+            rng,
+            max_states=5,
+            n_ap=rng.randint(0, 1),
+            density=rng.choice((0.15, 0.3, 0.6)),
+            dnf_only=True,
+        )
+        if rng.random() < 0.5:
+            a = replace(a, initial=frozenset({0}))
+        a = ensure_dnf(a)
+        for remove, gba in ((remove_fin, False), (remove_fin_gba, True)):
+            want, copies = oracle_fin_removal(a, gba)
+            assert remove(a) == want, (a, gba)
+        for useful, reached in copies:
+            seen["no useful state"] += not useful
+            seen["not reached"] += useful and not reached
+            seen["reached"] += bool(reached)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_to_gba_rejects_unknown_method():

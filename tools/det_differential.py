@@ -16,7 +16,8 @@ its own process.  The report, one JSON object on standard output, gives:
   mean size of everything it returns: the `det` workload's two size metrics,
   on a fixed input set;
 - the state sums, and how many outputs grew or shrank, over the
-  constructions both trees return;
+  constructions both trees return, and how many of those print the same
+  HOA text in both (`identical`);
 - the language mismatches: each output of the change is compared by
   `contains` both ways with the parent's output of the same method, or, where
   the parent ran out of budget there, with the parent's first output for the
@@ -84,6 +85,7 @@ def compare(parent: dict, change: dict) -> dict:
         "gained": 0,
         "lost": 0,
         "common": 0,
+        "identical": 0,
         "states_common": {"parent": 0, "change": 0},
         "grew": 0,
         "shrank": 0,
@@ -115,6 +117,7 @@ def compare(parent: dict, change: dict) -> dict:
             report["lost"] += p is not None and c is None
             if p is not None and c is not None:
                 report["common"] += 1
+                report["identical"] += p_row[method] == c_row[method]
                 report["states_common"]["parent"] += p.n_states
                 report["states_common"]["change"] += c.n_states
                 report["grew"] += c.n_states > p.n_states

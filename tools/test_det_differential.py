@@ -38,6 +38,7 @@ def test_one_pair_of_copies_of_one_tree_agrees(tmp_path):
     assert report["returned"]["parent"] == report["returned"]["change"] > 0
     assert report["gained"] == report["lost"] == 0
     assert report["common"] == report["compared"] == report["returned"]["change"]
+    assert report["identical"] == report["common"]
     assert report["states_common"]["parent"] == report["states_common"]["change"]
     share = report["returned"]["change"] / report["constructions"]
     assert report["ok_share"] == {"parent": share, "change": share}
@@ -78,6 +79,7 @@ def test_a_language_change_a_gain_and_a_crash_are_reported():
     u = tela.parse_hoa(universal).n_states
     assert report["states_mean"] == {"parent": u, "change": (1 + u + 1) / 3}
     assert report["gained"] == 2 and report["lost"] == 0
+    assert report["common"] == 1 and report["identical"] == 0
     assert report["compared"] == 2 and report["word_checked"] == 1
     assert report["mismatches"][0] == [0, "m1", True, False]
     assert {tuple(m[:3]) for m in report["mismatches"][1:]} == {(1, "m1", "word")}
