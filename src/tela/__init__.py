@@ -86,7 +86,6 @@ from .mdp import (
     NotLimitDeterministicError,
     ProductMdp,
     mdp_product,
-    mec_decomposition,
     parse_mdp,
     pr_max_buchi,
     pr_max_tela,

@@ -35,12 +35,12 @@ class NotInDnfError(AcceptanceError):
 
 
 def mark_indices(bits: int) -> Iterator[int]:
-    i = 0
+    """The indices of the set bits, in ascending order, one step per set
+    bit, so a sparse mask over many states costs what its members cost."""
     while bits:
-        if bits & 1:
-            yield i
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 @dataclass(frozen=True)

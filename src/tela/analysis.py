@@ -26,6 +26,7 @@ nondeterministic part Q_N alone.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 from .acceptance import DnfAcceptance, DnfDisjunct, to_dnf
 from .core import (
@@ -33,9 +34,10 @@ from .core import (
     Tela,
     TelaError,
     Transition,
+    _dst,
+    closure,
     explore,
     flatten_edges,
-    reachable,
     scc_split,
 )
 
@@ -131,8 +133,11 @@ def dnf_witness(
 
     Returns (pos disjunct index, transitions of the witness set) or None.
     """
-    reach = reachable(initial, ((s, d) for s, _, d, _ in transitions))
-    return _witness(tuple(t for t in transitions if t[0] in reach), pos, neg)
+    succ: defaultdict[int, int] = defaultdict(int)
+    for s, _, d, _ in transitions:
+        succ[s] |= 1 << d
+    reach = closure(sum(1 << q for q in initial), succ)
+    return _witness(tuple(t for t in transitions if reach >> t[0] & 1), pos, neg)
 
 
 def _witness(
@@ -172,10 +177,6 @@ def _witness(
             if found is not None:
                 return di, found
     return None
-
-
-def _dst(t: Transition) -> tuple[int]:
-    return (t[2],)
 
 
 def _refine(

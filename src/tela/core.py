@@ -13,8 +13,9 @@ to the transitions in that slot; determinism, completeness, HOA printing,
 lasso membership and the products read it.  State sets are int bitmasks
 with bit q for state q: `post_masks` tabulates each state's successors per
 letter and `image` takes the union over a set, the one image kernel of the
-Safra, breakpoint and subset constructions; `closure` takes the states a
-bitmask reaches, given one successor bitmask per state.
+Safra, breakpoint and subset constructions; `closure`, the one
+reachability kernel, takes the states a bitmask reaches, given a successor
+bitmask per state that has one.
 
 Constructions that explore a new state space on the fly number it through
 `explore`, which owns the numbering and the state cap; time is bounded once
@@ -25,7 +26,11 @@ keys sort as their pairs do, so seeds and numbering are those of the pairs.
 `scc_split` is the one split of a graph into strongly connected components
 with the edges kept inside each; emptiness, containment and maximal end
 components all run on it, through one iterative Tarjan pass that calls
-`targets` once per item.
+`targets` once per item.  `accepting_scc_states` is the one test of which
+states can still accept: the members of the components, over the
+transitions avoiding a Fin set, whose inside transitions meet every Inf set.
+Safra's live labels are these states, and the breakpoint components' live
+masks their backward `closure`.
 
 `bisim_quotient` is the one partition-refinement kernel: it merges the
 states of the coarsest partition whose blocks agree on their sets of
@@ -536,30 +541,11 @@ def flatten_edges(results) -> tuple[Transition, ...]:
     )
 
 
-def reachable(seeds, edges) -> set:
-    """The nodes reachable from `seeds` along the (src, dst) pairs `edges`."""
-    adj: dict = {}
-    for s, d in edges:
-        adj.setdefault(s, []).append(d)
-    return reach(seeds, adj)
-
-
-def reach(seeds, adj: dict) -> set:
-    """The nodes reachable from `seeds` in the digraph `adj`, a map from a
-    node to its successor list, so one `adj` serves several walks."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for t in adj.get(stack.pop(), ()):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
-
-
-def closure(states: int, succ: list[int]) -> int:
+def closure(states: int, succ) -> int:
     """The states reachable from the bitmask `states`, as a bitmask, where
-    succ[q] is the bitmask of q's successors."""
+    succ[q] is the bitmask of q's successors.  `succ` is a list over all
+    states, or a `defaultdict(int)` that holds only the states with a
+    successor, so a walk costs what the edges cost, not the state count."""
     todo = states
     while todo:
         low = todo & -todo
@@ -646,6 +632,26 @@ def scc_split(items, targets) -> list[tuple[frozenset, tuple]]:
         ((frozenset(qs), tuple(inside[cid])) for cid, qs in members.items()),
         key=lambda part: min(part[0]),
     )
+
+
+def accepting_scc_states(transitions, fin: int, infs) -> int:
+    """The states of the strongly connected components, over the transitions
+    avoiding `fin`, whose inside transitions meet every set of `infs`, as a
+    bitmask; when `infs` is empty, any component with a transition inside
+    counts.  One `scc_split` pass, so the cost follows the transitions."""
+    states = 0
+    for nodes, inside in scc_split([t for t in transitions if not t[3] & fin], _dst):
+        marks = 0
+        for t in inside:
+            marks |= t[3]
+        if all(marks & s for s in infs):
+            for q in nodes:
+                states |= 1 << q
+    return states
+
+
+def _dst(t: Transition) -> tuple[int]:
+    return (t[2],)
 
 
 def bisim_quotient(a: Tela) -> Tela:

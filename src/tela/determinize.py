@@ -50,7 +50,8 @@ exploration, not the returned size.
 
 Labels below the root hold only live states: those whose strongly connected
 component in the completed input has an accepting transition inside it
-(Loding & Pirogov, ATVA 2019).  This keeps the language:
+(Loding & Pirogov, ATVA 2019), which `core.accepting_scc_states` finds in
+one SCC split of the completed input's transitions.  This keeps the language:
 
 - An accepting run sees accepting transitions infinitely often and
   eventually stays in one component, so some accepting transition lies
@@ -102,8 +103,8 @@ from .core import (
     BudgetExceeded,
     Tela,
     TelaError,
-    _components,
     _require_same_ap,
+    accepting_scc_states,
     bisim_quotient,
     complete,
     empty_language_automaton,
@@ -211,8 +212,7 @@ def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
     # post[letter][q]: the states q reaches on the letter, and those it
     # reaches through an accepting transition.
     post = post_masks(b, meet=accbits)
-
-    live = _live_states(post)
+    live = accepting_scc_states(b.transitions, 0, accsets)
 
     # images[letter]: label bitmask -> its image pair on the letter,
     # filled as labels turn up; labels recur across the trees of one run.
@@ -253,29 +253,6 @@ def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
             n_marks=2 * len(kept),
         )
     )
-
-
-def _live_states(post) -> int:
-    """The states whose strongly connected component has an accepting
-    transition inside it, as a bitmask, from the `post_masks` table of a
-    complete automaton.  One Tarjan pass runs over the state-to-state edges,
-    each edge once whatever its letters and marks."""
-    n = len(post[0])
-    succ = [0] * n
-    hits = [0] * n
-    for row in post:
-        for q, (img, hit) in enumerate(row):
-            succ[q] |= img
-            hits[q] |= hit
-    comp = _components({q: mark_indices(img) for q, img in enumerate(succ)})
-    members = [0] * n
-    for q in range(n):
-        members[comp[q]] |= 1 << q
-    live = 0
-    for q, hit in enumerate(hits):
-        if hit & members[comp[q]]:
-            live |= members[comp[q]]
-    return live
 
 
 def _name_mask(node: _Node) -> int:

@@ -33,10 +33,10 @@ Each component tracks live states only.  A state is live for a disjunct
 when it reaches, over the transitions that avoid the disjunct's Fin marks,
 a strongly connected component whose inside transitions meet every Inf set
 (for a disjunct with no Inf set, any component with a transition inside):
-`_live_mask` runs one `core.scc_split` on those transitions and one
-`core.reach` over their backward adjacency.  A component is seeded with
-R & live, a bridge whose R & live is empty is dropped, and every step ANDs
-R, the hits and B with the mask.  This keeps the language:
+`_live_mask` takes those components from `core.accepting_scc_states` and
+their backward `core.closure` over the same transitions.  A component is
+seeded with R & live, a bridge whose R & live is empty is dropped, and
+every step ANDs R, the hits and B with the mask.  This keeps the language:
 
 - A dead state has only dead successors, so the trimmed R after any word
   is the untrimmed R after that word, intersected with the live states.
@@ -64,23 +64,23 @@ one, and a jump into a seed with no live state accepted nothing anyway.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import reduce
 
-from .acceptance import Inf, dnf_structure, to_dnf
-from .analysis import _dst, _lasso
+from .acceptance import Inf, dnf_structure, mark_indices, to_dnf
+from .analysis import _lasso
 from .core import (
     Lasso,
     Tela,
     TelaError,
     Transition,
+    accepting_scc_states,
+    closure,
     empty_language_automaton,
     explore,
     flatten_edges,
     image,
     post_masks,
-    reach,
-    reachable,
-    scc_split,
     sum_automata,
 )
 from .determinize import disjunct_determinizations
@@ -91,8 +91,14 @@ GFM_STATE_LIMIT = 12
 def canonical_partition(a: Tela) -> tuple[frozenset[int], frozenset[int]]:
     """Split states into (Q_N, Q_D): Q_N holds the states from which a
     nondeterministic choice is reachable, Q_D all others."""
-    nondet = {q for (q, _), ts in a.index.items() if len(ts) > 1}
-    q_n = frozenset(reachable(nondet, ((d, s) for s, _, d, _ in a.transitions)))
+    nondet = 0
+    for (q, _), ts in a.index.items():
+        if len(ts) > 1:
+            nondet |= 1 << q
+    back: defaultdict[int, int] = defaultdict(int)
+    for s, _, d, _ in a.transitions:
+        back[d] |= 1 << s
+    q_n = frozenset(mark_indices(closure(nondet, back)))
     return q_n, frozenset(range(a.n_states)) - q_n
 
 
@@ -145,21 +151,11 @@ def _live_mask(a: Tela, fin: int, infs: tuple[int, ...]) -> int:
     """The states that reach, over transitions avoiding `fin`, a strongly
     connected component whose inside transitions meet every set of `infs`,
     as a bitmask: the states with an accepting run for the disjunct."""
-    free = [t for t in a.transitions if not t[3] & fin]
-    seeds: list[int] = []
-    for nodes, inside in scc_split(free, _dst):
-        marks = 0
-        for t in inside:
-            marks |= t[3]
-        if all(marks & s for s in infs):
-            seeds.extend(nodes)
-    back: dict[int, list[int]] = {}
-    for s, _, d, _ in free:
-        back.setdefault(d, []).append(s)
-    live = 0
-    for q in reach(seeds, back):
-        live |= 1 << q
-    return live
+    back: defaultdict[int, int] = defaultdict(int)
+    for s, _, d, marks in a.transitions:
+        if not marks & fin:
+            back[d] |= 1 << s
+    return closure(accepting_scc_states(a.transitions, fin, infs), back)
 
 
 def _breakpoint_explore(

@@ -372,12 +372,6 @@ def _action_items(actions, fin: int = 0) -> list[tuple[int, int, tuple[int, ...]
     ]
 
 
-def mec_decomposition(p: ProductMdp | Mdp) -> list[EndComponent]:
-    """Maximal end components, with actions given as indices into each
-    state's action tuple."""
-    return _mec_decompose(_action_items(p.actions))
-
-
 def qualitative_positive(m: Mdp, a: Tela) -> bool:
     """Whether the maximal probability of generating a word in the
     automaton's language is positive.

@@ -1,7 +1,8 @@
 """Shared builders: the running example automaton and Markov chain, small
-seeded generators for automata and MDPs that stay within oracle reach, and
+seeded generators for automata and MDPs that stay within oracle reach,
 two automata built from the breakpoint kernel of `tela.limitdet` that no
-library route returns.
+library route returns, and the maximal end components of an MDP or a
+product, which the library finds only inside its analyses.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from tela import (
 from tela.acceptance import dnf_structure
 from tela.core import image, post_masks
 from tela.limitdet import _add_breakpoint_parts, _breakpoint_explore, _live_mask
+from tela.mdp import EndComponent, _action_items, _mec_decompose
 
 
 def example_automaton() -> Tela:
@@ -234,3 +236,9 @@ def singleton_seeded_gfm(a: Tela) -> Tela:
         acceptance=Inf(1),
         n_marks=1,
     )
+
+
+def mec_decomposition(p) -> list[EndComponent]:
+    """The maximal end components of an `Mdp` or a `ProductMdp`, with actions
+    given as indices into each state's action tuple."""
+    return _mec_decompose(_action_items(p.actions))

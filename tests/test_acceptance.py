@@ -45,7 +45,6 @@ from tela.limitdet import (
 )
 from tela.mdp import (
     mdp_product,
-    mec_decomposition,
     pr_max_buchi,
     pr_max_tela,
     qualitative_positive,
@@ -57,6 +56,7 @@ from tela.transforms import GBA_METHODS, ensure_dnf, remove_fin, remove_fin_gba,
 from helpers import (
     example_automaton,
     example_mdp,
+    mec_decomposition,
     random_automaton,
     random_mdp,
     singleton_seeded_gfm,

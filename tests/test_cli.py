@@ -400,13 +400,14 @@ def test_huge_state_count_exits_3_under_a_memory_cap(tmp_path):
         assert f"line 2: at most {MAX_STATES} states" in done.stderr, command
 
 
-def test_many_unused_states_answer_under_a_memory_cap(tmp_path):
+def test_many_unused_states_answer_under_a_memory_cap(tmp_path, capsys):
     """A file that declares the most states the parser takes, over eight
     atomic propositions, but uses one: the breakpoint construction's
     successor tables stay the size of the transitions, and printing the
     result walks the transitions, not every (state, letter) slot.  The
     output is the one-state file's, with the breakpoint states numbered
-    past the unused ones."""
+    past the unused ones.  The emptiness and limit-determinism checks walk
+    state bitmasks, and answer as on the one-state file."""
     used = Tela(
         ap=tuple("abcdefgh"),
         n_states=1,
@@ -428,6 +429,12 @@ def test_many_unused_states_answer_under_a_memory_cap(tmp_path):
     assert small.n_states == 3
     assert done.stdout == print_hoa(shifted_from(small, 1, MAX_STATES - 1))
     assert lines.count("State: 1") == 1
+    one = tmp_path / "used.hoa"
+    one.write_text(hoa)
+    for command, code in ((["check", "empty"], 1), (["check", "limitdet"], 0)):
+        done = run_cli_capped([*command, str(path)])
+        assert main([*command, str(one)]) == code
+        assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
 
 
 def test_unexpected_exception_exits_4(tmp_path, capsys, monkeypatch):

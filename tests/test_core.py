@@ -5,6 +5,7 @@ import random
 import signal
 import threading
 import time
+from collections import defaultdict
 from dataclasses import replace
 
 import pytest
@@ -41,8 +42,8 @@ from tela.core import (
     BudgetExceeded,
     _bisim_blocks,
     _direct_simulation,
+    closure,
     explore,
-    reachable,
     scc_split,
     with_all_mark,
 )
@@ -493,12 +494,23 @@ def test_complement_deterministic():
 
 
 def reachable_states(a):
-    return reachable(a.initial, ((s, d) for s, _, d, _ in a.transitions))
+    """The states `closure` reaches from the initial ones, as a bitmask,
+    with successors given both as a list over all states and as a
+    `defaultdict(int)` of the states with a successor; both must agree."""
+    listed = [0] * a.n_states
+    sparse = defaultdict(int)
+    for s, _, d, _ in a.transitions:
+        listed[s] |= 1 << d
+        sparse[s] |= 1 << d
+    seeds = sum(1 << q for q in a.initial)
+    reached = closure(seeds, listed)
+    assert closure(seeds, sparse) == reached
+    return reached
 
 
 def test_reachable_states():
     ex = example_automaton()
-    assert reachable_states(ex) == frozenset(range(8))
+    assert reachable_states(ex) == 0xFF
     island = Tela(
         ap=("a",),
         n_states=3,
@@ -507,7 +519,7 @@ def test_reachable_states():
         acceptance=TRUE,
         n_marks=0,
     )
-    assert reachable_states(island) == frozenset({0, 1})
+    assert reachable_states(island) == 0b011
 
 
 # State 5 points back to seed 2, so revisits happen after the last discovery.

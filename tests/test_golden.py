@@ -28,7 +28,6 @@ from tela import (
     ensure_dnf,
     limit_det_sum,
     mdp_product,
-    mec_decomposition,
     parse_mdp,
     pr_max_tela,
     print_hoa,
@@ -46,7 +45,7 @@ from tela.mdp import _explore_product
 from tela.randbench import DET_METHODS
 from tela.transforms import GBA_METHODS
 
-from helpers import random_mdp
+from helpers import mec_decomposition, random_mdp
 
 GOLDEN = "29a5578792ea2d9b6e68faa21d69b1fcb33adf470b1811ff294d9bdff1c62fd2"
 GOLDEN_2AP = "0bf32a327fcaf4e3f3263d4488d0b4147a760684e943958c48c36916bdcb8eed"

@@ -35,7 +35,7 @@ from tela.determinize import (
     equivalent_deterministic,
     safra_determinize,
 )
-from tela.core import _SparseRow, complete, post_masks
+from tela.core import _SparseRow, accepting_scc_states, complete, post_masks
 from tela.limitdet import (
     GFM_STATE_LIMIT,
     _breakpoint_explore,
@@ -56,6 +56,7 @@ from oracles import (
     oracle_breakpoint_explore,
     oracle_breakpoint_live,
     oracle_limit_det,
+    oracle_live_states,
     oracle_nondet_part,
     random_word,
 )
@@ -243,8 +244,11 @@ def mask(states):
 
 def test_live_mask_matches_the_oracle():
     """`_live_mask` against one emptiness check per state, for every DNF
-    disjunct and two disjuncts with no Inf set, on random_tela inputs and
-    on small random automata."""
+    disjunct and two disjuncts with no Inf set, on random_tela inputs, on
+    small random automata and on one that declares far more states than it
+    uses, whose `post_masks` rows are sparse.  The Buchi case that Safra
+    asks, `accepting_scc_states` with no Fin set and one Inf set, is
+    checked against the cycle oracle for every mark."""
     rng = random.Random(455)
     inputs = [
         random_tela(
@@ -257,8 +261,10 @@ def test_live_mask_matches_the_oracle():
         )
         for _ in range(30)
     ] + [random_dnf_automaton(rng, n_marks=3, ap=("a",)) for _ in range(30)]
-    dead = 0
+    inputs.append(shifted_from(complete(inputs[0]), 1, 60))
+    dead = sparse = 0
     for a in inputs:
+        sparse += type(post_masks(a)[0]) is _SparseRow
         disjuncts = list(to_dnf(a.acceptance).disjuncts) + [
             DnfDisjunct(0, ()),
             DnfDisjunct(1 << rng.randrange(3), ()),
@@ -267,7 +273,11 @@ def test_live_mask_matches_the_oracle():
             want = mask(oracle_breakpoint_live(a, d.fin, d.infs))
             assert _live_mask(a, d.fin, d.infs) == want
             dead += bin(want).count("1") < a.n_states
+        for acc in (1, 2, 4):
+            want = oracle_live_states(a, acc)
+            assert accepting_scc_states(a.transitions, 0, (acc,)) == want
     assert dead > 50
+    assert sparse >= 1
 
 
 def test_breakpoint_explore_matches_oracle():

@@ -23,7 +23,6 @@ from tela import (
     fin_,
     inf_,
     mdp_product,
-    mec_decomposition,
     or_,
     parse_mdp,
     pr_max_buchi,
@@ -41,6 +40,7 @@ from helpers import (
     breakpoint_automaton,
     example_automaton,
     example_mdp,
+    mec_decomposition,
     random_automaton,
     random_mdp,
     singleton_seeded_gfm,

@@ -31,14 +31,11 @@ construction raises anything but BudgetExceeded.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
+
+import differential
 
 WORDS = 20
 
@@ -62,14 +59,6 @@ def worker(count: int, seed: int) -> dict:
         digest = hashlib.sha256(text.encode()).hexdigest()
         rows.append({"input": digest, "text": text, **outputs})
     return {"methods": list(workloads.DET_METHODS), "rows": rows}
-
-
-def run_tree(tree: Path, count: int, seed: int) -> subprocess.Popen:
-    env = dict(os.environ)
-    paths = [str(tree / "src"), str(tree / "perfbench")]
-    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
-    cmd = [sys.executable, __file__, "--worker", str(count), str(seed)]
-    return subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, text=True)
 
 
 def compare(parent: dict, change: dict) -> dict:
@@ -143,29 +132,8 @@ def compare(parent: dict, change: dict) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--count", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=3)
-    args = parser.parse_args(argv)
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    procs = {side: run_tree(tree, args.count, args.seed) for side, tree in trees.items()}
-    texts = {side: proc.communicate()[0] for side, proc in procs.items()}
-    for side, proc in procs.items():
-        if proc.returncode != 0:
-            raise SystemExit(f"error: the {side} tree's worker exited with {proc.returncode}")
-    results = {side: json.loads(text) for side, text in texts.items()}
-    sys.path.insert(0, str(trees["change"] / "src"))
-    report = compare(results["parent"], results["change"])
-    report = {"count": args.count, "seed": args.seed, **report}
-    print(json.dumps(report, indent=1))
-    bad = report["mismatches"] or report["crashes"] or report["input_mismatches"]
-    return 1 if bad else 0
+    return differential.main(argv, __file__, __doc__, compare)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--worker"]:
-        json.dump(worker(int(sys.argv[2]), int(sys.argv[3])), sys.stdout)
-        sys.exit(0)
-    sys.exit(main())
+    sys.exit(differential.entry(__file__, __doc__, worker, compare))
