@@ -88,9 +88,10 @@ from .determinize import disjunct_determinizations
 GFM_STATE_LIMIT = 12
 
 
-def canonical_partition(a: Tela) -> tuple[frozenset[int], frozenset[int]]:
-    """Split states into (Q_N, Q_D): Q_N holds the states from which a
-    nondeterministic choice is reachable, Q_D all others."""
+def _nondet_mask(a: Tela) -> int:
+    """Q_N as a state bitmask: the states from which a nondeterministic
+    choice is reachable.  Its cost follows the transitions, not the declared
+    state count."""
     nondet = 0
     for (q, _), ts in a.index.items():
         if len(ts) > 1:
@@ -98,7 +99,13 @@ def canonical_partition(a: Tela) -> tuple[frozenset[int], frozenset[int]]:
     back: defaultdict[int, int] = defaultdict(int)
     for s, _, d, _ in a.transitions:
         back[d] |= 1 << s
-    q_n = frozenset(mark_indices(closure(nondet, back)))
+    return closure(nondet, back)
+
+
+def canonical_partition(a: Tela) -> tuple[frozenset[int], frozenset[int]]:
+    """Split states into (Q_N, Q_D): Q_N holds the states from which a
+    nondeterministic choice is reachable, Q_D all others."""
+    q_n = frozenset(mark_indices(_nondet_mask(a)))
     return q_n, frozenset(range(a.n_states)) - q_n
 
 
@@ -112,9 +119,10 @@ def limit_det_violation(a: Tela) -> Lasso | None:
     initial state of Q_N and takes only transitions inside Q_N: the
     emptiness search runs on those transitions alone.
     """
-    q_n, _ = canonical_partition(a)
-    inside = tuple(t for t in a.transitions if t[0] in q_n and t[2] in q_n)
-    return _lasso(inside, a.initial & q_n, to_dnf(a.acceptance))
+    q_n = _nondet_mask(a)
+    inside = tuple(t for t in a.transitions if q_n >> t[0] & 1 and q_n >> t[2] & 1)
+    initial = frozenset(q for q in a.initial if q_n >> q & 1)
+    return _lasso(inside, initial, to_dnf(a.acceptance))
 
 
 def is_limit_deterministic(a: Tela) -> bool:
@@ -125,13 +133,13 @@ def is_syntactically_limit_deterministic(a: Tela) -> bool:
     """Whether every transition carrying an Inf-relevant mark lies inside the
     deterministic part.  Needs DNF acceptance."""
     dnf = dnf_structure(a.acceptance)
-    q_n, _ = canonical_partition(a)
+    q_n = _nondet_mask(a)
     bits = 0
     for d in dnf.disjuncts:
         for s in d.infs:
             bits |= s
     for s, _, d, marks in a.transitions:
-        if marks & bits and (s in q_n or d in q_n):
+        if marks & bits and (q_n >> s & 1 or q_n >> d & 1):
             return False
     return True
 

@@ -19,7 +19,10 @@ that letter, so a strategy resolves both kinds of nondeterminism.  Product
 states are numbered by the int key s * |Q| + q while exploring and returned
 as (MDP state, automaton state) pairs.  Each action, of an MDP or of a
 product, carries its support, the targets of its distribution in order;
-the MEC split and the graph fixpoints read it.  Maximal end components
+the MEC split and the graph fixpoints read it.  A product action stores no
+distribution: it holds its support and the `probs` tuple of its MDP action,
+which every product action over that MDP action shares, and its `dist`
+pairs the two on each read.  Maximal end components
 come from `core.scc_split`, the one SCC split, run over (state, action id,
 support) items and again on each component that lost items, until none
 loses any.  Maximal reachability probabilities are decided first by graph
@@ -106,6 +109,12 @@ class MdpAction:
     def support(self) -> tuple[int, ...]:
         """The targets of `dist`, in order."""
         return tuple(t for t, _ in self.dist)
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        """The probabilities of `dist`, in order; every product action built
+        over this action shares this tuple."""
+        return tuple(p for _, p in self.dist)
 
 
 @dataclass(frozen=True)
@@ -221,25 +230,36 @@ def parse_mdp(text: str) -> Mdp:
     missing = next((s for s in range(n_states) if s not in actions), None)
     if missing is not None:
         raise MdpParseError(states_line, f"state {missing} has no action")
-    return Mdp(
+    # Every check of `Mdp.__post_init__` has been made above, with its line
+    # number, so the constructor's second pass over the actions is skipped.
+    m = object.__new__(Mdp)
+    m.__dict__.update(
         n_states=n_states,
         initial=initial,
         labels=tuple(labels.get(s, frozenset()) for s in range(n_states)),
         actions=tuple(tuple(actions[s]) for s in range(n_states)),
     )
+    return m
 
 
 class ProductAction(NamedTuple):
     """An MDP action paired with one automaton transition: its name, the
-    transition's marks, the distribution over product states, and its
-    support, the targets of `dist` in order, built with it.  Targets index
+    transition's marks, its support, the product states it leads to in
+    order, and their probabilities, the MDP action's `probs` tuple itself,
+    shared by every product action over that MDP action.  Targets index
     `ProductMdp.states`; exploration numbers those states by the int key
     s * |Q| + q of MDP state s and automaton state q."""
 
     name: str
     marks: int
-    dist: tuple[tuple[int, Fraction], ...]
     support: tuple[int, ...]
+    probs: tuple[Fraction, ...]
+
+    @property
+    def dist(self) -> tuple[tuple[int, Fraction], ...]:
+        """The distribution over product states, (target, probability) in
+        order; built on each read."""
+        return tuple(zip(self.support, self.probs))
 
 
 @dataclass(frozen=True)
@@ -284,10 +304,7 @@ def _explore_product(
     width = a.n_states
     # Per MDP state: each action's name, targets times width, probabilities.
     scaled = [
-        [
-            (act.name, [t * width for t, _ in act.dist], [p for _, p in act.dist])
-            for act in acts
-        ]
+        [(act.name, [t * width for t in act.support], act.probs) for act in acts]
         for acts in m.actions
     ]
 
@@ -304,8 +321,7 @@ def _explore_product(
         for name, targets, probs in scaled[s]:
             for _, _, q2, marks in moves:
                 support = tuple([number(t + q2) for t in targets])
-                dist = tuple(zip(support, probs))
-                out.append(ProductAction(name, marks, dist, support))
+                out.append(ProductAction(name, marks, support, probs))
         return out
 
     seeds = [m.initial * width + q for q in sorted(a.initial)]
@@ -487,7 +503,7 @@ def _max_reach(
         nid = node_of[s]
         for act in actions[s]:
             agg: dict[int, float] = {}
-            for t, p in act.dist:
+            for t, p in zip(act.support, act.probs):
                 agg[node_of[t]] = agg.get(node_of[t], 0.0) + float(p)
             if set(agg) == {nid}:
                 continue

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -129,6 +130,24 @@ def test_limit_det_violation_witness():
     assert lasso.cycle_marks() & 1
     u, v = lasso.word()
     assert accepts(a, u, v)
+
+
+def test_limit_det_checks_cost_the_used_states_not_the_declared_ones():
+    """Both checks read Q_N as a bitmask and never build Q_D, so an automaton
+    that declares 2^20 states but uses one or two answers as the small one
+    does, within a few megabytes."""
+    for a, limit_det in ((universal_buchi(), True), (nondet_accepting_loop(), False)):
+        big = replace(a, n_states=1 << 20)
+        tracemalloc.start()
+        try:
+            violation = limit_det_violation(big)
+            syntactic = is_syntactically_limit_deterministic(big)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert violation == limit_det_violation(a)
+        assert (violation is None) == syntactic == limit_det
 
 
 def random_limit_det_case(rng):

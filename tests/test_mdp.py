@@ -174,6 +174,50 @@ def test_parse_mdp_semantic_errors_name_their_line():
         assert fragment in str(info.value), text
 
 
+def test_parse_mdp_builds_the_constructors_mdp_checking_each_action_once(monkeypatch):
+    """On seeded texts, with states in shuffled order and labels sometimes
+    left out, `parse_mdp` equals the `Mdp` that the public constructor builds
+    and checks from the same fields, and it checks each action once."""
+    checked = []
+
+    def counting(s, act, n_states, error):
+        checked.append((s, act.name))
+        return check(s, act, n_states, error)
+
+    check = mdp_module._check_action
+    monkeypatch.setattr(mdp_module, "_check_action", counting)
+    rng = random.Random(523)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        initial = rng.randrange(n)
+        labels = tuple(
+            frozenset(x for x in ("p", "q") if rng.random() < 0.5) for _ in range(n)
+        )
+        actions = []
+        for _ in range(n):
+            acts = []
+            for i in range(rng.randint(1, 3)):
+                targets = rng.sample(range(n), rng.randint(1, n))
+                weights = [rng.randint(1, 4) for _ in targets]
+                total = sum(weights)
+                dist = tuple((t, Fraction(w, total)) for t, w in zip(targets, weights))
+                acts.append(MdpAction(f"a{i}", dist))
+            actions.append(tuple(acts))
+        lines = [f"states {n}", f"initial {initial}"]
+        for s in rng.sample(range(n), n):
+            if labels[s] or rng.random() < 0.5:
+                lines.append(f"label {s} {{{','.join(sorted(labels[s]))}}}")
+            for act in actions[s]:
+                lines.extend(f"trans {s} {act.name} {t} {p}" for t, p in act.dist)
+        checked.clear()
+        parsed = parse_mdp("\n".join(lines) + "\n")
+        assert sorted(checked) == [(s, act.name) for s in range(n) for act in actions[s]]
+        built = Mdp(n_states=n, initial=initial, labels=labels, actions=tuple(actions))
+        assert type(parsed) is Mdp
+        assert parsed == built
+        assert hash(parsed) == hash(built)
+
+
 def test_mdp_product_requires_single_initial_state():
     with pytest.raises(MdpError):
         mdp_product(example_mdp(), example_automaton())
@@ -223,13 +267,17 @@ def test_every_action_support_lists_its_targets_in_order():
         for acts in m.actions:
             for act in acts:
                 assert act.support == tuple(t for t, _ in act.dist)
+                assert act.probs == tuple(p for _, p in act.dist)
         prod = mdp_product(m, complete(build_gfm(ensure_dnf(a))))
         assert all(type(state) is tuple and len(state) == 2 for state in prod.states)
-        for acts in prod.actions:
+        for (s, _), acts in zip(prod.states, prod.actions):
+            by_name = {mdp_act.name: mdp_act for mdp_act in m.actions[s]}
             for act in acts:
                 assert act.support == tuple(t for t, _ in act.dist)
-                assert tuple(act) == (act.name, act.marks, act.dist, act.support)
-                assert act == (act.name, act.marks, act.dist, act.support)
+                assert tuple(act) == (act.name, act.marks, act.support, act.probs)
+                assert act == (act.name, act.marks, act.support, act.probs)
+                assert act.probs is by_name[act.name].probs
+                assert act.dist == tuple(zip(act.support, act.probs))
 
 
 def test_mdp_product_small_shape():

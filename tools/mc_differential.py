@@ -12,8 +12,9 @@ makes: `pr_max_tela` on the MDP and the automaton, and `qualitative_positive`
 on `build_ld` of the automaton.  It also records the sizes of the automata
 those answers go through: the good-for-MDP automaton `build_gfm`, the
 quotient `bisim_quotient(complete(...))` that `pr_max_tela` multiplies with
-the MDP, the limit-deterministic `build_ld` and its quotient.  The report,
-one JSON object on standard output, gives:
+the MDP, the states and actions of that product (`mdp_product`), the
+limit-deterministic `build_ld` and its quotient.  The report, one JSON
+object on standard output, gives:
 
 - the sum of each size over the inputs, per tree, and on how many inputs
   the change's size grew or shrank;
@@ -35,7 +36,9 @@ import sys
 import differential
 
 TOLERANCE = 1e-9
-SIZES = ("gfm", "gfm_quotient", "ld", "ld_quotient")
+SIZES = (
+    "gfm", "gfm_quotient", "product_states", "product_actions", "ld", "ld_quotient",
+)
 
 
 def worker(count: int, seed: int) -> dict:
@@ -62,7 +65,12 @@ def worker(count: int, seed: int) -> dict:
         attempt(row, "pr", lambda: tela.pr_max_tela(m, a))
         gfm = attempt(row, "gfm", lambda: tela.build_gfm(dnf))
         if isinstance(gfm, tela.Tela):
-            row["gfm_quotient"] = tela.bisim_quotient(tela.complete(gfm)).n_states
+            quotient = tela.bisim_quotient(tela.complete(gfm))
+            product = attempt(row, "product_states", lambda: tela.mdp_product(m, quotient))
+            if isinstance(product, tela.ProductMdp):
+                row["product_states"] = product.n_states
+                row["product_actions"] = sum(map(len, product.actions))
+            row["gfm_quotient"] = quotient.n_states
             row["gfm"] = gfm.n_states
         ld = attempt(row, "ld", lambda: tela.build_ld(dnf))
         if isinstance(ld, tela.Tela):
