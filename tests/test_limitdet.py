@@ -150,6 +150,23 @@ def test_limit_det_checks_cost_the_used_states_not_the_declared_ones():
         assert (violation is None) == syntactic == limit_det
 
 
+def test_a_marked_jump_out_of_q_n_is_not_syntactically_limit_deterministic():
+    """State 0 guesses when to jump to state 1, and the jump carries the Inf
+    mark: no accepting cycle stays in Q_N = {0}, but the marked transition
+    has one end in Q_N, so the syntactic check says no."""
+    a = Tela(
+        ap=("a",),
+        n_states=2,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (1, 1, 1, 1)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    assert canonical_partition(a) == (frozenset({0}), frozenset({1}))
+    assert is_limit_deterministic(a)
+    assert not is_syntactically_limit_deterministic(a)
+
+
 def random_limit_det_case(rng):
     """A random automaton of at most six states over one or two APs with
     random-el, dnf, TRUE, FALSE or Inf-less-disjunct acceptance."""

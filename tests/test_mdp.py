@@ -179,12 +179,12 @@ def test_parse_mdp_builds_the_constructors_mdp_checking_each_action_once(monkeyp
     left out, `parse_mdp` equals the `Mdp` that the public constructor builds
     and checks from the same fields, and it checks each action once."""
     checked = []
+    check = mdp_module._check_action
 
     def counting(s, act, n_states, error):
         checked.append((s, act.name))
         return check(s, act, n_states, error)
 
-    check = mdp_module._check_action
     monkeypatch.setattr(mdp_module, "_check_action", counting)
     rng = random.Random(523)
     for _ in range(200):
