@@ -33,7 +33,6 @@ import math
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -466,6 +465,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     instances = _bench_instances(config)
     payloads = [(idx, a, config) for idx, a in enumerate(instances)]
     if config.workers > 1 and payloads:
+        # Imported here: it loads multiprocessing, which `import tela` would
+        # otherwise pay for on every start.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             outcomes = list(pool.map(_bench_worker, payloads))
     else:

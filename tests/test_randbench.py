@@ -1,15 +1,20 @@
 """Tests for random automaton generation and the benchmark harness."""
 
+import ast
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import tela
 import tela.randbench as randbench
-from tela import Tela, TelaError, inf_
+from tela import Tela, TelaError, inf_, print_hoa
 from tela.core import BudgetExceeded
 from tela.randbench import (
     CONFIG_KEYS,
@@ -356,3 +361,63 @@ def test_readme_lists_every_config_key_with_its_default():
     keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
     assert sorted(keys) == sorted(CONFIG_KEYS)
     assert parse_bench_config(block) == BenchConfig()
+
+
+# The random_tela arguments of perfbench's gba, det and mc generators.
+BENCHMARK_GENERATORS = {
+    "gba": dict(
+        n_states=4, n_marks=6, edge_density=3 / 4, mark_prob=0.2, acc="dnf", n_ap=1
+    ),
+    "det": dict(
+        n_states=4, n_marks=3, edge_density=3 / 4, mark_prob=0.2, acc="random-el", n_ap=1
+    ),
+    "mc": dict(
+        n_states=4, n_marks=2, edge_density=9 / 10, mark_prob=0.2, acc="random-el", n_ap=1
+    ),
+}
+BENCHMARK_INPUTS_DIGEST = (
+    "163c0ccb332bc03a73f656ce6c21d8a7006aa021daa92fd8fd360d0a70bd74ff"
+)
+
+
+def perfbench_generator_arguments() -> dict[str, dict]:
+    """The constant keyword arguments of the `tela.random_tela` call in each
+    `<name>_generate` of perfbench/workloads.py, read from its source."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    found = {}
+    for node in ast.parse(path.read_text()).body:
+        if not (isinstance(node, ast.FunctionDef) and node.name.endswith("_generate")):
+            continue
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and ast.unparse(call.func) == "tela.random_tela":
+                found[node.name.removesuffix("_generate")] = {
+                    kw.arg: eval(ast.unparse(kw.value))
+                    for kw in call.keywords
+                    if kw.arg != "seed"
+                }
+    return found
+
+
+def test_benchmark_inputs_match_the_pinned_digest():
+    """The automata the benchmark measures, drawn at its generator arguments
+    over fixed seeds, so that a change to `to_dnf` or `random_tela` cannot
+    change them unnoticed."""
+    assert perfbench_generator_arguments() == BENCHMARK_GENERATORS
+    digest = hashlib.sha256()
+    for name, kw in BENCHMARK_GENERATORS.items():
+        for seed in range(60):
+            text = print_hoa(random_tela(**kw, seed=seed))
+            digest.update(f"{name} {seed}\n{text}\n".encode())
+    assert digest.hexdigest() == BENCHMARK_INPUTS_DIGEST
+
+
+def test_import_tela_leaves_the_process_pool_unloaded():
+    """Only a pooled benchmark run needs multiprocessing, so a fresh
+    `import tela` does not load it."""
+    src = Path(tela.__file__).resolve().parents[1]
+    code = "import sys, tela; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
