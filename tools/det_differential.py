@@ -11,13 +11,14 @@ generator at `random.Random(SEED)` by every method of DET_METHODS under the
 workload's state cap (the calls `perfbench/workloads.determinize` makes), in
 its own process.  The report, one JSON object on standard output, gives:
 
-- the constructions each tree returns, and those the change gains and loses;
+- the constructions each tree returns, how many the change gains, and the
+  ones it loses, as [input index, method] pairs (`lost`);
 - each tree's `ok_share`, its returned share of all constructions, and the
   mean size of everything it returns: the `det` workload's two size metrics,
   on a fixed input set;
-- the state sums, and how many outputs grew or shrank, over the
-  constructions both trees return, and how many of those print the same
-  HOA text in both (`identical`);
+- the state sums over the constructions both trees return, how many of
+  those print the same HOA text in both (`identical`), how many outputs
+  shrank, and the ones that grew, as [input index, method] pairs (`grew`);
 - the language mismatches: each output of the change is compared by
   `contains` both ways with the parent's output of the same method, or, where
   the parent ran out of budget there, with the parent's first output for the
@@ -72,11 +73,11 @@ def compare(parent: dict, change: dict) -> dict:
         "ok_share": {},
         "states_mean": {},
         "gained": 0,
-        "lost": 0,
+        "lost": [],
         "common": 0,
         "identical": 0,
         "states_common": {"parent": 0, "change": 0},
-        "grew": 0,
+        "grew": [],
         "shrank": 0,
         "compared": 0,
         "word_checked": 0,
@@ -103,13 +104,15 @@ def compare(parent: dict, change: dict) -> dict:
         for method in methods:
             p, c = p_out.get(method), c_out.get(method)
             report["gained"] += p is None and c is not None
-            report["lost"] += p is not None and c is None
+            if p is not None and c is None:
+                report["lost"].append([i, method])
             if p is not None and c is not None:
                 report["common"] += 1
                 report["identical"] += p_row[method] == c_row[method]
                 report["states_common"]["parent"] += p.n_states
                 report["states_common"]["change"] += c.n_states
-                report["grew"] += c.n_states > p.n_states
+                if c.n_states > p.n_states:
+                    report["grew"].append([i, method])
                 report["shrank"] += c.n_states < p.n_states
             if c is None:
                 continue
