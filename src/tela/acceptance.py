@@ -12,7 +12,8 @@ Mark sets are plain ints used as bitmasks.  A DNF disjunct with no Inf atom
 has an empty tuple of Inf sets: the empty conjunction holds on every run, so
 such a disjunct asks only that its Fin set stay clear.  Constructions that
 need an Inf set in every disjunct read the DNF through `dnf_structure`;
-`transforms.ensure_dnf` puts a fresh mark on every transition for them.
+`transforms.ensure_dnf` puts a fresh mark on every transition for them, and
+drops the implied parts of the DNF with `absorb_dnf`.
 
 This module owns the HOA Boolean syntax: `parse_formula` reads both
 Acceptance formulas (through `parse_acceptance`) and transition labels
@@ -295,6 +296,46 @@ def to_dnf(phi: Acceptance) -> DnfAcceptance:
             seen_disjuncts.add(d)
             disjuncts.append(d)
     return DnfAcceptance(tuple(disjuncts))
+
+
+@lru_cache(maxsize=1024)
+def absorb_dnf(dnf: DnfAcceptance) -> DnfAcceptance:
+    """The same condition without implied parts, in the same order.
+
+    Fin(F) & Inf(S) is Fin(F) & Inf(S - F), so every Inf set loses its
+    disjunct's Fin marks, and a disjunct whose Inf set empties can never
+    hold and goes.  Inf(T) implies Inf(S) when T is a subset of S, so a
+    disjunct keeps only its minimal Inf sets.  A disjunct d implies e when
+    e's Fin set is a subset of d's and every Inf set of e contains one of
+    d's; then d adds nothing to the disjunction and goes.  Of two equal sets,
+    or two disjuncts that imply each other, the first stays.
+    """
+
+    def first_minimal(items, below):
+        return tuple(
+            x
+            for i, x in enumerate(items)
+            if not any(
+                j != i and below(y, x) and (j < i or not below(x, y))
+                for j, y in enumerate(items)
+            )
+        )
+
+    def subset(t: int, s: int) -> bool:
+        return not t & ~s
+
+    def implies(d: DnfDisjunct, e: DnfDisjunct) -> bool:
+        return subset(e.fin, d.fin) and all(
+            any(subset(t, s) for t in d.infs) for s in e.infs
+        )
+
+    parts = []
+    for d in dnf.disjuncts:
+        sets = [s & ~d.fin for s in d.infs]
+        if all(sets):
+            parts.append(DnfDisjunct(d.fin, first_minimal(sets, subset)))
+    # d goes when it implies another e: e is then "below" d for first_minimal.
+    return DnfAcceptance(first_minimal(parts, lambda e, d: implies(d, e)))
 
 
 def dnf_length(dnf: DnfAcceptance) -> int:

@@ -22,10 +22,12 @@ DNF acceptance:
   nondeterminism cannot lower the probability mass of accepted runs.
 
 Breakpoint components track (R, B, l): R the tracked run set over
-Fin-deleted transitions, l a level cycling through the disjunct's Inf sets,
-and B the runs that visited the level's set since the last breakpoint.
-Level 0 breaks immediately; level l waits until B covers R.  The single
-output mark sits on break transitions.  R, B and the subsets of build_gfm
+Fin-deleted transitions, l a level cycling through the disjunct's k Inf
+sets, and B the runs that visited the level's set since the last
+breakpoint.  Seeds enter at level 0, which breaks on the first step into
+level 1; level l waits until B covers R and then breaks into level
+l % k + 1, so level 0 is never seen again.  The single output mark sits on
+break transitions.  R, B and the subsets of build_gfm
 are state bitmasks, whose successors `core.image` takes from one
 `core.post_masks` table per breakpoint level and one for the subsets.
 
@@ -60,6 +62,28 @@ A GFM product cannot exceed Pr(L), since it accepts only words of L, and
 cannot fall below it: every strategy of the untrimmed product, with each
 jump into R taken into R & live, accepts at least as often in the trimmed
 one, and a jump into a seed with no live state accepted nothing anyway.
+
+A break at level k once went to level 0, whose next step broke again into
+level 1, so each round took one step more.  Going straight to level 1
+changes the language of no breakpoint state:
+
+- A run's R-sequence does not depend on the levels, and the B of a phase
+  started at step t holds the states of R reached from R at step t by a
+  path over the level's Inf set.
+- A phase that starts no later ends no later: every state of R at a later
+  start is reached from R at the earlier one, so the earlier phase's B
+  holds the later one's.  From any state, the level-1 phase that starts at
+  the break, not one step after it, ends no later, and by induction so
+  does every later phase: the component accepts at least the words it did.
+- Conversely, a phase ends no later than any phase of its level that
+  starts after it and ends, by the same extension of paths backwards.  A
+  component that breaks infinitely often starts phases of every level
+  infinitely often, so every phase that the old level rule starts ends,
+  and that rule breaks infinitely often as well.
+
+The subset part and the bridges are unchanged, and each breakpoint state
+accepts what it accepted, so every strategy of a GFM product accepts with
+the probability it had, and so does the best one.
 """
 
 from __future__ import annotations
@@ -190,11 +214,13 @@ def _breakpoint_explore(
             if not r2:
                 continue
             if level == 0:
-                yield letter, number((r2, 0, 1 % (k + 1))), 1
+                # Level 1, or level 0 again when there is no Inf set: such
+                # a disjunct breaks on every step.
+                yield letter, number((r2, 0, min(k, 1))), 1
                 continue
             b2 = (hits | image(row, b)[0]) & live
             if b2 == r2:
-                yield letter, number((r2, 0, (level + 1) % (k + 1))), 1
+                yield letter, number((r2, 0, level % k + 1)), 1
             else:
                 yield letter, number((r2, b2, level)), 0
 

@@ -1,5 +1,15 @@
 """Acceptance transformations: Fin-removal and TELA-to-GBA translations.
 
+Every construction that works per DNF disjunct reads its input through
+`ensure_dnf`: the GBA translations, the per-disjunct determinizations, the
+breakpoint components and so `pr_max_tela`.  It writes back the DNF without
+implied parts (`acceptance.absorb_dnf`): Inf sets lose their disjunct's Fin
+marks, only minimal Inf sets stay, and a disjunct that implies another
+goes.  Each construction builds one copy, determinization or component per
+disjunct and Inf set, so every part dropped there is one not built.
+`acceptance.to_dnf` itself keeps the raw distribution, which the random
+generator and the benchmark's DNF-length buckets read.
+
 Fin-removal builds the main copy plus one copy per DNF disjunct.  Copy i
 drops the transitions of the disjunct's Fin set, keeps bridge transitions
 from the main copy into copy i for every original transition, and the
@@ -33,6 +43,7 @@ from .acceptance import (
     DnfAcceptance,
     DnfDisjunct,
     Inf,
+    absorb_dnf,
     and_,
     dnf_formula,
     dnf_structure,
@@ -56,18 +67,25 @@ GBA_METHODS = ("cnf", "remfin_split", "split_remfin", "remfin_rewrite")
 
 
 def ensure_dnf(a: Tela) -> Tela:
-    """Rewrite the acceptance condition into syntactic DNF.
+    """Rewrite the acceptance condition into syntactic DNF without implied
+    parts (`absorb_dnf`).
 
     A disjunct without Inf atoms needs Inf over all transitions; in that case
-    a fresh mark carried by every transition is added first.
+    a fresh mark carried by every transition is added first.  Writing the
+    DNF back merges its bare Inf disjuncts into one (`or_`), which another
+    disjunct may imply, so the absorption repeats until the DNF read back is
+    the one written.
     """
-    dnf = to_dnf(a.acceptance)
+    dnf = absorb_dnf(to_dnf(a.acceptance))
     if any(not d.infs for d in dnf.disjuncts):
         a, mark = with_all_mark(a)
         dnf = DnfAcceptance(
             tuple(DnfDisjunct(d.fin, d.infs or (1 << mark,)) for d in dnf.disjuncts)
         )
-    return a.with_acceptance(dnf_formula(dnf), a.n_marks)
+    phi = dnf_formula(dnf)
+    while (again := absorb_dnf(to_dnf(phi))) != to_dnf(phi):
+        phi = dnf_formula(again)
+    return a.with_acceptance(phi, a.n_marks)
 
 
 def remove_fin(a: Tela) -> Tela:
@@ -94,13 +112,21 @@ def remove_fin_gba(a: Tela) -> Tela:
     All copies share k = max k_i acceptance sets; set j on copy i collects
     the copy's j-th Inf set, or all of the copy's transitions when j exceeds
     k_i (the padding keeps shorter disjuncts satisfiable exactly when their
-    own sets recur).
+    own sets recur).  A condition with no disjunct gives `to_gba`'s
+    empty-language GBA.
     """
     dnf = dnf_structure(a.acceptance)
-    k = max((len(d.infs) for d in dnf.disjuncts), default=0)
+    if not dnf.disjuncts:
+        return _empty_gba(a)
+    k = max(len(d.infs) for d in dnf.disjuncts)
     layout = [(0, (1 << k) - (1 << len(d.infs))) for d in dnf.disjuncts]
-    acceptance = and_(Inf(1 << j) for j in range(k)) if k else FALSE
+    acceptance = and_(Inf(1 << j) for j in range(k))
     return _fin_removal_structure(a, dnf, layout, acceptance, k)
+
+
+def _empty_gba(a: Tela) -> Tela:
+    """One state, no accepting run, and the one acceptance set Inf(0)."""
+    return empty_language_automaton(a.ap).with_acceptance(Inf(1), 1)
 
 
 def _fin_removal_structure(
@@ -190,7 +216,7 @@ def to_gba(a: Tela, method: str) -> Tela:
         raise TelaError(f"unknown GBA method {method!r}; choose from {GBA_METHODS}")
     a = ensure_dnf(a)
     if a.acceptance == FALSE:
-        return empty_language_automaton(a.ap).with_acceptance(Inf(1), 1)
+        return _empty_gba(a)
     if method == "cnf":
         g = remove_fin(a)
         clause_sets = finless_to_gba(g.acceptance)

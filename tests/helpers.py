@@ -186,12 +186,15 @@ def shifted_from(a: Tela, first: int, k: int) -> Tela:
     )
 
 
-def breakpoint_automaton(a: Tela) -> Tela:
+def breakpoint_automaton(a: Tela) -> Tela | None:
     """The breakpoint component of the first DNF disjunct alone, seeded with
     the initial state set: deterministic, Buchi on its break transitions,
     and a lone state with no transition when no initial state is live for
-    the disjunct."""
-    d = dnf_structure(a.acceptance).disjuncts[0]
+    the disjunct.  None when the DNF has no disjunct."""
+    disjuncts = dnf_structure(a.acceptance).disjuncts
+    if not disjuncts:
+        return None
+    d = disjuncts[0]
     seed = sum(1 << q for q in a.initial)
     live = _live_mask(a, d.fin, d.infs)
     order, transitions = _breakpoint_explore(a, d.fin, d.infs, [seed], live)

@@ -36,7 +36,7 @@ import random
 import re
 from fractions import Fraction
 
-from tela import FALSE, And, BoolConst, Fin, Inf, Or, Tela, TelaError, and_, or_
+from tela import And, BoolConst, Fin, Inf, Or, Tela, TelaError, and_, or_
 from tela.acceptance import dnf_structure
 
 ORACLE_STATE_LIMIT = 7
@@ -545,7 +545,10 @@ def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets, live):
     and the (src, letter, dst, break flag) transitions.  Same rules as
     `limitdet._breakpoint_explore`, with the successors of each state looked
     up per (state, letter) among the transitions that avoid `fin`, and every
-    set of successors cut down to `live`."""
+    set of successors cut down to `live`: level 0 is the seeds' entry step,
+    which breaks into level 1 (or stays at 0 when `infs` is empty), and a
+    break at level l goes to level l + 1, or back to level 1 after the last
+    Inf set."""
     k = len(infs)
     by_src = {}
     for s, letter, d, marks in a.transitions:
@@ -575,14 +578,15 @@ def oracle_breakpoint_explore(a: Tela, fin: int, infs, seed_sets, live):
             if not r2:
                 continue
             if level == 0:
-                key, brk = (frozenset(r2), empty, 1 % (k + 1)), True
+                key, brk = (frozenset(r2), empty, 1 if k else 0), True
             else:
                 b2 = set(hits)
                 for q in b:
                     b2.update(d for d, _ in by_src.get((q, letter), ()))
                 b2 &= live
                 if b2 == r2:
-                    key, brk = (frozenset(r2), empty, (level + 1) % (k + 1)), True
+                    after = 1 if level == k else level + 1
+                    key, brk = (frozenset(r2), empty, after), True
                 else:
                     key, brk = (frozenset(r2), frozenset(b2), level), False
             if key not in index:
@@ -745,8 +749,19 @@ def oracle_fin_removal(a: Tela, gba: bool) -> tuple[Tela, list[tuple[int, int]]]
             and_([Inf(1 << j) for j in range(shift, shift + len(disjunct.infs))])
         )
         shift += len(disjunct.infs)
+    if gba and not disjuncts:
+        # No disjunct: one state looping on every letter, no accepting set.
+        letters = range(1 << len(a.ap))
+        return Tela(
+            ap=a.ap,
+            n_states=1,
+            initial=frozenset({0}),
+            transitions=tuple((0, letter, 0, 0) for letter in letters),
+            acceptance=Inf(1),
+            n_marks=1,
+        ), []
     if gba:
-        acceptance = and_([Inf(1 << j) for j in range(k)]) if k else FALSE
+        acceptance = and_([Inf(1 << j) for j in range(k)])
     else:
         acceptance = or_(conjunctions)
     seen = _reachable(a.initial, transitions)

@@ -29,6 +29,7 @@ from tela import (
     to_dnf,
 )
 from tela.acceptance import (
+    absorb_dnf,
     dnf_formula,
     dnf_structure,
     finless_to_gba,
@@ -36,7 +37,7 @@ from tela.acceptance import (
     offset_dnf,
 )
 
-from helpers import random_formula
+from helpers import random_dnf_formula, random_formula
 from oracles import eval_marks
 
 
@@ -123,6 +124,83 @@ def test_to_dnf_preserves_semantics():
         for seen in all_seen(4):
             assert any(d.holds(seen) for d in dnf.disjuncts) == evaluate(seen, phi)
         assert dnf_length(dnf) <= 2 ** length(phi)
+
+
+def assert_absorbed(phi, n_marks):
+    """`absorb_dnf` of phi's DNF against phi on every mark set, with no
+    kept disjunct implying another on the mark sets (so none is
+    unsatisfiable), no kept Inf set containing another of its disjunct,
+    and no kept Inf set meeting its disjunct's Fin set."""
+    dnf = absorb_dnf(to_dnf(phi))
+    marks = list(all_seen(n_marks))
+    for seen in marks:
+        assert any(d.holds(seen) for d in dnf.disjuncts) == evaluate(seen, phi), phi
+    models = [{seen for seen in marks if d.holds(seen)} for d in dnf.disjuncts]
+    for i, d in enumerate(dnf.disjuncts):
+        assert models[i], (phi, d)
+        assert not any(models[i] <= models[j] for j in range(len(models)) if j != i)
+        assert not any(s & d.fin for s in d.infs), (phi, d)
+        for j, s in enumerate(d.infs):
+            assert not any(t & ~s == 0 for t in d.infs[:j] + d.infs[j + 1 :]), (phi, d)
+    return dnf
+
+
+def test_absorb_dnf_against_the_formula_on_every_mark_set():
+    rng = random.Random(408)
+    for _ in range(300):
+        assert_absorbed(random_formula(rng, n_marks=4), 4)
+    for _ in range(100):
+        assert_absorbed(random_dnf_formula(rng, n_marks=3), 3)
+
+
+def test_absorb_dnf_examples():
+    def absorbed(*disjuncts):
+        return DnfAcceptance(tuple(DnfDisjunct(f, infs) for f, infs in disjuncts))
+
+    cases = [
+        # A Fin-only disjunct absorbs those with more Fin marks.
+        (
+            or_([fin_(1), and_([fin_(3), inf_(4)]), and_([fin_(2), inf_(4)])]),
+            absorbed((1, ()), (2, (4,))),
+        ),
+        # An Inf set inside the Fin set cannot recur; one that meets it
+        # loses the shared marks.
+        (
+            or_([and_([fin_(1), inf_(1)]), and_([fin_(2), inf_(3)]), inf_(8)]),
+            absorbed((2, (1,)), (0, (8,))),
+        ),
+        # Disjuncts equal after the Fin subtraction, or up to the order of
+        # their Inf sets: the first stays.
+        (
+            or_([and_([fin_(1), inf_(6)]), and_([inf_(7), fin_(1)])]),
+            absorbed((1, (6,))),
+        ),
+        (
+            or_([and_([inf_(2), inf_(4)]), and_([fin_(8), inf_(1)]), and_([inf_(4), inf_(2)])]),
+            absorbed((0, (2, 4)), (8, (1,))),
+        ),
+        # Implication chains keep only their weakest disjunct.
+        (
+            or_([
+                and_([inf_(1), inf_(2), inf_(4)]),
+                and_([inf_(1), inf_(2)]),
+                and_([fin_(8), inf_(1)]),
+                inf_(1),
+            ]),
+            absorbed((0, (1,))),
+        ),
+        (
+            or_([and_([fin_(6), inf_(8)]), and_([fin_(2), inf_(8)]), and_([fin_(0), inf_(8)])]),
+            absorbed((0, (8,))),
+        ),
+        # Within a disjunct only the minimal Inf sets stay, in order.
+        (and_([inf_(3), inf_(6), inf_(1)]), absorbed((0, (6, 1)))),
+        (and_([fin_(1), inf_(3), inf_(2)]), absorbed((1, (2,)))),
+        (FALSE, absorbed()),
+        (TRUE, absorbed((0, ()))),
+    ]
+    for phi, want in cases:
+        assert assert_absorbed(phi, 4) == want, phi
 
 
 def test_dnf_length_counts_all_as_single_atom():

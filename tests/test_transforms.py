@@ -20,10 +20,11 @@ from tela import (
     is_empty,
     is_finless,
     or_,
+    parse_hoa,
     to_dnf,
     dnf_length,
 )
-from tela.acceptance import dnf_structure, gba_marksets
+from tela.acceptance import DnfDisjunct, absorb_dnf, dnf_structure, gba_marksets
 from tela.randbench import cnf_blowup_automaton, random_tela
 from tela.transforms import GBA_METHODS, ensure_dnf, remove_fin, remove_fin_gba, to_gba
 
@@ -311,6 +312,44 @@ def test_to_gba_of_rejecting_condition_is_empty():
         g = to_gba(a, method)
         assert is_empty(g)
         assert gba_marksets(g.acceptance) is not None
+
+
+def test_remove_fin_gba_of_a_condition_without_disjuncts_is_the_empty_gba():
+    """`Acceptance: 0 f`, and a condition that absorbs to false, give the
+    one-state empty-language GBA that `to_gba` gives, not a false
+    condition over no marks."""
+    text = "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"a\"\nAcceptance: 0 f\n--BODY--\nState: 0\n[t] 0\n--END--\n"
+    for a in (
+        parse_hoa(text),
+        ensure_dnf(fin_inf_loop().with_acceptance(and_([fin_(1), inf_(1)]), 2)),
+    ):
+        g = remove_fin_gba(a)
+        assert g == to_gba(a, "remfin_rewrite")
+        assert (g.n_states, g.n_marks, gba_marksets(g.acceptance)) == (1, 1, [1])
+        assert is_empty(g)
+
+
+def test_ensure_dnf_reads_back_an_absorbed_dnf():
+    """The DNF of ensure_dnf's output has no implied part, also where
+    writing it merges bare Inf disjuncts into a set that another disjunct
+    implies, and a second ensure_dnf leaves it alone."""
+    phi = or_([inf_(1), and_([inf_(2), or_([inf_(2), fin_(8)])]), and_([fin_(4), inf_(3)])])
+    assert to_dnf(phi).disjuncts == (
+        DnfDisjunct(0, (1,)),
+        DnfDisjunct(0, (2,)),
+        DnfDisjunct(8, (2,)),
+        DnfDisjunct(4, (3,)),
+    )
+    # Fin(3) & Inf(2) goes at once; Fin(2) & Inf({0, 1}) only after
+    # Inf(0) | Inf(1) is written as Inf({0, 1}).
+    assert ensure_dnf(fin_inf_loop().with_acceptance(phi, 4)).acceptance == Inf(3)
+    rng = random.Random(428)
+    for _ in range(200):
+        a = random_automaton(rng, n_marks=3, ap=("a",))
+        d = ensure_dnf(a)
+        dnf = to_dnf(d.acceptance)
+        assert absorb_dnf(dnf) == dnf, a.acceptance
+        assert ensure_dnf(d) == d
 
 
 def test_copy_methods_stay_within_dnf_length_marks():
