@@ -48,7 +48,7 @@ from tela.transforms import GBA_METHODS
 from helpers import mec_decomposition, random_mdp
 
 GOLDEN = "53f8d644cf3a5c7ee52134b90352acfa809799a78b0682dbbca926167c3d48a7"
-GOLDEN_2AP = "0bf32a327fcaf4e3f3263d4488d0b4147a760684e943958c48c36916bdcb8eed"
+GOLDEN_2AP = "f5fe7016543503d2394a4e1b0dfbb733dbfa455155a11af040d920203adeec75"
 GOLDEN_WITNESS = "c99708f248f218ec4107b717fe5155025fec475bb8a4626e396653db38a95509"
 GOLDEN_PRODUCT = "de14aed7d5198e71105060d5ff516fb4632ad04806daf78242c7de50a0f0909f"
 
