@@ -49,7 +49,7 @@ from helpers import mec_decomposition, random_mdp
 
 GOLDEN = "53f8d644cf3a5c7ee52134b90352acfa809799a78b0682dbbca926167c3d48a7"
 GOLDEN_2AP = "f5fe7016543503d2394a4e1b0dfbb733dbfa455155a11af040d920203adeec75"
-GOLDEN_WITNESS = "c99708f248f218ec4107b717fe5155025fec475bb8a4626e396653db38a95509"
+GOLDEN_WITNESS = "8add5e60af4a74b23507d1720b32cfdb4c8e93262008eab5dd4639494f21b68d"
 GOLDEN_PRODUCT = "de14aed7d5198e71105060d5ff516fb4632ad04806daf78242c7de50a0f0909f"
 
 
