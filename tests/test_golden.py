@@ -50,7 +50,7 @@ from helpers import mec_decomposition, random_mdp
 GOLDEN = "53f8d644cf3a5c7ee52134b90352acfa809799a78b0682dbbca926167c3d48a7"
 GOLDEN_2AP = "f5fe7016543503d2394a4e1b0dfbb733dbfa455155a11af040d920203adeec75"
 GOLDEN_WITNESS = "8add5e60af4a74b23507d1720b32cfdb4c8e93262008eab5dd4639494f21b68d"
-GOLDEN_PRODUCT = "de14aed7d5198e71105060d5ff516fb4632ad04806daf78242c7de50a0f0909f"
+GOLDEN_PRODUCT = "39c6a81dc05e1574fe512833bf81fc7ebcfae433992b274f9a7aabfc36e6cb5a"
 
 
 def _determinize(a, method):
