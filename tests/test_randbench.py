@@ -340,7 +340,7 @@ PINNED_CONFIGS = (
     "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
 )
 PINNED_REPORT_DIGEST = (
-    "7508058d4610f4c39327bc7cb3d79012ed5a46a523062e62c09a565c02886d60"
+    "4c0b9808e60c3bca372d45159944a9385e76f5319b128c071592f1e56af31ce4"
 )
 
 
