@@ -63,9 +63,10 @@ cannot fall below it: every strategy of the untrimmed product, with each
 jump into R taken into R & live, accepts at least as often in the trimmed
 one, and a jump into a seed with no live state accepted nothing anyway.
 
-A break at level k once went to level 0, whose next step broke again into
-level 1, so each round took one step more.  Going straight to level 1
-changes the language of no breakpoint state:
+A break at level k goes straight to level 1.  From every breakpoint state
+this accepts the words that the level-0 rule accepts, which sends that
+break to level 0, whose next step breaks again into level 1, so that each
+round takes one step more:
 
 - A run's R-sequence does not depend on the levels, and the B of a phase
   started at step t holds the states of R reached from R at step t by a
@@ -74,16 +75,18 @@ changes the language of no breakpoint state:
   start is reached from R at the earlier one, so the earlier phase's B
   holds the later one's.  From any state, the level-1 phase that starts at
   the break, not one step after it, ends no later, and by induction so
-  does every later phase: the component accepts at least the words it did.
+  does every later phase: this rule accepts every word the level-0 rule
+  accepts.
 - Conversely, a phase ends no later than any phase of its level that
   starts after it and ends, by the same extension of paths backwards.  A
   component that breaks infinitely often starts phases of every level
-  infinitely often, so every phase that the old level rule starts ends,
-  and that rule breaks infinitely often as well.
+  infinitely often, so every phase that the level-0 rule starts ends, and
+  that rule breaks infinitely often as well.
 
-The subset part and the bridges are unchanged, and each breakpoint state
-accepts what it accepted, so every strategy of a GFM product accepts with
-the probability it had, and so does the best one.
+The two rules share the subset part and the bridges, and each breakpoint
+state accepts the same words under both, so every strategy of a GFM
+product accepts with the same probability under both, and so does the
+best one.
 """
 
 from __future__ import annotations
