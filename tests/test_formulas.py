@@ -176,7 +176,11 @@ def test_absorb_dnf_examples():
             absorbed((1, (6,))),
         ),
         (
-            or_([and_([inf_(2), inf_(4)]), and_([fin_(8), inf_(1)]), and_([inf_(4), inf_(2)])]),
+            or_([
+                and_([inf_(2), inf_(4)]),
+                and_([fin_(8), inf_(1)]),
+                and_([inf_(4), inf_(2)]),
+            ]),
             absorbed((0, (2, 4)), (8, (1,))),
         ),
         # Implication chains keep only their weakest disjunct.
@@ -190,7 +194,11 @@ def test_absorb_dnf_examples():
             absorbed((0, (1,))),
         ),
         (
-            or_([and_([fin_(6), inf_(8)]), and_([fin_(2), inf_(8)]), and_([fin_(0), inf_(8)])]),
+            or_([
+                and_([fin_(6), inf_(8)]),
+                and_([fin_(2), inf_(8)]),
+                and_([fin_(0), inf_(8)]),
+            ]),
             absorbed((0, (8,))),
         ),
         # Within a disjunct only the minimal Inf sets stay, in order.

@@ -369,10 +369,12 @@ BENCHMARK_GENERATORS = {
         n_states=4, n_marks=6, edge_density=3 / 4, mark_prob=0.2, acc="dnf", n_ap=1
     ),
     "det": dict(
-        n_states=4, n_marks=3, edge_density=3 / 4, mark_prob=0.2, acc="random-el", n_ap=1
+        n_states=4, n_marks=3, edge_density=3 / 4, mark_prob=0.2, acc="random-el",
+        n_ap=1,
     ),
     "mc": dict(
-        n_states=4, n_marks=2, edge_density=9 / 10, mark_prob=0.2, acc="random-el", n_ap=1
+        n_states=4, n_marks=2, edge_density=9 / 10, mark_prob=0.2, acc="random-el",
+        n_ap=1,
     ),
 }
 BENCHMARK_INPUTS_DIGEST = (
@@ -389,7 +391,9 @@ def perfbench_generator_arguments() -> dict[str, dict]:
         if not (isinstance(node, ast.FunctionDef) and node.name.endswith("_generate")):
             continue
         for call in ast.walk(node):
-            if isinstance(call, ast.Call) and ast.unparse(call.func) == "tela.random_tela":
+            if not isinstance(call, ast.Call):
+                continue
+            if ast.unparse(call.func) == "tela.random_tela":
                 found[node.name.removesuffix("_generate")] = {
                     kw.arg: eval(ast.unparse(kw.value))
                     for kw in call.keywords
@@ -418,6 +422,10 @@ def test_import_tela_leaves_the_process_pool_unloaded():
     code = "import sys, tela; print('concurrent.futures.process' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
     assert out.stdout.strip() == "False"

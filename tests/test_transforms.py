@@ -318,7 +318,10 @@ def test_remove_fin_gba_of_a_condition_without_disjuncts_is_the_empty_gba():
     """`Acceptance: 0 f`, and a condition that absorbs to false, give the
     one-state empty-language GBA that `to_gba` gives, not a false
     condition over no marks."""
-    text = "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"a\"\nAcceptance: 0 f\n--BODY--\nState: 0\n[t] 0\n--END--\n"
+    text = (
+        'HOA: v1\nStates: 1\nStart: 0\nAP: 1 "a"\nAcceptance: 0 f\n'
+        "--BODY--\nState: 0\n[t] 0\n--END--\n"
+    )
     for a in (
         parse_hoa(text),
         ensure_dnf(fin_inf_loop().with_acceptance(and_([fin_(1), inf_(1)]), 2)),
@@ -333,7 +336,11 @@ def test_ensure_dnf_reads_back_an_absorbed_dnf():
     """The DNF of ensure_dnf's output has no implied part, also where
     writing it merges bare Inf disjuncts into a set that another disjunct
     implies, and a second ensure_dnf leaves it alone."""
-    phi = or_([inf_(1), and_([inf_(2), or_([inf_(2), fin_(8)])]), and_([fin_(4), inf_(3)])])
+    phi = or_([
+        inf_(1),
+        and_([inf_(2), or_([inf_(2), fin_(8)])]),
+        and_([fin_(4), inf_(3)]),
+    ])
     assert to_dnf(phi).disjuncts == (
         DnfDisjunct(0, (1,)),
         DnfDisjunct(0, (2,)),
