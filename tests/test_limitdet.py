@@ -407,8 +407,8 @@ def test_breakpoint_component_is_deterministic():
 def test_build_ld_layout_on_the_eight_state_example():
     ex = example_automaton()
     ld = build_ld(ex)
-    # 8 input states plus 14 breakpoint states; a round of breaks no longer
-    # passes through level 0, which took 2 more.
+    # 8 input states plus 14 breakpoint states: after the seeds' entry step
+    # no breakpoint state sits at level 0.
     assert ld.n_states == 22
     assert ld.initial == ex.initial
     assert ld.acceptance == inf_(1)
