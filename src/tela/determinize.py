@@ -338,10 +338,78 @@ def determinize_via_gba(
 
 
 def _determinize_gba(g: Tela, state_cap: int | None = None) -> Tela:
-    """Determinize a generalized-Buchi automaton: reduce it by direct
-    simulation, degeneralize it and run the Safra construction, whose
-    exploration `state_cap` bounds."""
+    """Determinize a generalized-Buchi automaton: the one-state universal
+    automaton when `_universal` finds a terminal part reached on every word;
+    otherwise reduce it by direct simulation, degeneralize it and run the
+    Safra construction, whose exploration `state_cap` bounds."""
+    if _universal(g):
+        return _universal_automaton(g.ap)
     return safra_determinize(degeneralize(simulation_reduce(g)), state_cap)
+
+
+def _universal_automaton(ap: tuple[str, ...]) -> Tela:
+    """A deterministic complete automaton accepting every word, as
+    `safra_determinize` returns it for a one-state accepting loop: mark 0
+    on every letter's self-loop and acceptance Fin(1) & Inf(0)."""
+    return Tela(
+        ap=ap,
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=tuple((0, letter, 0, 1) for letter in range(1 << len(ap))),
+        acceptance=and_([fin_(2), inf_(1)]),
+        n_marks=2,
+    )
+
+
+def _universal(g: Tela) -> bool:
+    """Whether the generalized-Buchi automaton g accepts every word by the
+    terminal-part test of the module docstring: S is the greatest set of
+    states with, on every letter, a transition into S whose marks meet every
+    acceptance set, U the least set holding S and every state with, on every
+    letter, a transition into U, and some initial state must lie in U.
+    False on acceptance that is not generalized Buchi."""
+    sets = gba_marksets(g.acceptance)
+    if sets is None:
+        return False
+    # post[letter][q]: q's targets on the letter, and those reached over
+    # transitions whose marks meet every set.
+    post: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n_letters)]
+    meets: dict[int, bool] = {}
+    for s, letter, d, marks in g.transitions:
+        every = meets.get(marks)
+        if every is None:
+            every = meets[marks] = all(marks & m for m in sets)
+        img, good = post[letter].get(s, (0, 0))
+        bit = 1 << d
+        post[letter][s] = (img | bit, good | bit) if every else (img | bit, good)
+    # Only a state with a transition on every letter can lie in S or U.
+    rows = [
+        (q, [row[q] for row in post])
+        for q in post[0]
+        if all(q in row for row in post)
+    ]
+    terminal = 0
+    for q, _ in rows:
+        terminal |= 1 << q
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        for q, row in rows:
+            if terminal >> q & 1 and not all(good & terminal for _, good in row):
+                terminal ^= 1 << q
+                shrunk = True
+    initial = 0
+    for q in g.initial:
+        initial |= 1 << q
+    reach = terminal
+    grown = bool(reach)
+    while grown and not reach & initial:
+        grown = False
+        for q, row in rows:
+            if not reach >> q & 1 and all(img & reach for img, _ in row):
+                reach |= 1 << q
+                grown = True
+    return bool(reach & initial)
 
 
 def determinize_by(a: Tela, method: str, state_cap: int | None = None) -> Tela:
