@@ -340,7 +340,7 @@ PINNED_CONFIGS = (
     "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
 )
 PINNED_REPORT_DIGEST = (
-    "4c0b9808e60c3bca372d45159944a9385e76f5319b128c071592f1e56af31ce4"
+    "54cf3c413df3465b8967e0a699dc3ec6ba303c5cca663242a6eaeadc267594c1"
 )
 
 
