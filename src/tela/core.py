@@ -91,12 +91,20 @@ def time_limit(seconds: float):
     """Raise BudgetExceeded of kind "time" in the block once `seconds` of
     wall time have passed, from the SIGALRM handler of a one-shot POSIX
     timer.  Off the main thread, or without `setitimer`, nothing is armed.
-    Limits do not nest.  Every exit disarms the timer, then restores the
-    previous handler."""
+    Limits nest: inside a timer that fires no later than `seconds` from now,
+    as an enclosing limit's, the block runs under that timer alone.
+    Otherwise the limit arms its own; every exit disarms it, restores the
+    previous handler, then re-arms the enclosing timer with what is left of
+    it, so an outer limit still fires on time."""
     if not seconds > 0:
         raise TelaError(f"time limit must be positive, got {seconds}")
     main = threading.current_thread() is threading.main_thread()
     if not (main and hasattr(signal, "setitimer")):
+        yield
+        return
+    armed = min(seconds, 1e9)  # fits time_t
+    outer, interval = signal.getitimer(signal.ITIMER_REAL)
+    if 0 < outer <= armed:
         yield
         return
 
@@ -105,13 +113,17 @@ def time_limit(seconds: float):
 
     previous = signal.signal(signal.SIGALRM, expire)
     try:
-        signal.setitimer(signal.ITIMER_REAL, min(seconds, 1e9))  # fits time_t
+        signal.setitimer(signal.ITIMER_REAL, armed)
         yield
     finally:
         try:
-            signal.setitimer(signal.ITIMER_REAL, 0)
+            left, _ = signal.setitimer(signal.ITIMER_REAL, 0)
         finally:
             signal.signal(signal.SIGALRM, previous)
+            if outer:
+                # A timer left at 0 would stay disarmed; fire it at once.
+                rest = max(outer - (armed - left), 1e-6)
+                signal.setitimer(signal.ITIMER_REAL, rest, interval)
 
 
 @dataclass(frozen=True)

@@ -589,6 +589,55 @@ def test_time_limit_disarms_and_restores_the_handler_on_every_exit():
         signal.signal(signal.SIGALRM, outer)
 
 
+def spin(seconds: float) -> None:
+    """Busy work for `seconds`, which a time limit interrupts."""
+    end = time.perf_counter() + seconds
+    while time.perf_counter() < end:
+        pass
+
+
+@needs_timer
+def test_nested_time_limits_keep_the_outer_limit_on_time():
+    """An inner limit, longer or shorter than what is left of the outer one,
+    leaves the outer limit firing on time, and each limit fires with its own
+    message."""
+
+    def before(signum, frame):
+        raise AssertionError("SIGALRM after the block")
+
+    outer = signal.signal(signal.SIGALRM, before)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="limit of 0.3 s"):
+            with time_limit(0.3):
+                with time_limit(5.0):
+                    pass
+                spin(1.5)
+        assert time.perf_counter() - start < 1.0
+        assert_disarmed(before)
+
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="limit of 0.3 s"):
+            with time_limit(0.3):
+                with time_limit(5.0):
+                    spin(1.5)
+        assert time.perf_counter() - start < 1.0
+        assert_disarmed(before)
+
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="limit of 0.4 s"):
+            with time_limit(0.4):
+                with pytest.raises(BudgetExceeded, match="limit of 0.05 s"):
+                    with time_limit(0.05):
+                        spin(1.5)
+                assert 0 < signal.getitimer(signal.ITIMER_REAL)[0] < 0.4
+                spin(1.5)
+        assert time.perf_counter() - start < 1.0
+        assert_disarmed(before)
+    finally:
+        signal.signal(signal.SIGALRM, outer)
+
+
 @needs_timer
 def test_time_limit_rejects_no_time_and_arms_nothing_off_the_main_thread():
     for seconds in (0, -1.0, float("nan")):
