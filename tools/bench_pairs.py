@@ -17,8 +17,13 @@ workload and end-to-end metric, both sides' median and quartiles
 a strictly better value on the metric's `better` side in BENCHMARK.json),
 the ratio of the medians and the parent's interquartile spread.  Each tree
 then also runs `det` and `mc` at seed CHECK_SEED for CHECK_SECONDS,
-untraced for the output digests and traced for the per-layer numbers.  A
-run that fails or reports a wrong answer stops the command.
+untraced for the output digests and TRACE_RUNS times traced, alternating
+with the other tree, for the per-layer numbers: each count must be the
+same in all of a tree's runs, and every other value, each time among them,
+is the median of its runs, so one run slowed by drift on a shared machine
+moves no layer.  A run that fails
+or reports a wrong answer, or traced runs of one tree whose counts differ,
+stop the command.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from pathlib import Path
 CHECK_WORKLOADS = ("det", "mc")
 CHECK_SEED = 3
 CHECK_SECONDS = 10
+TRACE_RUNS = 3
+COUNTS = (".calls", ".states_out", ".trans_out")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -123,9 +130,26 @@ def output_digest(text: str) -> str:
     raise SystemExit("error: perfbench printed no output digest")
 
 
+def traced_median(runs: list[dict[str, float]]) -> dict[str, float]:
+    """One tree's per-layer values from its traced runs: each count
+    (`.calls`, `.states_out`, `.trans_out`), which every run must repeat,
+    and the median of every other value."""
+    row = {}
+    for key in runs[0]:
+        xs = [run[key] for run in runs]
+        if key.endswith(COUNTS):
+            if len(set(xs)) != 1:
+                raise SystemExit(f"error: the traced runs of one tree give {key} {xs}")
+            row[key] = xs[0]
+        else:
+            row[key] = statistics.median(xs)
+    return row
+
+
 def checks(trees: dict[str, Path]) -> tuple[dict, dict]:
-    """Traced per-layer numbers and untraced output digests of `det` and
-    `mc` at CHECK_SEED, for both trees."""
+    """Per-layer numbers of `det` and `mc` at CHECK_SEED for both trees, the
+    `traced_median` of TRACE_RUNS alternating traced runs per tree, and the
+    untraced output digests."""
     trace: dict[str, dict] = {}
     digests: dict[str, dict] = {
         "command": f"python3 perfbench/run.py --workload W --seed {CHECK_SEED} "
@@ -135,17 +159,23 @@ def checks(trees: dict[str, Path]) -> tuple[dict, dict]:
         row = {
             "command": f"python3 perfbench/run.py --workload {workload} "
             f"--seed {CHECK_SEED} --seconds {CHECK_SECONDS} --trace 1",
+            "runs": f"{TRACE_RUNS} per tree, alternating; counts equal in every "
+            "run, other values the median",
             "items": {},
         }
+        args = (
+            "--workload", workload, "--seed", CHECK_SEED,
+            "--seconds", CHECK_SECONDS,
+        )
+        runs: dict[str, list] = {side: [] for side in trees}
+        for i in range(TRACE_RUNS):
+            for side in list(trees)[:: 1 if i % 2 == 0 else -1]:
+                result, _ = perfbench(trees[side], *args, "--trace", 1)
+                row["items"][side] = result["attempted"]
+                runs[side].append(values(result))
         digests[workload] = {}
         for side, tree in trees.items():
-            args = (
-                "--workload", workload, "--seed", CHECK_SEED,
-                "--seconds", CHECK_SECONDS,
-            )
-            result, _ = perfbench(tree, *args, "--trace", 1)
-            row["items"][side] = result["attempted"]
-            row[side] = values(result)
+            row[side] = traced_median(runs[side])
             _, text = perfbench(tree, *args, "--trace", 0)
             digests[workload][side] = output_digest(text)
         trace[workload] = row
