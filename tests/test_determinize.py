@@ -30,6 +30,7 @@ from tela import (
     random_tela,
     safra_determinize,
     sample_lassos,
+    simulation_reduce,
     time_limit,
     to_dnf,
 )
@@ -464,7 +465,8 @@ def test_union_product_budget_names_both_operands_and_the_cap():
 
 
 def test_every_gba_is_reduced_once_before_degeneralization(monkeypatch):
-    """Both routes into Safra reduce each GBA by simulation once."""
+    """Both routes into Safra reduce every GBA the universality test does
+    not catch by simulation once; a caught GBA is never reduced."""
     reduce = determinize_module.simulation_reduce
     calls = []
 
@@ -479,6 +481,113 @@ def test_every_gba_is_reduced_once_before_degeneralization(monkeypatch):
     calls.clear()
     determinize_product(a, langcover=False)
     assert len(calls) == len(to_dnf(ensure_dnf(a).acceptance).disjuncts)
+    calls.clear()
+    for g in (universal_buchi(), universal_after_one_step()):
+        assert determinize_module._universal(g)
+        assert determinize_module._determinize_gba(g) == universal_rabin(g.ap)
+        assert determinize_via_gba(g, "remfin_rewrite") == universal_rabin(g.ap)
+        assert determinize_product(g) == universal_rabin(g.ap)
+    assert calls == []
+
+
+def universal_rabin(ap):
+    return determinize_module._universal_automaton(ap)
+
+
+def gba(n_states, initial, transitions, acceptance, n_marks, ap=("a",)):
+    return Tela(ap, n_states, frozenset(initial), tuple(transitions), acceptance, n_marks)
+
+
+def universal_after_one_step():
+    """State 0 moves to state 1 on every letter without a mark; state 1
+    loops on every letter meeting both sets.  So 0 lies in U but not in S."""
+    return gba(
+        2,
+        {0},
+        [(0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 1, 3), (1, 1, 1, 3)],
+        and_([inf_(1), inf_(2)]),
+        2,
+    )
+
+
+def test_universality_test_on_pinned_gbas():
+    universal = determinize_module._universal
+    two_sets = and_([inf_(1), inf_(2)])
+    prefixed = universal_after_one_step()
+    assert universal(prefixed)
+    # A loop that misses set 1 on letter 1 rejects 1^omega; with both sets
+    # on both letters it is caught.
+    assert not universal(gba(1, {0}, [(0, 0, 0, 3), (0, 1, 0, 1)], two_sets, 2))
+    assert universal(gba(1, {0}, [(0, 0, 0, 3), (0, 1, 0, 3)], two_sets, 2))
+    # State 0 has no transition on letter 1, so it is not in U.
+    lacking = gba(2, {0}, [(0, 0, 1, 0), (1, 0, 1, 3), (1, 1, 1, 3)], two_sets, 2)
+    assert not universal(lacking)
+    # On letter 1 state 0 only reaches a rejecting trap outside U.
+    trapped = gba(
+        3,
+        {0},
+        [(0, 0, 1, 0), (0, 1, 2, 0), (1, 0, 1, 3), (1, 1, 1, 3),
+         (2, 0, 2, 0), (2, 1, 2, 0)],
+        two_sets,
+        2,
+    )
+    assert not universal(trapped)
+    # With two initial states, one in U is enough, in either position.
+    assert universal(replace(trapped, initial=frozenset({0, 1})))
+    assert universal(replace(trapped, initial=frozenset({1, 2})))
+    assert not universal(replace(trapped, initial=frozenset({0, 2})))
+    # Acceptance t: every transition meets every set, of which there is none.
+    every_run = gba(1, {0}, [(0, 0, 0, 0), (0, 1, 0, 0)], TRUE, 0)
+    assert universal(every_run)
+    assert not universal(replace(every_run, transitions=((0, 0, 0, 0),)))
+    # Other acceptance is left to the chain, which rejects it as before.
+    with pytest.raises(TelaError, match="generalized-Buchi"):
+        determinize_module._determinize_gba(
+            every_run.with_acceptance(fin_(1), 1)
+        )
+    assert not universal(every_run.with_acceptance(fin_(1), 1))
+
+
+def test_the_universal_automaton_is_safras_one_state_loop():
+    """The returned automaton is what Safra builds for a one-state accepting
+    loop, over any number of atomic propositions, and the one-state
+    `Acceptance: 0 t` loop determinizes to it by every method."""
+    for ap in ((), ("a",), ("a", "b")):
+        n_letters = 1 << len(ap)
+        loop = gba(1, {0}, [(0, x, 0, 1) for x in range(n_letters)], inf_(1), 1, ap)
+        chain = safra_determinize(degeneralize(loop))
+        assert chain == universal_rabin(ap)
+        assert chain.acceptance == and_([fin_(2), inf_(1)])
+    text = (
+        "HOA: v1\nStates: 1\nStart: 0\nAP: 1 \"a\"\nAcceptance: 0 t\n"
+        "--BODY--\nState: 0\n[t] 0\n--END--\n"
+    )
+    a = parse_hoa(text)
+    for method in DET_METHODS:
+        assert determinize_by(a, method, state_cap=100) == universal_rabin(a.ap)
+
+
+def test_caught_gbas_are_universal_and_match_the_chain():
+    """On seeded random GBAs, whenever the universality test fires, the
+    input accepts every one of 20 sampled lasso words by the oracle, and the
+    reduction, degeneralization and Safra chain gives an automaton of the
+    same language as the one-state output."""
+    rng = random.Random(455)
+    caught = 0
+    for i in range(120):
+        a = random_automaton(rng, n_marks=2, density=0.75, mark_prob=0.4)
+        g = to_gba(a, GBA_METHODS[i % len(GBA_METHODS)])
+        if not determinize_module._universal(g):
+            continue
+        caught += 1
+        for _ in range(20):
+            u, v = random_word(rng, g.n_letters)
+            assert oracle_accepts(g, u, v)
+        out = determinize_module._determinize_gba(g)
+        assert out == universal_rabin(g.ap)
+        chain = safra_determinize(degeneralize(simulation_reduce(g)), 2000)
+        assert equivalent_deterministic(out, chain)
+    assert caught >= 40
 
 
 def test_determinizers_agree_with_each_other():
