@@ -1,13 +1,39 @@
 """Determinization: degeneralization, a transition-based Safra construction,
 and a product-of-deterministic-parts route for DNF acceptance.
 
-Both routes hand Safra a generalized-Buchi automaton (GBA), and
-`_determinize_gba` reduces it by direct simulation (`core.simulation_reduce`;
-Somenzi & Bloem, CAV 2000; Clemente & Mayr, POPL 2013) before it is
-degeneralized.  r simulates q when each transition of q is matched on its
-letter by one of r whose marks meet every Inf set the first one's meet, into
-a state simulating the first one's target.  The reduction keeps the
-language:
+Both routes hand Safra a generalized-Buchi automaton (GBA) through
+`_determinize_gba`, which first tests whether the GBA accepts every word
+by a terminal part, in the spirit of the terminal components of Bloem,
+Ravi & Somenzi (CAV 1999).  S is the greatest set of states that have, on
+every letter, a transition into S whose marks meet every acceptance set;
+U is the least set that holds S and every state that has, on every
+letter, a transition into U.  When an initial state lies in U, the
+one-state automaton that Safra builds for an accepting loop is returned,
+and none of the steps below runs.  This is sound:
+
+- U is the union of the layers U_0 = S and U_i+1, the states of U_i plus
+  those with a transition into U_i on every letter.  So from a state of
+  U, on any word, a run steps from layer to layer down and reaches S
+  within |U| steps, whatever the letters are.
+- From a state of S, every letter has a transition back into S whose marks
+  meet every set, so the run stays in S and meets every set on every
+  step: it is accepting.  With acceptance `t` there is no set, and every
+  transition meets all of them.
+
+The test is a sufficient condition only; a universal GBA it misses goes
+through the chain as before.  It runs first because it costs one pass over
+the transitions and two bit-loop fixpoints, less than the simulation
+reduction alone, which is the largest stage of the chain; on the `det`
+benchmark inputs most GBAs are caught, and the chain would spend all of
+its stages on them only to return a larger automaton of the same,
+universal, language.
+
+A GBA the test does not catch is reduced by direct simulation
+(`core.simulation_reduce`; Somenzi & Bloem, CAV 2000; Clemente & Mayr,
+POPL 2013) before it is degeneralized.  r simulates q when each
+transition of q is matched on its letter by one of r whose marks meet
+every Inf set the first one's meet, into a state simulating the first
+one's target.  The reduction keeps the language:
 
 - From a run of q, step by step, r builds a run on the same word that meets
   at each step every Inf set the first run meets, and so meets each set
