@@ -11,8 +11,8 @@ letter, a transition into U.  When an initial state lies in U, the
 one-state automaton that Safra builds for an accepting loop is returned,
 and none of the steps below runs.  This is sound:
 
-- U is the union of the layers U_0 = S and U_i+1, the states of U_i plus
-  those with a transition into U_i on every letter.  So from a state of
+- U is the union of the layers U_0 = S and U_(i+1), the states of U_i
+  plus those with a transition into U_i on every letter.  So from a state of
   U, on any word, a run steps from layer to layer down and reaches S
   within |U| steps, whatever the letters are.
 - From a state of S, every letter has a transition back into S whose marks
@@ -388,32 +388,20 @@ def _universal_automaton(ap: tuple[str, ...]) -> Tela:
 
 
 def _universal(g: Tela) -> bool:
-    """Whether the generalized-Buchi automaton g accepts every word by the
-    terminal-part test of the module docstring: S is the greatest set of
-    states with, on every letter, a transition into S whose marks meet every
-    acceptance set, U the least set holding S and every state with, on every
-    letter, a transition into U, and some initial state must lie in U.
-    False on acceptance that is not generalized Buchi."""
+    """Whether the generalized-Buchi automaton g passes the terminal-part
+    test of the module docstring, and so accepts every word: some initial
+    state lies in U.  False on acceptance that is not generalized Buchi.
+
+    S comes first, from the transitions whose marks meet every set alone:
+    on most GBAs the test misses, S is empty, and the pass over all
+    transitions that U needs is skipped."""
     sets = gba_marksets(g.acceptance)
     if sets is None:
         return False
-    # post[letter][q]: q's targets on the letter, and those reached over
-    # transitions whose marks meet every set.
-    post: list[dict[int, tuple[int, int]]] = [{} for _ in range(g.n_letters)]
-    meets: dict[int, bool] = {}
-    for s, letter, d, marks in g.transitions:
-        every = meets.get(marks)
-        if every is None:
-            every = meets[marks] = all(marks & m for m in sets)
-        img, good = post[letter].get(s, (0, 0))
-        bit = 1 << d
-        post[letter][s] = (img | bit, good | bit) if every else (img | bit, good)
-    # Only a state with a transition on every letter can lie in S or U.
-    rows = [
-        (q, [row[q] for row in post])
-        for q in post[0]
-        if all(q in row for row in post)
-    ]
+    every = {m for m in {t[3] for t in g.transitions} if all(m & s for s in sets)}
+    rows = _letter_rows([t for t in g.transitions if t[3] in every], g.n_letters)
+    # S, the greatest fixpoint: drop states until each has, on every letter,
+    # a transition meeting every set into S.
     terminal = 0
     for q, _ in rows:
         terminal |= 1 << q
@@ -421,21 +409,39 @@ def _universal(g: Tela) -> bool:
     while shrunk:
         shrunk = False
         for q, row in rows:
-            if terminal >> q & 1 and not all(good & terminal for _, good in row):
+            if terminal >> q & 1 and not all(d & terminal for d in row):
                 terminal ^= 1 << q
                 shrunk = True
     initial = 0
     for q in g.initial:
         initial |= 1 << q
+    if not terminal or terminal & initial:
+        return terminal != 0
+    # U, the least fixpoint above S, grown until it holds an initial state.
+    rows = _letter_rows(g.transitions, g.n_letters)
     reach = terminal
-    grown = bool(reach)
+    grown = True
     while grown and not reach & initial:
         grown = False
         for q, row in rows:
-            if not reach >> q & 1 and all(img & reach for img, _ in row):
+            if not reach >> q & 1 and all(d & reach for d in row):
                 reach |= 1 << q
                 grown = True
-    return bool(reach & initial)
+    return reach & initial != 0
+
+
+def _letter_rows(transitions, n_letters: int) -> list[tuple[int, list[int]]]:
+    """(q, the bitmask of q's targets on each letter) for every state q of
+    `transitions` that has a transition on every letter, in one pass."""
+    post: list[dict[int, int]] = [{} for _ in range(n_letters)]
+    for s, letter, d, _ in transitions:
+        row = post[letter]
+        row[s] = row.get(s, 0) | 1 << d
+    return [
+        (q, [row[q] for row in post])
+        for q in post[0]
+        if all(q in row for row in post)
+    ]
 
 
 def determinize_by(a: Tela, method: str, state_cap: int | None = None) -> Tela:
