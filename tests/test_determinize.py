@@ -495,7 +495,9 @@ def universal_rabin(ap):
 
 
 def gba(n_states, initial, transitions, acceptance, n_marks, ap=("a",)):
-    return Tela(ap, n_states, frozenset(initial), tuple(transitions), acceptance, n_marks)
+    return Tela(
+        ap, n_states, frozenset(initial), tuple(transitions), acceptance, n_marks
+    )
 
 
 def universal_after_one_step():
@@ -526,8 +528,11 @@ def test_universality_test_on_pinned_gbas():
     trapped = gba(
         3,
         {0},
-        [(0, 0, 1, 0), (0, 1, 2, 0), (1, 0, 1, 3), (1, 1, 1, 3),
-         (2, 0, 2, 0), (2, 1, 2, 0)],
+        [
+            (0, 0, 1, 0), (0, 1, 2, 0),
+            (1, 0, 1, 3), (1, 1, 1, 3),
+            (2, 0, 2, 0), (2, 1, 2, 0),
+        ],
         two_sets,
         2,
     )
@@ -542,9 +547,7 @@ def test_universality_test_on_pinned_gbas():
     assert not universal(replace(every_run, transitions=((0, 0, 0, 0),)))
     # Other acceptance is left to the chain, which rejects it as before.
     with pytest.raises(TelaError, match="generalized-Buchi"):
-        determinize_module._determinize_gba(
-            every_run.with_acceptance(fin_(1), 1)
-        )
+        determinize_module._determinize_gba(every_run.with_acceptance(fin_(1), 1))
     assert not universal(every_run.with_acceptance(fin_(1), 1))
 
 

@@ -21,9 +21,8 @@ untraced for the output digests and TRACE_RUNS times traced, alternating
 with the other tree, for the per-layer numbers: each count must be the
 same in all of a tree's runs, and every other value, each time among them,
 is the median of its runs, so one run slowed by drift on a shared machine
-moves no layer.  A run that fails
-or reports a wrong answer, or traced runs of one tree whose counts differ,
-stop the command.
+moves no layer.  A run that fails or reports a wrong answer, or traced runs
+of one tree whose counts differ, stop the command.
 """
 
 from __future__ import annotations
