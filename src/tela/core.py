@@ -315,17 +315,16 @@ def split(a: Tela) -> list[Tela]:
 
 
 def sum_automata(a0: Tela, a1: Tela) -> Tela:
-    """Disjoint union recognizing the union language; both inputs complete.
+    """Disjoint union recognizing the union language.
 
     Component-1 states and marks are renumbered with offsets.  Two fresh
     marks tag the transitions of each component so that a run through
     component i can only satisfy the (lifted) condition of component i:
-    the acceptance is (acc0 & Inf(e0)) | (acc1 & Inf(e1)).
+    the acceptance is (acc0 & Inf(e0)) | (acc1 & Inf(e1)).  The inputs may
+    be partial: a run stays in one component, so a missing move there ends
+    only runs that the component itself would lose.
     """
     _require_same_ap(a0, a1)
-    for name, a in (("first", a0), ("second", a1)):
-        if not is_complete(a):
-            raise TelaError(f"sum requires complete automata; {name} input is not")
     off_states = a0.n_states
     off_marks = a0.n_marks
     e0 = 1 << (a0.n_marks + a1.n_marks)
@@ -359,6 +358,7 @@ def sum_gba(*parts: Tela) -> Tela:
     part has k sets, then set j of the result marks a transition iff its
     part's set j did (or the set is padding).  The result has exactly k
     marks and acceptance /\\ Inf(j); a single part is returned as it is.
+    Parts may be partial, as in `sum_automata`: a run stays in its part.
     """
     if len(parts) == 1:
         return parts[0]
@@ -370,10 +370,6 @@ def sum_gba(*parts: Tela) -> Tela:
     if None in all_sets:
         inputs = "both inputs" if len(parts) == 2 else "every input"
         raise TelaError(f"sum_gba requires generalized-Buchi acceptance on {inputs}")
-    for i, a in enumerate(parts):
-        if not is_complete(a):
-            name = ("first", "second", "third")[i] if i < 3 else f"#{i + 1}"
-            raise TelaError(f"sum_gba requires complete automata; {name} input is not")
     k = max(max(len(sets) for sets in all_sets), 1)
     transitions: list[Transition] = []
     initial: set[int] = set()

@@ -74,10 +74,20 @@ green somewhere get a mark pair, and the result is Moore-minimal: it is
 returned as its `core.bisim_quotient`.  A state cap bounds the Safra
 exploration, not the returned size.
 
+Safra runs on the input as it is, partial or not, and completes nothing.  A
+state with no successor on a letter adds nothing to any image, so a run
+that dies simply leaves every label, as in Safra's construction on partial
+automata; the greens argument below is unchanged.  Only finite runs go,
+and those accept no word: a run held forever in a component without an
+accepting transition inside it, the root-cover case below, is infinite and
+stays in the root's label.  Every tree still steps on every
+letter, and the tree whose root label is empty steps to itself with no
+mark: it is the rejecting sink, so the output is deterministic and complete.
+
 Labels below the root hold only live states: those whose strongly connected
-component in the completed input has an accepting transition inside it
-(Loding & Pirogov, ATVA 2019), which `core.accepting_scc_states` finds in
-one SCC split of the completed input's transitions.  This keeps the language:
+component in the input has an accepting transition inside it (Loding &
+Pirogov, ATVA 2019), which `core.accepting_scc_states` finds in one SCC
+split of the input's transitions.  This keeps the language:
 
 - An accepting run sees accepting transitions infinitely often and
   eventually stays in one component, so some accepting transition lies
@@ -132,7 +142,6 @@ from .core import (
     _require_same_ap,
     accepting_scc_states,
     bisim_quotient,
-    complete,
     empty_language_automaton,
     explore,
     flatten_edges,
@@ -223,8 +232,10 @@ def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
     Fin(red) and Inf(green).  A name that never goes green has an
     unsatisfiable pair whose red mark occurs in no other, so dropping it
     keeps the language.  The result is the Moore-minimal quotient of the
-    explored trees, deterministic and complete with initial state 0.
-    Labels below the root keep only live states (see the module docstring).
+    explored trees, deterministic and complete with initial state 0, also
+    when `b` is partial: a run that dies leaves every label, and the tree
+    with the empty label is the rejecting sink (see the module docstring).
+    Labels below the root keep only live states.
     `state_cap` bounds the number of explored trees, not the returned size.
     """
     if b.acceptance == TRUE:
@@ -234,7 +245,6 @@ def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
     if accsets is None or len(accsets) != 1:
         raise TelaError("Safra determinization needs Buchi acceptance")
     accbits = accsets[0]
-    b = complete(b)
     # post[letter][q]: the states q reaches on the letter, and those it
     # reaches through an accepting transition.
     post = post_masks(b, meet=accbits)

@@ -15,7 +15,11 @@ sum to one.  States without a `label` line carry the empty label.
 
 The product with an automaton reads the label of the current MDP state:
 a product action pairs an MDP action with one automaton transition over
-that letter, so a strategy resolves both kinds of nondeterminism.  Product
+that letter, so a strategy resolves both kinds of nondeterminism.  The
+automaton may be partial: where it has no transition over the letter, the
+product state has no action.  Such a dead end reaches no target, neither in
+the graph fixpoints nor in the MEC split nor in the iteration, so its value
+is 0, as the rejecting sink of a completion would give it.  Product
 states are numbered by the int key s * |Q| + q while exploring and returned
 as (MDP state, automaton state) pairs.  Each action, of an MDP or of a
 product, carries its support, the targets of its distribution in order;
@@ -71,7 +75,6 @@ from .core import (
     Tela,
     TelaError,
     bisim_quotient,
-    complete,
     explore,
     scc_split,
 )
@@ -295,7 +298,7 @@ def _state_letters(m: Mdp, a: Tela) -> list[int]:
 
 
 def _explore_product(
-    m: Mdp, a: Tela, strict: bool
+    m: Mdp, a: Tela
 ) -> tuple[list[tuple[int, int]], list[list[ProductAction]]]:
     """The reachable product states, as (MDP state, automaton state) pairs,
     and each one's actions.  States are numbered by the int key
@@ -311,12 +314,6 @@ def _explore_product(
     def expand(key: int, number) -> list[ProductAction]:
         s, q = divmod(key, width)
         moves = a.succ(q, letters[s])
-        if not moves and strict:
-            label = "{" + ",".join(sorted(m.labels[s])) + "}"
-            raise MdpError(
-                f"automaton state {q} has no transition for label {label}; "
-                "complete the automaton first"
-            )
         out = []
         for name, targets, probs in scaled[s]:
             for _, _, q2, marks in moves:
@@ -330,10 +327,14 @@ def _explore_product(
 
 
 def mdp_product(m: Mdp, a: Tela) -> ProductMdp:
-    """Product of an MDP with an automaton along the generated label word."""
+    """Product of an MDP with an automaton along the generated label word.
+
+    The automaton needs one initial state and may be partial: a product
+    state whose letter has no automaton transition has no action, and its
+    value is 0 (see the module docstring)."""
     if len(a.initial) != 1:
         raise MdpError("the product needs exactly one initial automaton state")
-    states, actions = _explore_product(m, a, strict=True)
+    states, actions = _explore_product(m, a)
     return ProductMdp(
         states=tuple(states),
         initial=0,
@@ -406,7 +407,7 @@ def qualitative_positive(m: Mdp, a: Tela) -> bool:
             witness,
         )
     a = bisim_quotient(a)
-    _, actions = _explore_product(m, a, strict=False)
+    _, actions = _explore_product(m, a)
     return any(True for _ in _accepting_mecs(actions, to_dnf(a.acceptance)))
 
 
@@ -558,8 +559,9 @@ def _pr_max_accepting(p: ProductMdp) -> float:
 
 def pr_max_tela(m: Mdp, a: Tela) -> float:
     """Maximal probability that the MDP generates a word the TELA accepts,
-    via the bisimulation quotient of the good-for-MDP automaton."""
-    g = bisim_quotient(complete(build_gfm(ensure_dnf(a))))
+    via the bisimulation quotient of the good-for-MDP automaton, which
+    stays partial."""
+    g = bisim_quotient(build_gfm(ensure_dnf(a)))
     return pr_max_buchi(mdp_product(m, g))
 
 

@@ -28,7 +28,9 @@ Four translations to generalized-Buchi acceptance:
   clause's Inf atoms merged; up to 2^|acc| acceptance sets.
 - remfin_split: disjoint GBA sum over the split of the Fin-removal output.
 - split_remfin: split first, Fin-removal per disjunct, then the GBA sum.
-  Both sum all parts in one n-ary `sum_gba` call.
+  Both sum all parts in one n-ary `sum_gba` call, as Fin-removal leaves
+  them: a part may be partial, and needs no rejecting sink, because a run
+  of the sum stays in one part.
 - remfin_rewrite: single Fin-removal structure whose copies share k = max k_i
   acceptance sets, padding shorter disjuncts with Inf over all their copy's
   transitions.
@@ -55,7 +57,6 @@ from .core import (
     Tela,
     TelaError,
     closure,
-    complete,
     empty_language_automaton,
     project_marks,
     split,
@@ -233,7 +234,7 @@ def to_gba(a: Tela, method: str) -> Tela:
     if method == "remfin_rewrite":
         return remove_fin_gba(a)
     if method == "remfin_split":
-        parts = split(complete(remove_fin(a)))
+        parts = split(remove_fin(a))
     else:  # split_remfin
-        parts = [complete(remove_fin(part)) for part in split(a)]
+        parts = [remove_fin(part) for part in split(a)]
     return sum_gba(*parts)

@@ -268,21 +268,6 @@ def test_split_covers_the_language():
         assert accepts(a, u, v) == any(accepts(p, u, v) for p in parts)
 
 
-def test_sum_requires_complete_inputs():
-    partial = Tela(
-        ap=("a",),
-        n_states=1,
-        initial=frozenset({0}),
-        transitions=((0, 0, 0, 0),),
-        acceptance=TRUE,
-        n_marks=0,
-    )
-    with pytest.raises(TelaError):
-        sum_automata(partial, partial)
-    with pytest.raises(TelaError):
-        sum_automata(rejecting_loop(), partial)
-
-
 def test_sum_shape():
     loop = rejecting_loop()
     s = sum_automata(loop, loop)
@@ -315,14 +300,29 @@ def test_sum_of_empty_components_stays_empty():
 
 
 def test_sum_recognizes_the_union():
+    """Partial inputs too: a run of the sum stays in one part, so a missing
+    move ends only runs that the part itself would lose."""
     rng = random.Random(409)
+    partial = Tela(
+        ap=("a",),
+        n_states=1,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 0),),
+        acceptance=TRUE,
+        n_marks=0,
+    )
+    pairs = [(partial, partial), (rejecting_loop(), partial)]
     for _ in range(15):
-        a0 = complete(random_automaton(rng, n_marks=2, ap=("a",)))
-        a1 = complete(random_automaton(rng, n_marks=2, ap=("a",)))
+        pairs.append(
+            tuple(random_automaton(rng, n_marks=2, ap=("a",)) for _ in range(2))
+        )
+    assert sum(not (is_complete(a0) and is_complete(a1)) for a0, a1 in pairs) >= 8
+    for a0, a1 in pairs:
         s = sum_automata(a0, a1)
         for _ in range(8):
             u, v = random_word(rng, 2)
             assert accepts(s, u, v) == (accepts(a0, u, v) or accepts(a1, u, v))
+        assert accepts(s, (), (0,)) == (accepts(a0, (), (0,)) or accepts(a1, (), (0,)))
 
 
 def test_sum_gba_requires_generalized_buchi():
@@ -352,16 +352,16 @@ def test_sum_gba_mark_counts():
 
 
 def test_sum_gba_matches_general_sum():
+    """On partial inputs as well, with the padding sets and tag marks as on
+    complete ones."""
     rng = random.Random(410)
+    partial = 0
     for _ in range(10):
-        a0 = complete(
-            random_automaton(rng, n_marks=2, ap=("a",)).with_acceptance(
-                and_([inf_(1), inf_(2)]), 2
-            )
+        a0 = random_automaton(rng, n_marks=2, ap=("a",)).with_acceptance(
+            and_([inf_(1), inf_(2)]), 2
         )
-        a1 = complete(
-            random_automaton(rng, n_marks=1, ap=("a",)).with_acceptance(inf_(1), 1)
-        )
+        a1 = random_automaton(rng, n_marks=1, ap=("a",)).with_acceptance(inf_(1), 1)
+        partial += not (is_complete(a0) and is_complete(a1))
         s_gba = sum_gba(a0, a1)
         s_gen = sum_automata(a0, a1)
         for _ in range(8):
@@ -369,6 +369,7 @@ def test_sum_gba_matches_general_sum():
             expected = accepts(a0, u, v) or accepts(a1, u, v)
             assert accepts(s_gba, u, v) == expected
             assert accepts(s_gen, u, v) == expected
+    assert partial >= 5
 
 
 def test_sum_gba_of_several_parts_is_the_fold():
@@ -391,16 +392,6 @@ def test_sum_gba_names_the_part_that_fails_a_check():
     buchi = rejecting_loop().with_acceptance(inf_(1), 1)
     with pytest.raises(TelaError, match="on every input"):
         sum_gba(buchi, buchi, rejecting_loop())
-    partial = Tela(
-        ap=("a",),
-        n_states=1,
-        initial=frozenset({0}),
-        transitions=((0, 0, 0, 1),),
-        acceptance=inf_(1),
-        n_marks=1,
-    )
-    with pytest.raises(TelaError, match="complete automata; third input"):
-        sum_gba(buchi, buchi, partial)
     with pytest.raises(TelaError, match="mismatched atomic propositions"):
         sum_gba(buchi, buchi, replace(buchi, ap=("b",)))
     with pytest.raises(TelaError, match="at least one"):

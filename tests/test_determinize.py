@@ -14,6 +14,7 @@ from tela import (
     accepts,
     and_,
     complement_deterministic,
+    complete,
     contains,
     degeneralize,
     determinize_product,
@@ -232,11 +233,41 @@ def test_safra_preserves_language():
             assert accepts(det, u, v) == oracle_accepts(nba, u, v)
 
 
+def test_safra_on_a_partial_nba_needs_no_sink():
+    """State 0 has no move on a and state 1 none on !a; the language is
+    (!a)^w | (!a)^+ a^w.  Safra runs on the partial automaton: a run that
+    dies leaves every label, and the tree with the empty label steps to
+    itself, so the output is deterministic and complete.  It has the
+    language of the output on the completed input and is smaller: the
+    sink no longer sits in the root's label, where it kept the root from
+    going green."""
+    nba = Tela(
+        ap=("a",),
+        n_states=2,
+        initial=frozenset({0}),
+        transitions=((0, 0, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)),
+        acceptance=inf_(1),
+        n_marks=1,
+    )
+    assert not is_complete(nba)
+    det = safra_determinize(nba)
+    assert is_deterministic(det) and is_complete(det)
+    via_sink = safra_determinize(complete(nba))
+    assert equivalent_deterministic(det, via_sink)
+    assert det.n_states < via_sink.n_states
+    assert accepts(det, (), (0,)) and accepts(det, (0,), (1,))
+    assert not accepts(det, (), (1,)) and not accepts(det, (0, 1), (0,))
+
+
 def test_safra_steps_match_the_set_based_oracle(monkeypatch):
     """Every (tree, letter) step that safra_determinize takes gives the tree
     and marks of the set-based step, `old` holds the tree's names, and
     `live` the states on an accepting cycle, by the oracle's own search.
-    Many steps differ from the step with every state live."""
+    Many steps differ from the step with every state live.  Half of the
+    inputs, over both alphabets, are completed: the rejecting sink is the
+    commonest state that labels below the root must leave out, and the
+    random inputs alone have few such states.  The other half stay partial,
+    so their runs die."""
     step = determinize_module._safra_step
     checked = restricted = 0
     live_states = None
@@ -253,8 +284,10 @@ def test_safra_steps_match_the_set_based_oracle(monkeypatch):
 
     monkeypatch.setattr(determinize_module, "_safra_step", checked_step)
     rng = random.Random(446)
-    for i in range(200):
+    for i in range(300):
         nba = random_buchi(rng, max_states=5, n_ap=1 + i % 2)
+        if i % 4 >= 2:
+            nba = complete(nba)
         live_states = oracle_live_states(nba, 1)
         try:
             safra_determinize(nba, state_cap=300)

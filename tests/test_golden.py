@@ -207,7 +207,7 @@ def _product_results(m, a):
         yield f"actions {s}", [(act.name, act.marks, act.dist) for act in acts]
     for mec in mec_decomposition(prod):
         yield "mec", (sorted(mec.states), sorted(mec.actions.items()))
-    yield "ld order", _explore_product(m, build_ld(a), strict=False)[0]
+    yield "ld order", _explore_product(m, build_ld(a))[0]
 
 
 def test_products_match_the_recorded_digest():

@@ -229,17 +229,46 @@ def test_mdp_product_requires_covering_labels():
         mdp_product(outside, det_letter_watcher(1))
 
 
-def test_mdp_product_requires_complete_automaton():
-    partial = Tela(
+def random_partial_buchi(rng: random.Random) -> Tela:
+    """A deterministic Buchi automaton over the atom a with 1-3 states, in
+    which each (state, letter) slot has a transition with probability 0.7."""
+    n = rng.randint(1, 3)
+    transitions = tuple(
+        (q, letter, rng.randrange(n), rng.randint(0, 1))
+        for q in range(n)
+        for letter in (0, 1)
+        if rng.random() < 0.7
+    )
+    return Tela(
         ap=("a",),
-        n_states=1,
+        n_states=n,
         initial=frozenset({0}),
-        transitions=((0, 0, 0, 1),),
+        transitions=transitions,
         acceptance=inf_(1),
         n_marks=1,
     )
-    with pytest.raises(MdpError, match="complete the automaton"):
-        mdp_product(a_loop_mdp(), partial)
+
+
+def test_a_partial_automaton_has_the_value_of_its_completion():
+    """A product state whose MDP action has no automaton move has no action:
+    it reaches no accepting end component, so its value is 0, as the
+    rejecting sink of the completion gives it.  The product of a partial
+    deterministic Buchi automaton has the value of its completion's and of
+    reference_pr_max, on trap MDPs where many values lie strictly between
+    0 and 1."""
+    rng = random.Random(475)
+    dead_ends = strictly_between = 0
+    for _ in range(300):
+        m = labelled_trap_mdp(rng)
+        a = random_partial_buchi(rng)
+        p = mdp_product(m, a)
+        got = pr_max_buchi(p)
+        assert abs(got - pr_max_buchi(mdp_product(m, complete(a)))) <= 1e-9
+        assert abs(got - reference_pr_max(m, a)) <= 1e-9
+        dead_ends += not all(p.actions)
+        strictly_between += 1e-9 < got < 1 - 1e-9
+    assert dead_ends >= 100
+    assert strictly_between >= 30
 
 
 def test_mdp_product_with_deterministic_automaton_keeps_actions():
@@ -666,7 +695,7 @@ def test_qualitative_positive_is_the_same_without_the_quotient():
         quotient = bisim_quotient(ld)
         merged += ld.n_states - quotient.n_states
         assert limit_det_violation(quotient) is None
-        _, actions = _explore_product(m, ld, strict=False)
+        _, actions = _explore_product(m, ld)
         unquotiented = any(_accepting_mecs(actions, dnf_structure(ld.acceptance)))
         positive = qualitative_positive(m, ld)
         assert positive == unquotiented == (reference_pr_max(m, a) > 1e-9)
