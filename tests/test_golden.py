@@ -47,7 +47,7 @@ from tela.transforms import GBA_METHODS
 
 from helpers import mec_decomposition, random_mdp
 
-GOLDEN = "53f8d644cf3a5c7ee52134b90352acfa809799a78b0682dbbca926167c3d48a7"
+GOLDEN = "b256b18468e4a476319480529e054589f9abed72bdca8037248b5681186021de"
 GOLDEN_2AP = "f5fe7016543503d2394a4e1b0dfbb733dbfa455155a11af040d920203adeec75"
 GOLDEN_WITNESS = "fbf77500ca12533d4ce48c1a30a5a163e61dca3c1e345bfccb455440d21b2124"
 GOLDEN_PRODUCT = "39c6a81dc05e1574fe512833bf81fc7ebcfae433992b274f9a7aabfc36e6cb5a"
