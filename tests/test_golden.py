@@ -48,7 +48,7 @@ from tela.transforms import GBA_METHODS
 from helpers import mec_decomposition, random_mdp
 
 GOLDEN = "b256b18468e4a476319480529e054589f9abed72bdca8037248b5681186021de"
-GOLDEN_2AP = "f5fe7016543503d2394a4e1b0dfbb733dbfa455155a11af040d920203adeec75"
+GOLDEN_2AP = "1a84a7cc4f7c37c5658f6c902b6ad3c9740258a05b8e0ff8898ccafc2333cedf"
 GOLDEN_WITNESS = "fbf77500ca12533d4ce48c1a30a5a163e61dca3c1e345bfccb455440d21b2124"
 GOLDEN_PRODUCT = "39c6a81dc05e1574fe512833bf81fc7ebcfae433992b274f9a7aabfc36e6cb5a"
 
