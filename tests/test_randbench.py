@@ -340,7 +340,7 @@ PINNED_CONFIGS = (
     "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
 )
 PINNED_REPORT_DIGEST = (
-    "54cf3c413df3465b8967e0a699dc3ec6ba303c5cca663242a6eaeadc267594c1"
+    "ca54caeded778084f773c7427d0eb19f12379e2c08bc298a3bca442c720d2054"
 )
 
 
