@@ -11,8 +11,8 @@ generator at `random.Random(SEED)` by every method of DET_METHODS under the
 workload's state cap (the calls `perfbench/workloads.determinize` makes), in
 its own process.  The report, one JSON object on standard output, gives:
 
-- the constructions each tree returns, how many the change gains, and the
-  ones it loses, as [input index, method] pairs (`lost`);
+- the constructions each tree returns, and the ones the change gains and
+  loses, as [input index, method] pairs (`gained`, `lost`);
 - each tree's `ok_share`, its returned share of all constructions, and the
   mean size of everything it returns: the `det` workload's two size metrics,
   on a fixed input set;
@@ -72,7 +72,7 @@ def compare(parent: dict, change: dict) -> dict:
         "returned": {"parent": 0, "change": 0},
         "ok_share": {},
         "states_mean": {},
-        "gained": 0,
+        "gained": [],
         "lost": [],
         "common": 0,
         "identical": 0,
@@ -103,7 +103,8 @@ def compare(parent: dict, change: dict) -> dict:
         first = next(iter(p_out.values()), None)
         for method in methods:
             p, c = p_out.get(method), c_out.get(method)
-            report["gained"] += p is None and c is not None
+            if p is None and c is not None:
+                report["gained"].append([i, method])
             if p is not None and c is None:
                 report["lost"].append([i, method])
             if p is not None and c is not None:

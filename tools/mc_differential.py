@@ -11,9 +11,10 @@ Each tree answers the first COUNT inputs of perfbench's `mc` generator at
 makes: `pr_max_tela` on the MDP and the automaton, and `qualitative_positive`
 on `build_ld` of the automaton.  It also records the sizes of the automata
 those answers go through: the good-for-MDP automaton `build_gfm`, the
-quotient `bisim_quotient(complete(...))` that `pr_max_tela` multiplies with
-the MDP, the states and actions of that product (`mdp_product`), the
-limit-deterministic `build_ld` and its quotient.  The report, one JSON
+quotient that `pr_max_tela` multiplies with the MDP and the states and
+actions of that product, both read from the `mdp_product` call that
+`pr_max_tela` makes in the tree's own library, then the limit-deterministic
+`build_ld` and its quotient.  The report, one JSON
 object on standard output, gives:
 
 - the sum of each size over the inputs, per tree, and on how many inputs
@@ -55,6 +56,17 @@ def worker(count: int, seed: int) -> dict:
             row[key] = {"error": type(exc).__name__}
         return row[key]
 
+    multiplied = []
+    mdp_product = tela.mdp.mdp_product
+
+    def recording_product(m, g):
+        product = mdp_product(m, g)
+        multiplied.append((g, product))
+        return product
+
+    # pr_max_tela reads mdp_product from its module, so this records the
+    # quotient and the product that each tree's pr_max_tela builds.
+    tela.mdp.mdp_product = recording_product
     rows = []
     for mdp_text, aut_text in workloads.mc_generate(random.Random(seed), count):
         m = tela.parse_mdp(mdp_text)
@@ -62,15 +74,15 @@ def worker(count: int, seed: int) -> dict:
         dnf = tela.ensure_dnf(a)
         digest = hashlib.sha256(f"{mdp_text}\n{aut_text}".encode()).hexdigest()
         row = {"input": digest}
+        multiplied.clear()
         attempt(row, "pr", lambda: tela.pr_max_tela(m, a))
+        if multiplied:
+            quotient, product = multiplied[0]
+            row["gfm_quotient"] = quotient.n_states
+            row["product_states"] = product.n_states
+            row["product_actions"] = sum(map(len, product.actions))
         gfm = attempt(row, "gfm", lambda: tela.build_gfm(dnf))
         if isinstance(gfm, tela.Tela):
-            quotient = tela.bisim_quotient(tela.complete(gfm))
-            product = attempt(row, "product_states", lambda: tela.mdp_product(m, quotient))
-            if isinstance(product, tela.ProductMdp):
-                row["product_states"] = product.n_states
-                row["product_actions"] = sum(map(len, product.actions))
-            row["gfm_quotient"] = quotient.n_states
             row["gfm"] = gfm.n_states
         ld = attempt(row, "ld", lambda: tela.build_ld(dnf))
         if isinstance(ld, tela.Tela):

@@ -36,7 +36,7 @@ def test_one_pair_of_copies_of_one_tree_agrees(tmp_path):
     assert code == 0
     assert report["constructions"] == 4 * len(DET_METHODS)
     assert report["returned"]["parent"] == report["returned"]["change"] > 0
-    assert report["gained"] == 0 and report["lost"] == []
+    assert report["gained"] == report["lost"] == []
     assert report["common"] == report["compared"] == report["returned"]["change"]
     assert report["identical"] == report["common"]
     assert report["states_common"]["parent"] == report["states_common"]["change"]
@@ -93,7 +93,8 @@ def test_a_language_change_a_gain_a_loss_a_growth_and_a_crash_are_reported():
     u = tela.parse_hoa(universal).n_states
     assert u == 1
     assert report["states_mean"] == {"parent": 3 / 3, "change": 5 / 4}
-    assert report["gained"] == 2 and report["lost"] == [[2, "m2"]]
+    assert report["gained"] == [[0, "m2"], [1, "m1"]]
+    assert report["lost"] == [[2, "m2"]]
     assert report["common"] == 2 and report["identical"] == 0
     assert report["states_common"] == {"parent": 2, "change": 3}
     assert report["grew"] == [[2, "m1"]] and report["shrank"] == 0
