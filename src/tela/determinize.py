@@ -80,9 +80,9 @@ that dies simply leaves every label, as in Safra's construction on partial
 automata; the greens argument below is unchanged.  Only finite runs go,
 and those accept no word: a run held forever in a component without an
 accepting transition inside it, the root-cover case below, is infinite and
-stays in the root's label.  Every tree still steps on every
-letter, and the tree whose root label is empty steps to itself with no
-mark: it is the rejecting sink, so the output is deterministic and complete.
+stays in the root's label.  Every tree still steps on every letter, and the
+tree whose root label is empty steps to itself with no mark: it is the
+rejecting sink, so the output is deterministic and complete.
 
 Labels below the root hold only live states: those whose strongly connected
 component in the input has an accepting transition inside it (Loding &
