@@ -13,9 +13,10 @@ on `build_ld` of the automaton.  It also records the sizes of the automata
 those answers go through: the good-for-MDP automaton `build_gfm`, the
 quotient that `pr_max_tela` multiplies with the MDP and the states and
 actions of that product, both read from the `mdp_product` call that
-`pr_max_tela` makes in the tree's own library, then the limit-deterministic
-`build_ld` and its quotient.  The report, one JSON
-object on standard output, gives:
+`pr_max_tela` makes in the tree's own library, and the limit-deterministic
+`build_ld` and its quotient.  Each tree thus reports the product its own
+`pr_max_tela` builds, whether or not that tree completes the quotient
+first.  The report, one JSON object on standard output, gives:
 
 - the sum of each size over the inputs, per tree, and on how many inputs
   the change's size grew or shrank;
