@@ -252,10 +252,10 @@ def random_partial_buchi(rng: random.Random) -> Tela:
 def test_a_partial_automaton_has_the_value_of_its_completion():
     """A product state whose MDP action has no automaton move has no action:
     it reaches no accepting end component, so its value is 0, as the
-    rejecting sink of the completion gives it.  The product of a partial
-    deterministic Buchi automaton has the value of its completion's and of
-    reference_pr_max, on trap MDPs where many values lie strictly between
-    0 and 1."""
+    rejecting sink of the completion gives it.  The product with a partial
+    deterministic Buchi automaton has the value of the product with its
+    completion and of reference_pr_max, on trap MDPs where many values lie
+    strictly between 0 and 1."""
     rng = random.Random(475)
     dead_ends = strictly_between = 0
     for _ in range(300):
