@@ -299,10 +299,9 @@ def test_sum_of_empty_components_stays_empty():
     assert is_empty(sum_automata(loop, loop))
 
 
-def test_sum_recognizes_the_union():
-    """Partial inputs too: a run of the sum stays in one part, so a missing
-    move ends only runs that the part itself would lose."""
-    rng = random.Random(409)
+def test_sum_accepts_partial_inputs():
+    """A run of the sum stays in one part, so a missing move ends only runs
+    that the part itself would lose."""
     partial = Tela(
         ap=("a",),
         n_states=1,
@@ -311,11 +310,24 @@ def test_sum_recognizes_the_union():
         acceptance=TRUE,
         n_marks=0,
     )
-    pairs = [(partial, partial), (rejecting_loop(), partial)]
-    for _ in range(15):
-        pairs.append(
-            tuple(random_automaton(rng, n_marks=2, ap=("a",)) for _ in range(2))
-        )
+    for a0, a1 in [(partial, partial), (rejecting_loop(), partial)]:
+        s = sum_automata(a0, a1)
+        assert accepts(s, (), (0,))
+        assert not accepts(s, (), (1,))
+        assert not accepts(s, (1,), (0,))
+        assert not accepts(s, (), (0, 1))
+        for u, v in itertools.product([(), (0,), (1,), (0, 1)], [(0,), (1,), (1, 0)]):
+            assert accepts(s, u, v) == (accepts(a0, u, v) or accepts(a1, u, v))
+
+
+def test_sum_recognizes_the_union():
+    """Partial inputs too: a run of the sum stays in one part, so a missing
+    move ends only runs that the part itself would lose."""
+    rng = random.Random(409)
+    pairs = [
+        tuple(random_automaton(rng, n_marks=2, ap=("a",)) for _ in range(2))
+        for _ in range(15)
+    ]
     assert sum(not (is_complete(a0) and is_complete(a1)) for a0, a1 in pairs) >= 8
     for a0, a1 in pairs:
         s = sum_automata(a0, a1)
