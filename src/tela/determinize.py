@@ -377,10 +377,24 @@ def _determinize_gba(g: Tela, state_cap: int | None = None) -> Tela:
     """Determinize a generalized-Buchi automaton: the one-state universal
     automaton when `_universal` finds a terminal part reached on every word;
     otherwise reduce it by direct simulation, degeneralize it and run the
-    Safra construction, whose exploration `state_cap` bounds."""
+    Safra construction, whose exploration `state_cap` bounds, and collapse
+    its output when it accepts every word."""
     if _universal(g):
         return _universal_automaton(g.ap)
-    return safra_determinize(degeneralize(simulation_reduce(g)), state_cap)
+    return _collapse_universal(
+        safra_determinize(degeneralize(simulation_reduce(g)), state_cap)
+    )
+
+
+def _collapse_universal(d: Tela) -> Tela:
+    """d, or the one-state universal automaton when d accepts every word.
+
+    d must be complete with every state reachable, as Safra's outputs and
+    the union products are.  It accepts every word when no cycle of its
+    edges violates its acceptance (see the module docstring)."""
+    if _witness(d.transitions, to_dnf(TRUE), to_dnf(d.acceptance)) is None:
+        return _universal_automaton(d.ap)
+    return d
 
 
 def _universal_automaton(ap: tuple[str, ...]) -> Tela:
@@ -471,11 +485,14 @@ def determinize_product(
     folding the parts together with the union product.
 
     With langcover enabled, a part whose language is contained in the union
-    built so far is skipped.
+    built so far is skipped.  Once the union accepts every word, it is
+    returned as the one-state universal automaton, and the remaining
+    disjuncts are not determinized.
     """
+    universal = _universal_automaton(a.ap)
     acc: Tela | None = None
     for det in disjunct_determinizations(a, state_cap):
-        if acc is None:
+        if acc is None or det == universal:
             acc = det
         elif langcover and contains(acc, det):
             continue
@@ -486,7 +503,9 @@ def determinize_product(
                     f" would pass the cap {state_cap}",
                     "states",
                 )
-            acc = product(acc, det, "or")
+            acc = _collapse_universal(product(acc, det, "or"))
+        if acc == universal:
+            return acc
     return empty_language_automaton(a.ap) if acc is None else acc
 
 
