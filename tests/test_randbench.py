@@ -340,7 +340,7 @@ PINNED_CONFIGS = (
     "methods=product,via-gba:cnf,via-gba:remfin_rewrite\nbaseline=via-gba:cnf\n",
 )
 PINNED_REPORT_DIGEST = (
-    "ca54caeded778084f773c7427d0eb19f12379e2c08bc298a3bca442c720d2054"
+    "7201f7aba65f340233ba42a770f6532e14547a2bc817eae19f79e2bd885a676e"
 )
 
 
