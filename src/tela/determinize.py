@@ -377,24 +377,20 @@ def _determinize_gba(g: Tela, state_cap: int | None = None) -> Tela:
     """Determinize a generalized-Buchi automaton: the one-state universal
     automaton when `_universal` finds a terminal part reached on every word;
     otherwise reduce it by direct simulation, degeneralize it and run the
-    Safra construction, whose exploration `state_cap` bounds, and collapse
-    its output when it accepts every word."""
+    Safra construction, whose exploration `state_cap` bounds; a Safra output
+    with no rejecting cycle is returned as the universal automaton too."""
     if _universal(g):
         return _universal_automaton(g.ap)
-    return _collapse_universal(
-        safra_determinize(degeneralize(simulation_reduce(g)), state_cap)
-    )
+    d = safra_determinize(degeneralize(simulation_reduce(g)), state_cap)
+    return _universal_automaton(g.ap) if _no_rejecting_cycle(d) else d
 
 
-def _collapse_universal(d: Tela) -> Tela:
-    """d, or the one-state universal automaton when d accepts every word.
-
-    d must be complete with every state reachable, as Safra's outputs and
-    the union products are.  It accepts every word when no cycle of its
-    edges violates its acceptance (see the module docstring)."""
-    if _witness(d.transitions, to_dnf(TRUE), to_dnf(d.acceptance)) is None:
-        return _universal_automaton(d.ap)
-    return d
+def _no_rejecting_cycle(d: Tela) -> bool:
+    """Whether no cycle of d's edges violates d's acceptance: one emptiness
+    search on d's own edges, which needs every state of d reachable, as in
+    Safra's outputs and the union products.  A complete such d accepts
+    every word (see the module docstring)."""
+    return _witness(d.transitions, to_dnf(TRUE), to_dnf(d.acceptance)) is None
 
 
 def _universal_automaton(ap: tuple[str, ...]) -> Tela:
@@ -492,7 +488,9 @@ def determinize_product(
     universal = _universal_automaton(a.ap)
     acc: Tela | None = None
     for det in disjunct_determinizations(a, state_cap):
-        if acc is None or det == universal:
+        if det == universal:
+            return universal
+        if acc is None:
             acc = det
         elif langcover and contains(acc, det):
             continue
@@ -503,9 +501,9 @@ def determinize_product(
                     f" would pass the cap {state_cap}",
                     "states",
                 )
-            acc = _collapse_universal(product(acc, det, "or"))
-        if acc == universal:
-            return acc
+            acc = product(acc, det, "or")
+            if _no_rejecting_cycle(acc):
+                return universal
     return empty_language_automaton(a.ap) if acc is None else acc
 
 
