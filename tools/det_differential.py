@@ -16,6 +16,9 @@ its own process.  The report, one JSON object on standard output, gives:
 - each tree's `ok_share`, its returned share of all constructions, and the
   mean size of everything it returns: the `det` workload's two size metrics,
   on a fixed input set;
+- how many outputs of each tree accept every word (`universal`, by
+  `contains` against the one-state universal automaton), and how many of
+  those have more than one state (`universal_multi_state`);
 - the state sums over the constructions both trees return, how many of
   those print the same HOA text in both (`identical`), how many outputs
   shrank, and the ones that grew, as [input index, method] pairs (`grew`);
@@ -65,6 +68,7 @@ def worker(count: int, seed: int) -> dict:
 def compare(parent: dict, change: dict) -> dict:
     """The report for two workers' results; needs `tela` importable."""
     import tela
+    from tela.determinize import _universal_automaton
 
     methods = change["methods"]
     report = {
@@ -72,6 +76,8 @@ def compare(parent: dict, change: dict) -> dict:
         "returned": {"parent": 0, "change": 0},
         "ok_share": {},
         "states_mean": {},
+        "universal": {"parent": 0, "change": 0},
+        "universal_multi_state": {"parent": 0, "change": 0},
         "gained": [],
         "lost": [],
         "common": 0,
@@ -95,9 +101,12 @@ def compare(parent: dict, change: dict) -> dict:
             for method in methods:
                 got = row[method]
                 if isinstance(got, str):
-                    out[method] = tela.parse_hoa(got)
+                    d = out[method] = tela.parse_hoa(got)
                     report["returned"][side] += 1
-                    states[side] += out[method].n_states
+                    states[side] += d.n_states
+                    if tela.contains(d, _universal_automaton(d.ap)):
+                        report["universal"][side] += 1
+                        report["universal_multi_state"][side] += d.n_states > 1
                 elif got["error"] != "BudgetExceeded":
                     report["crashes"].append([side, i, method, got["error"]])
         first = next(iter(p_out.values()), None)

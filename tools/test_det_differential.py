@@ -16,7 +16,11 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import det_differential  # noqa: E402
 import tela  # noqa: E402
-from tela.determinize import DET_METHODS, empty_language_automaton  # noqa: E402
+from tela.determinize import (  # noqa: E402
+    DET_METHODS,
+    _universal_automaton,
+    empty_language_automaton,
+)
 
 
 def test_one_pair_of_copies_of_one_tree_agrees(tmp_path):
@@ -45,6 +49,8 @@ def test_one_pair_of_copies_of_one_tree_agrees(tmp_path):
     mean = report["states_common"]["change"] / report["common"]
     assert report["states_mean"] == {"parent": mean, "change": mean}
     assert report["grew"] == [] and report["shrank"] == 0
+    assert report["universal"]["parent"] == report["universal"]["change"] > 0
+    assert report["universal_multi_state"] == {"parent": 0, "change": 0}
     assert report["mismatches"] == report["crashes"] == []
 
 
@@ -93,6 +99,8 @@ def test_a_language_change_a_gain_a_loss_a_growth_and_a_crash_are_reported():
     u = tela.parse_hoa(universal).n_states
     assert u == 1
     assert report["states_mean"] == {"parent": 3 / 3, "change": 5 / 4}
+    assert report["universal"] == {"parent": 2, "change": 1}
+    assert report["universal_multi_state"] == {"parent": 0, "change": 0}
     assert report["gained"] == [[0, "m2"], [1, "m1"]]
     assert report["lost"] == [[2, "m2"]]
     assert report["common"] == 2 and report["identical"] == 0
@@ -102,3 +110,27 @@ def test_a_language_change_a_gain_a_loss_a_growth_and_a_crash_are_reported():
     assert report["mismatches"][0] == [0, "m1", True, False]
     assert {tuple(m[:3]) for m in report["mismatches"][1:]} == {(1, "m1", "word")}
     assert report["crashes"] == [["change", 0, "m3", "KeyError"]]
+
+
+def test_universal_outputs_with_more_than_one_state_are_counted():
+    """A two-state automaton that accepts every word counts as universal and
+    as multi-state; the one-state universal automaton only as universal."""
+    ap = ("a",)
+    one = tela.print_hoa(_universal_automaton(ap))
+    two = tela.print_hoa(
+        tela.Tela(
+            ap=ap,
+            n_states=2,
+            initial=frozenset({0}),
+            transitions=((0, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1), (1, 1, 1, 0)),
+            acceptance=tela.or_([tela.inf_(1), tela.fin_(1)]),
+            n_marks=1,
+        )
+    )
+    methods = ["m1", "m2"]
+    parent = {"methods": methods, "rows": [{"input": "x", "m1": two, "m2": one}]}
+    change = {"methods": methods, "rows": [{"input": "x", "m1": one, "m2": one}]}
+    report = det_differential.compare(parent, change)
+    assert report["universal"] == {"parent": 2, "change": 2}
+    assert report["universal_multi_state"] == {"parent": 1, "change": 0}
+    assert report["shrank"] == 1 and report["mismatches"] == []
