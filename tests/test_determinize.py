@@ -25,6 +25,7 @@ from tela import (
     is_complete,
     is_deterministic,
     is_empty,
+    negate,
     or_,
     parse_hoa,
     product,
@@ -624,6 +625,101 @@ def test_caught_gbas_are_universal_and_match_the_chain():
         chain = safra_determinize(degeneralize(simulation_reduce(g)), 2000)
         assert equivalent_deterministic(out, chain)
     assert caught >= 40
+
+
+def gf_a_or_gf_not_a():
+    """Two initial states: state 0 accepts GF a (its loop on a meets the
+    set), state 1 accepts GF !a.  Every word has infinitely many a or
+    infinitely many !a, so the GBA accepts every word, but only through the
+    choice of its initial state: no state meets the set on both letters."""
+    return gba(
+        2, {0, 1}, [(0, 0, 0, 0), (0, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 0)], inf_(1), 1
+    )
+
+
+def gf_a_or_gf_not_a_or_gf_a():
+    """One state whose three DNF disjuncts accept GF a, GF !a and GF a again:
+    no part accepts every word, the union of the first two does.  The Fin
+    marks occur on no transition; they only keep the disjuncts apart."""
+    return Tela(
+        ("a",),
+        1,
+        frozenset({0}),
+        ((0, 0, 0, 2), (0, 1, 0, 1 | 4)),
+        or_([and_([fin_(8), inf_(1)]), and_([fin_(16), inf_(2)]), and_([fin_(32), inf_(4)])]),
+        6,
+    )
+
+
+def test_universal_only_through_nondeterminism_or_the_union():
+    """The GBA pre-test misses both pinned automata; the test on Safra's
+    output and on the union product returns the one-state automaton."""
+    g = gf_a_or_gf_not_a()
+    assert not determinize_module._universal(g)
+    chain = safra_determinize(degeneralize(simulation_reduce(g)))
+    assert chain.n_states > 1 and determinize_module._no_rejecting_cycle(chain)
+    assert determinize_module._determinize_gba(g) == universal_rabin(g.ap)
+    for method in GBA_METHODS:
+        assert determinize_via_gba(g, method) == universal_rabin(g.ap)
+    for langcover in (True, False):
+        assert determinize_product(g, langcover) == universal_rabin(g.ap)
+    a = gf_a_or_gf_not_a_or_gf_a()
+    parts = list(determinize_module.disjunct_determinizations(a))
+    assert len(parts) == 3
+    assert not any(determinize_module._no_rejecting_cycle(d) for d in parts)
+    for langcover in (True, False):
+        assert determinize_product(a, langcover) == universal_rabin(a.ap)
+
+
+def test_the_union_product_stops_once_it_is_universal(monkeypatch):
+    """Disjuncts after the union turns universal are never determinized:
+    a first disjunct that holds on every transition is the only one, and
+    GF a | GF !a stops before the third disjunct."""
+    determinize = determinize_module._determinize_gba
+    calls = []
+
+    def counting(g, state_cap=None):
+        calls.append(g.n_states)
+        return determinize(g, state_cap)
+
+    monkeypatch.setattr(determinize_module, "_determinize_gba", counting)
+    # Mark 1 is on every transition, so Inf(1) holds of every run.
+    first = Tela(
+        ("a",),
+        1,
+        frozenset({0}),
+        ((0, 0, 0, 1 | 2), (0, 1, 0, 1 | 4)),
+        or_([inf_(1), and_([inf_(2), inf_(4)])]),
+        3,
+    )
+    assert len(to_dnf(ensure_dnf(first).acceptance).disjuncts) == 2
+    for a, determinized in ((first, 1), (gf_a_or_gf_not_a_or_gf_a(), 2)):
+        for langcover in (True, False):
+            calls.clear()
+            assert determinize_product(a, langcover) == universal_rabin(a.ap)
+            assert len(calls) == determinized
+
+
+def test_universality_verdicts_match_the_oracle():
+    """On seeded random automata, each method's output has no rejecting
+    cycle exactly when the oracle finds its complement empty, and each
+    output that accepts every word is the one-state automaton."""
+    rng = random.Random(471)
+    verdicts = []
+    for _ in range(40):
+        a = random_automaton(rng, n_marks=2, density=0.6)
+        for method in DET_METHODS:
+            try:
+                d = determinize_by(a, method, state_cap=200)
+            except BudgetExceeded:
+                continue
+            universal = determinize_module._no_rejecting_cycle(d)
+            complement = d.with_acceptance(negate(d.acceptance), d.n_marks)
+            assert universal == oracle_empty(complement)
+            if universal:
+                assert d == universal_rabin(d.ap)
+            verdicts.append(universal)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
 
 def test_determinizers_agree_with_each_other():
