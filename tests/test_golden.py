@@ -8,9 +8,11 @@ Safra trees (cap 2000) and both Fin-removals with and without pruning over
 two atomic propositions.  A third one pins witnesses: the accepting lassos,
 lasso-word verdicts and containment witnesses on determinization-workload
 inputs and their determinizations.  A fourth one pins the MDP products of
-the model-checking side: states, actions and maximal end components.  A
-change that must keep outputs identical keeps the digests; a deliberate
-output change updates the constant and says why.
+the model-checking side: states, actions and maximal end components, with
+the completed good-for-MDP automaton; a fifth one pins the same over its
+bisimulation quotient, the product that pr_max_tela builds.  A change that
+must keep outputs identical keeps the digests; a deliberate output change
+updates the constant and says why.
 """
 
 import hashlib
@@ -40,7 +42,7 @@ from tela import (
 )
 from tela.acceptance import offset_dnf
 from tela.analysis import dnf_witness
-from tela.core import complete, product
+from tela.core import bisim_quotient, complete, product
 from tela.mdp import _explore_product
 from tela.randbench import DET_METHODS
 from tela.transforms import GBA_METHODS
@@ -51,6 +53,9 @@ GOLDEN = "b256b18468e4a476319480529e054589f9abed72bdca8037248b5681186021de"
 GOLDEN_2AP = "1a84a7cc4f7c37c5658f6c902b6ad3c9740258a05b8e0ff8898ccafc2333cedf"
 GOLDEN_WITNESS = "cc47ce5f7afc78f2ec53c966917ef8b7297b5fd3cada65fdf0247dec6d86c824"
 GOLDEN_PRODUCT = "39c6a81dc05e1574fe512833bf81fc7ebcfae433992b274f9a7aabfc36e6cb5a"
+GOLDEN_QUOTIENT_PRODUCT = (
+    "f867a376ee18107b9694d8875777ee719eea48c359e50085f18a17c8660988eb"
+)
 
 
 def _determinize(a, method):
@@ -197,20 +202,30 @@ def _even_mdp(rng, n_states, ap):
     return parse_mdp("\n".join(lines) + "\n")
 
 
-def _product_results(m, a):
-    """The GFM product's states and actions, its maximal end components, and
-    the state order of the product with the breakpoint construction."""
-    a = ensure_dnf(a)
-    prod = mdp_product(m, complete(build_gfm(a)))
+def _product_rows(prod):
+    """An MDP product's states and actions, and its maximal end components."""
     yield "states", (prod.states, prod.initial)
     for s, acts in enumerate(prod.actions):
         yield f"actions {s}", [(act.name, act.marks, act.dist) for act in acts]
     for mec in mec_decomposition(prod):
         yield "mec", (sorted(mec.states), sorted(mec.actions.items()))
+
+
+def _product_results(m, a):
+    """The product with the completed GFM automaton, and the state order of
+    the product with the breakpoint construction."""
+    a = ensure_dnf(a)
+    yield from _product_rows(mdp_product(m, complete(build_gfm(a))))
     yield "ld order", _explore_product(m, build_ld(a))[0]
 
 
-def test_products_match_the_recorded_digest():
+def _quotient_product_results(m, a):
+    """The product with the GFM automaton's bisimulation quotient, which
+    stays partial, as pr_max_tela multiplies it."""
+    return _product_rows(mdp_product(m, bisim_quotient(build_gfm(ensure_dnf(a)))))
+
+
+def _product_digest(results) -> str:
     digest = hashlib.sha256()
     rng = random.Random(9)
     for i in range(24):
@@ -224,6 +239,14 @@ def test_products_match_the_recorded_digest():
             n_ap=1,
         )
         m = _even_mdp(rng, 6, a.ap)
-        for name, result in _product_results(m, a):
+        for name, result in results(m, a):
             digest.update(f"{i} {name}\n{result!r}\n".encode())
-    assert digest.hexdigest() == GOLDEN_PRODUCT
+    return digest.hexdigest()
+
+
+def test_products_match_the_recorded_digest():
+    assert _product_digest(_product_results) == GOLDEN_PRODUCT
+
+
+def test_quotient_products_match_the_recorded_digest():
+    assert _product_digest(_quotient_product_results) == GOLDEN_QUOTIENT_PRODUCT
