@@ -28,6 +28,20 @@ benchmark inputs most GBAs are caught, and the chain would spend all of
 its stages on them only to return a larger automaton of the same,
 universal, language.
 
+The pre-test misses GBAs that accept every word only through
+nondeterminism, such as two initial states accepting GF a and GF !a, so
+each Safra output is tested too, by one emptiness search on its own edges
+(`_no_rejecting_cycle`): when no cycle of them violates the acceptance, the
+one-state automaton is returned in its place.  This keeps the language:
+the output is complete, so every word has a run, and the edges that run
+takes infinitely often form a cycle (a strongly connected set of edges)
+whose marks, the ones the run meets infinitely often, satisfy the
+acceptance because no cycle violates it.  Every state of a Safra
+output is reachable by construction, so the search needs no reachability
+walk, and it misses no universal output: a rejecting cycle is reached on
+some prefix, and the output being deterministic, the word that then walks
+all of its edges forever has one run, which it rejects.
+
 A GBA the test does not catch is reduced by direct simulation
 (`core.simulation_reduce`; Somenzi & Bloem, CAV 2000; Clemente & Mayr,
 POPL 2013) before it is degeneralized.  r simulates q when each
@@ -116,6 +130,12 @@ parts with the union product, skipping parts whose language is already
 covered.  That check, `contains`, explores the pairs of the two
 deterministic automata from the initial pair, as `accepts` does, and runs
 the emptiness search on their edges; it builds no product automaton.
+Each union product, complete with every state reachable like a Safra
+output, gets the same universality test.  Once a part or the union accepts
+every word, the one-state automaton is returned at once: the union only
+grows as parts are added, so the remaining disjuncts cannot change its
+language, and since disjunct_determinizations is lazy, they are never
+determinized.
 """
 
 from __future__ import annotations
