@@ -406,10 +406,11 @@ def _determinize_gba(g: Tela, state_cap: int | None = None) -> Tela:
 
 
 def _no_rejecting_cycle(d: Tela) -> bool:
-    """Whether no cycle of d's edges violates d's acceptance: one emptiness
-    search on d's own edges, which needs every state of d reachable, as in
-    Safra's outputs and the union products.  A complete such d accepts
-    every word (see the module docstring)."""
+    """Whether no cycle of d's edges violates d's acceptance, by one
+    emptiness search on d's own edges.  A complete d that passes accepts
+    every word; a deterministic d with every state reachable, as Safra's
+    outputs and the union products are, that accepts every word passes
+    (see the module docstring)."""
     return _witness(d.transitions, to_dnf(TRUE), to_dnf(d.acceptance)) is None
 
 

@@ -646,7 +646,7 @@ def gf_a_or_gf_not_a_or_gf_a():
         1,
         frozenset({0}),
         ((0, 0, 0, 2), (0, 1, 0, 1 | 4)),
-        or_([and_([fin_(8), inf_(1)]), and_([fin_(16), inf_(2)]), and_([fin_(32), inf_(4)])]),
+        or_(and_([fin_(f), inf_(i)]) for f, i in ((8, 1), (16, 2), (32, 4))),
         6,
     )
 
