@@ -59,6 +59,7 @@ from .core import (
     simulation_reduce,
     split,
     sum_automata,
+    state_limit,
     sum_gba,
     time_limit,
 )

@@ -105,7 +105,7 @@ def accepts(a: Tela, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
         for _, letter, d, m in a.succ(q, word[i]):
             yield letter, number(d * n_pos + nxt), m
 
-    _, edges = explore([q * n_pos for q in sorted(a.initial)], expand)
+    _, edges = explore([q * n_pos for q in sorted(a.initial)], expand, "membership")
     return _witness(flatten_edges(edges), to_dnf(a.acceptance)) is not None
 
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .acceptance import AcceptanceError, NotInDnfError
 from .analysis import accepting_lasso
-from .core import TelaError, is_deterministic
+from .core import TelaError, is_deterministic, state_limit
 from .determinize import DET_METHODS, determinize_by
 from .hoaio import _letter_label, parse_hoa, print_hoa
 from .limitdet import (
@@ -63,14 +63,14 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_determinize(args) -> int:
-    _emit(determinize_by(_read_automaton(args.file), args.method, args.state_cap))
+    _emit(determinize_by(_read_automaton(args.file), args.method))
     return 0
 
 
 def _cmd_limitdet(args) -> int:
     a = _read_automaton(args.file)
     if args.method == "sum":
-        out = limit_det_sum(a, args.state_cap)
+        out = limit_det_sum(a)
     elif args.method == "ld":
         out = build_ld(ensure_dnf(a))
     else:
@@ -183,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limitdet", help="build a limit-deterministic automaton")
     p.add_argument("--method", choices=["sum", "ld", "gfm"], default="sum")
     p.add_argument("--state-cap", type=_positive_int, default=None,
-                   help="fail when a Safra run of --method sum passes this")
+                   help="fail when an exploration passes this many states")
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_limitdet)
 
@@ -222,11 +222,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    limitdet = args.command == "limitdet"
-    if limitdet and args.state_cap is not None and args.method != "sum":
-        parser.error("--state-cap applies only to limitdet --method sum")
     try:
-        return args.func(args)
+        with state_limit(getattr(args, "state_cap", None)):
+            return args.func(args)
     except (TelaError, MdpError, AcceptanceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -18,16 +18,17 @@ reachability kernel, takes the states a bitmask reaches, given a successor
 bitmask per state that has one.
 
 Constructions that explore a new state space on the fly number it through
-`explore`, which owns the numbering and the state cap; time is bounded once
-around a whole run, by `time_limit`.  Pair states go to it as int keys,
-q0 * |Q1| + q1 in `product` and likewise in degeneralization, containment,
-lasso membership and the MDP product, so a product state costs no tuple;
-keys sort as their pairs do, so seeds and numbering are those of the pairs.
-`scc_split` is the one split of a graph into strongly connected components
-with the edges kept inside each; emptiness, containment and maximal end
-components all run on it, through one iterative Tarjan pass that calls
-`targets` once per item.  `accepting_scc_states` is the one test of which
-states can still accept: the members of the components, over the
+`explore`, which owns the numbering and reads the state cap of an enclosing
+`state_limit`; time is bounded by `time_limit`.  Both limits are set once
+around a whole run, not passed down.  Pair states go to `explore` as int
+keys, q0 * |Q1| + q1 in `product` and likewise in degeneralization,
+containment, lasso membership and the MDP product, so a product state costs
+no tuple; keys sort as their pairs do, so seeds and numbering are those of
+the pairs.  `scc_split` is the one split of a graph into strongly connected
+components with the edges kept inside each; emptiness, containment and
+maximal end components all run on it, through one iterative Tarjan pass
+that calls `targets` once per item.  `accepting_scc_states` is the one test
+of which states can still accept: the members of the components, over the
 transitions avoiding a Fin set, whose inside transitions meet every Inf set.
 Safra's live labels are these states, and the breakpoint components' live
 masks their backward `closure`.
@@ -49,6 +50,7 @@ from __future__ import annotations
 import signal
 import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -79,7 +81,7 @@ class TelaError(ValueError):
 
 
 class BudgetExceeded(TelaError):
-    """A construction went past its state cap or an enclosing `time_limit`."""
+    """A construction went past an enclosing `state_limit` or `time_limit`."""
 
     def __init__(self, message: str, kind: str):
         super().__init__(message)
@@ -124,6 +126,30 @@ def time_limit(seconds: float):
                 # A timer left at 0 would stay disarmed; fire it at once.
                 rest = max(outer - (armed - left), 1e-6)
                 signal.setitimer(signal.ITIMER_REAL, rest, interval)
+
+
+_STATE_CAP: ContextVar[int | None] = ContextVar("state_cap", default=None)
+
+
+@contextmanager
+def state_limit(states: int | None):
+    """Cap every `explore` in the block at `states` states: numbering one
+    more raises BudgetExceeded of kind "states" naming the exploration's
+    stage.  The cap holds for each exploration on its own, not for the block
+    as a whole.  None adds no cap.  Limits nest: the smaller cap wins, so an
+    inner limit never lifts an outer one, and every exit restores the
+    enclosing cap."""
+    if states is None:
+        yield
+        return
+    if not states > 0:
+        raise TelaError(f"state limit must be positive, got {states}")
+    outer = _STATE_CAP.get()
+    token = _STATE_CAP.set(states if outer is None else min(outer, states))
+    try:
+        yield
+    finally:
+        _STATE_CAP.reset(token)
 
 
 @dataclass(frozen=True)
@@ -433,7 +459,8 @@ def product(a0: Tela, a1: Tela, combinator: str) -> Tela:
                 for _, _, d1, m1 in a1.succ(q1, letter):
                     yield letter, number(d0 * width + d1), m0 | (m1 << off)
 
-    order, edges = explore(initial_pairs, expand)
+    stage = "union product" if combinator == "or" else "intersection product"
+    order, edges = explore(initial_pairs, expand, stage)
     lifted0 = a0.acceptance
     lifted1 = offset_marks(a1.acceptance, off)
     acceptance = (
@@ -504,7 +531,7 @@ def image(row, states: int) -> tuple[int, int]:
     return img, part
 
 
-def explore(seeds, expand, state_cap=None, stage="exploration"):
+def explore(seeds, expand, stage: str):
     """Breadth-first numbering of the states reachable from `seeds`.
 
     Seeds take the first numbers, duplicates dropped.  `expand(state, number)`
@@ -513,9 +540,11 @@ def explore(seeds, expand, state_cap=None, stage="exploration"):
     numbers t if new.  Returns the states and, in the same order, the list
     of each state's edges.
 
-    Numbering a new state when `state_cap` states exist already (seeds are
-    always numbered) raises BudgetExceeded naming `stage`.
+    Numbering a new state when as many states exist already as the cap of an
+    enclosing `state_limit` (seeds are always numbered) raises
+    BudgetExceeded naming `stage`.
     """
+    state_cap = _STATE_CAP.get()
     index: dict = {}
     order: list = []
     for s in seeds:

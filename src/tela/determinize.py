@@ -85,8 +85,9 @@ the children and emits a green mark for its name.  A name emits red when it
 vanishes.  The result is deterministic with Rabin acceptance: some name is
 eventually never red and infinitely often green.  Only the names that go
 green somewhere get a mark pair, and the result is Moore-minimal: it is
-returned as its `core.bisim_quotient`.  A state cap bounds the Safra
-exploration, not the returned size.
+returned as its `core.bisim_quotient`.  A `core.state_limit` bounds the
+Safra exploration, not the returned size, as it bounds every other
+exploration of the chain.
 
 Safra runs on the input as it is, partial or not, and completes nothing.  A
 state with no successor on a letter adds nothing to any image, so a run
@@ -124,8 +125,9 @@ split of the input's transitions.  This keeps the language:
   the root's cover test that way changes the language of the pinned input
   in `test_safra_root_goes_green_only_when_its_whole_label_is_covered`.
 
-disjunct_determinizations determinizes each DNF disjunct separately via
-Fin-removal, degeneralization and Safra; determinize_product combines the
+disjunct_determinizations determinizes each DNF disjunct separately by
+the same route, `determinize_via_gba` with the Fin-removal rewrite, which on
+one disjunct is plain Fin-removal; determinize_product combines the
 parts with the union product, skipping parts whose language is already
 covered.  That check, `contains`, explores the pairs of the two
 deterministic automata from the initial pair, as `accepts` does, and runs
@@ -156,7 +158,6 @@ from .acceptance import (
 )
 from .analysis import _witness
 from .core import (
-    BudgetExceeded,
     Tela,
     TelaError,
     _require_same_ap,
@@ -171,9 +172,10 @@ from .core import (
     post_masks,
     product,
     simulation_reduce,
+    state_limit,
     with_all_mark,
 )
-from .transforms import GBA_METHODS, ensure_dnf, remove_fin, to_gba
+from .transforms import GBA_METHODS, ensure_dnf, to_gba
 
 DET_METHODS = tuple(f"via-gba:{m}" for m in GBA_METHODS) + (
     "product",
@@ -228,7 +230,7 @@ def degeneralize(g: Tela) -> Tela:
                 offset, mark = row[marks]
                 yield letter, number(offset + dst), mark
 
-    order, edges = explore(sorted(g.initial), expand)
+    order, edges = explore(sorted(g.initial), expand, "degeneralization")
     return Tela(
         ap=g.ap,
         n_states=len(order),
@@ -242,7 +244,7 @@ def degeneralize(g: Tela) -> Tela:
 _Node = tuple[int, int, tuple]  # name, label (a bitmask of states), children
 
 
-def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
+def safra_determinize(b: Tela) -> Tela:
     """Determinize a Buchi TELA into a Rabin one via Safra trees.
 
     Output marks come in pairs per kept tree-node name, the names that go
@@ -255,8 +257,8 @@ def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
     explored trees, deterministic and complete with initial state 0, also
     when `b` is partial: a run that dies leaves every label, and the tree
     with the empty label is the rejecting sink (see the module docstring).
-    Labels below the root keep only live states.
-    `state_cap` bounds the number of explored trees, not the returned size.
+    Labels below the root keep only live states.  An enclosing
+    `state_limit` bounds the number of explored trees, not the returned size.
     """
     if b.acceptance == TRUE:
         b, mark = with_all_mark(b)
@@ -281,7 +283,7 @@ def safra_determinize(b: Tela, state_cap: int | None = None) -> Tela:
             yield letter, number(nxt), marks
 
     root = (0, sum(1 << q for q in b.initial), ())
-    order, edges = explore([root], expand, state_cap, "determinization")
+    order, edges = explore([root], expand, "determinization")
     seen = {marks for out in edges for _, _, marks in out}
     used = 0
     for marks in seen:
@@ -389,19 +391,21 @@ def determinize_via_gba(
     a: Tela, method: str = "split_remfin", state_cap: int | None = None
 ) -> Tela:
     """Determinize by translating to generalized Buchi, then reducing,
-    degeneralizing and running the Safra construction."""
-    return _determinize_gba(to_gba(a, method), state_cap)
+    degeneralizing and running the Safra construction, every exploration
+    capped at `state_cap` states."""
+    with state_limit(state_cap):
+        return _determinize_gba(to_gba(a, method))
 
 
-def _determinize_gba(g: Tela, state_cap: int | None = None) -> Tela:
+def _determinize_gba(g: Tela) -> Tela:
     """Determinize a generalized-Buchi automaton: the one-state universal
     automaton when `_universal` finds a terminal part reached on every word;
     otherwise reduce it by direct simulation, degeneralize it and run the
-    Safra construction, whose exploration `state_cap` bounds; a Safra output
-    with no rejecting cycle is returned as the universal automaton too."""
+    Safra construction; a Safra output with no rejecting cycle is returned
+    as the universal automaton too."""
     if _universal(g):
         return _universal_automaton(g.ap)
-    d = safra_determinize(degeneralize(simulation_reduce(g)), state_cap)
+    d = safra_determinize(degeneralize(simulation_reduce(g)))
     return _universal_automaton(g.ap) if _no_rejecting_cycle(d) else d
 
 
@@ -485,14 +489,14 @@ def _letter_rows(transitions, n_letters: int) -> list[tuple[int, list[int]]]:
     ]
 
 
-def determinize_by(a: Tela, method: str, state_cap: int | None = None) -> Tela:
+def determinize_by(a: Tela, method: str) -> Tela:
     """Determinize with a method named in DET_METHODS."""
     if method not in DET_METHODS:
         raise TelaError(f"unknown determinization method {method!r}")
     gba_method = method.removeprefix("via-gba:")
     if gba_method != method:
-        return determinize_via_gba(a, gba_method, state_cap)
-    return determinize_product(a, method == "product", state_cap)
+        return determinize_via_gba(a, gba_method)
+    return determinize_product(a, method == "product")
 
 
 def determinize_product(
@@ -504,39 +508,35 @@ def determinize_product(
     With langcover enabled, a part whose language is contained in the union
     built so far is skipped.  Once the union accepts every word, it is
     returned as the one-state universal automaton, and the remaining
-    disjuncts are not determinized.
+    disjuncts are not determinized.  Every exploration, the union products
+    and the containment checks included, is capped at `state_cap` states.
     """
-    universal = _universal_automaton(a.ap)
-    acc: Tela | None = None
-    for det in disjunct_determinizations(a, state_cap):
-        if det == universal:
-            return universal
-        if acc is None:
-            acc = det
-        elif langcover and contains(acc, det):
-            continue
-        else:
-            if state_cap is not None and acc.n_states * det.n_states > state_cap:
-                raise BudgetExceeded(
-                    f"union product of {acc.n_states} x {det.n_states} states"
-                    f" would pass the cap {state_cap}",
-                    "states",
-                )
-            acc = product(acc, det, "or")
-            if _no_rejecting_cycle(acc):
+    with state_limit(state_cap):
+        universal = _universal_automaton(a.ap)
+        acc: Tela | None = None
+        for det in disjunct_determinizations(a):
+            if det == universal:
                 return universal
-    return empty_language_automaton(a.ap) if acc is None else acc
+            if acc is None:
+                acc = det
+            elif langcover and contains(acc, det):
+                continue
+            else:
+                acc = product(acc, det, "or")
+                if _no_rejecting_cycle(acc):
+                    return universal
+        return empty_language_automaton(a.ap) if acc is None else acc
 
 
-def disjunct_determinizations(a: Tela, state_cap: int | None = None):
+def disjunct_determinizations(a: Tela):
     """Deterministic automata, one per DNF disjunct of a's acceptance, whose
-    languages together make up a's; each is built by Fin-removal, simulation
-    reduction, degeneralization and Safra only when the previous one has
-    been taken."""
+    languages together make up a's; each is built by `determinize_via_gba`
+    with the Fin-removal rewrite only when the previous one has been
+    taken."""
     a = ensure_dnf(a)
     for disjunct in dnf_structure(a.acceptance).disjuncts:
         part = a.with_acceptance(disjunct_formula(disjunct), a.n_marks)
-        yield _determinize_gba(remove_fin(part), state_cap)
+        yield determinize_via_gba(part, "remfin_rewrite")
 
 
 def contains(p: Tela, d: Tela) -> bool:
@@ -568,7 +568,7 @@ def contains(p: Tela, d: Tela) -> bool:
             yield letter, number(td * width + tp), md | (mp << off)
 
     (qd,), (qp,) = d.initial, p.initial
-    _, edges = explore([qd * width + qp], expand)
+    _, edges = explore([qd * width + qp], expand, "containment")
     pos = to_dnf(d.acceptance)
     neg = offset_dnf(to_dnf(p.acceptance), off)
     return _witness(flatten_edges(edges), pos, neg) is None

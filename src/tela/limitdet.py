@@ -171,11 +171,11 @@ def is_syntactically_limit_deterministic(a: Tela) -> bool:
     return True
 
 
-def limit_det_sum(a: Tela, state_cap: int | None = None) -> Tela:
+def limit_det_sum(a: Tela) -> Tela:
     """Limit-deterministic automaton as a disjoint sum of per-disjunct
-    determinizations; each Safra run stops at `state_cap` states with
-    BudgetExceeded."""
-    parts = list(disjunct_determinizations(a, state_cap))
+    determinizations; an enclosing `state_limit` caps each of their
+    explorations."""
+    parts = list(disjunct_determinizations(a))
     return reduce(sum_automata, parts) if parts else empty_language_automaton(a.ap)
 
 
@@ -228,7 +228,7 @@ def _breakpoint_explore(
                 yield letter, number((r2, b2, level)), 0
 
     seeds = [(r & live, 0, 0) for r in seed_sets if r & live]
-    order, edges = explore(seeds, expand)
+    order, edges = explore(seeds, expand, "breakpoint")
     return order, flatten_edges(edges)
 
 
@@ -305,7 +305,9 @@ def build_gfm(a: Tela) -> Tela:
             if theta:
                 yield letter, number(theta), theta
 
-    sub_order, sub_edges = explore([sum(1 << q for q in a.initial)], expand)
+    sub_order, sub_edges = explore(
+        [sum(1 << q for q in a.initial)], expand, "subset construction"
+    )
     bridges: list[tuple[int, int, int]] = []
     for src, out in enumerate(sub_edges):
         for letter, _, theta in out:

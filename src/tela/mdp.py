@@ -322,7 +322,7 @@ def _explore_product(
         return out
 
     seeds = [m.initial * width + q for q in sorted(a.initial)]
-    keys, actions = explore(seeds, expand)
+    keys, actions = explore(seeds, expand, "MDP product")
     return [divmod(key, width) for key in keys], actions
 
 

@@ -10,9 +10,9 @@ length between 2 and 21; `dnf` draws 2-3 disjuncts with 2-3 Inf atoms and
 
 The harness runs a method set over seeded instances under per-instance time
 and state budgets: each method runs inside `time_limit` of the time budget,
-which stops any construction, and one that returns past the budget is a
-timeout too; the state budget caps the det pipeline's Safra explorations
-and union products.  Each instance is one unit of work, done in one pass by
+which stops any construction (one that returns past the budget is a timeout
+too), and inside `state_limit` of the state budget, which caps each of its
+explorations.  Each instance is one unit of work, done in one pass by
 one worker: it runs every method, cross-validates the outputs it still
 holds, and hands back only the per-method records (status, time, sizes),
 the number of checks and the mismatch texts.  Two pipelines: `gba` compares
@@ -38,10 +38,9 @@ from fractions import Fraction
 
 from .acceptance import Acceptance, dnf_length, fin_, inf_, and_, or_, to_dnf
 from .analysis import accepts, sample_lassos
-from .core import MAX_AP, Tela, TelaError, time_limit
+from .core import MAX_AP, BudgetExceeded, Tela, TelaError, state_limit, time_limit
 from .determinize import (
     DET_METHODS,
-    BudgetExceeded,
     _determinize_gba,
     determinize_by,
     equivalent_deterministic,
@@ -358,15 +357,15 @@ def _bench_instances(config: BenchConfig) -> list[Tela]:
     return out
 
 
-def _run_method(a: Tela, method: str, config: BenchConfig):
+def _run_method(a: Tela, method: str, pipeline: str):
     """One method's output and its extra record fields: the via-gba
     determinizations also report the GBA they went through."""
-    if config.pipeline == "gba":
+    if pipeline == "gba":
         return to_gba(a, method), {}
     if not method.startswith("via-gba:"):
-        return determinize_by(a, method, config.state_budget), {}
+        return determinize_by(a, method), {}
     g = to_gba(a, method.removeprefix("via-gba:"))
-    d = _determinize_gba(g, config.state_budget)
+    d = _determinize_gba(g)
     return d, {"gba_states": g.n_states, "gba_marks": g.n_marks}
 
 
@@ -406,8 +405,8 @@ def _bench_worker(payload) -> tuple[dict[str, dict], int, list[str]]:
     for method in config.resolved_methods():
         start = time.perf_counter()
         try:
-            with time_limit(config.time_budget):
-                result, extra = _run_method(a, method, config)
+            with time_limit(config.time_budget), state_limit(config.state_budget):
+                result, extra = _run_method(a, method, config.pipeline)
             status = "ok"
         except BudgetExceeded as exc:
             status = "timeout" if exc.kind == "time" else "memout"

@@ -23,6 +23,7 @@ from tela import (
 )
 from tela.acceptance import dnf_structure, gba_marksets
 from tela.core import (
+    BudgetExceeded,
     is_complete,
     is_deterministic,
     product,
@@ -31,7 +32,6 @@ from tela.core import (
     sum_gba,
 )
 from tela.determinize import (
-    BudgetExceeded,
     contains,
     determinize_product,
     determinize_via_gba,

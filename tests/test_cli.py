@@ -98,15 +98,15 @@ def test_limitdet_sum_state_cap_exits_3(tmp_path, capsys):
     assert captured.err.startswith("error:")
 
 
-def test_limitdet_state_cap_without_sum_is_a_usage_error(tmp_path, capsys):
+def test_limitdet_gfm_and_ld_state_cap_exits_3(tmp_path, capsys):
+    """--state-cap caps every limitdet method's explorations, and the error
+    names the exploration that stopped."""
     path = write_hoa(tmp_path, "a.hoa", example_automaton())
-    for method in ("ld", "gfm"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["limitdet", "--method", method, "--state-cap", "100", path])
-        assert excinfo.value.code == 2
+    for method, stage in (("gfm", "subset construction"), ("ld", "breakpoint")):
+        assert main(["limitdet", "--method", method, "--state-cap", "1", path]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--state-cap applies only to limitdet --method sum" in captured.err
+        assert captured.err == f"error: {stage} exceeded 1 states\n"
 
 
 def test_non_positive_state_cap_is_a_usage_error(tmp_path, capsys):

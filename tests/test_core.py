@@ -35,6 +35,7 @@ from tela import (
     split,
     simulation_reduce,
     sum_automata,
+    state_limit,
     sum_gba,
     time_limit,
 )
@@ -529,10 +530,8 @@ def test_reachable_states():
 GRAPH = {2: [0, 4], 0: [1, 3], 4: [2], 1: [5], 3: [], 5: [2]}
 
 
-def explore_graph(seeds, **budget):
-    return explore(
-        seeds, lambda q, number: [number(t) for t in GRAPH[q]], **budget
-    )
+def explore_graph(seeds, stage="demo"):
+    return explore(seeds, lambda q, number: [number(t) for t in GRAPH[q]], stage)
 
 
 def test_explore_numbers_seeds_first_then_breadth_first():
@@ -542,12 +541,50 @@ def test_explore_numbers_seeds_first_then_breadth_first():
 
 
 def test_explore_state_cap_counts_only_new_states():
-    order, _ = explore_graph([2], state_cap=6)
+    with state_limit(6):
+        order, _ = explore_graph([2])
     assert len(order) == 6
     with pytest.raises(BudgetExceeded) as excinfo:
-        explore_graph([2], state_cap=5, stage="demo")
+        with state_limit(5):
+            explore_graph([2], "demo")
     assert excinfo.value.kind == "states"
     assert str(excinfo.value) == "demo exceeded 5 states"
+
+
+def test_state_limit_caps_each_exploration_on_its_own():
+    """Two explorations of 6 states each both pass under a cap of 6: the cap
+    bounds every exploration in the block, not their total."""
+    with state_limit(6):
+        assert len(explore_graph([2])[0]) == 6
+        assert len(explore_graph([0, 2])[0]) == 6
+
+
+def test_nested_state_limits_keep_the_smaller_cap_and_restore_it():
+    """An inner limit never lifts an outer one, a smaller inner limit holds
+    in its block alone, and every exit, by BudgetExceeded or another raise,
+    brings back the cap from before the block."""
+    with state_limit(5):
+        with pytest.raises(BudgetExceeded, match="^demo exceeded 5 states$"):
+            with state_limit(100):
+                explore_graph([2])
+        with pytest.raises(BudgetExceeded, match="^demo exceeded 3 states$"):
+            with state_limit(3):
+                explore_graph([2])
+        with pytest.raises(KeyError):
+            with state_limit(4):
+                raise KeyError
+        with pytest.raises(BudgetExceeded, match="^demo exceeded 5 states$"):
+            with state_limit(None):
+                explore_graph([2])
+    assert len(explore_graph([2])[0]) == 6
+
+
+def test_state_limit_rejects_a_non_positive_cap():
+    for states in (0, -1):
+        with pytest.raises(TelaError, match="state limit must be positive"):
+            with state_limit(states):
+                pass
+    assert len(explore_graph([2])[0]) == 6
 
 
 def assert_disarmed(handler):

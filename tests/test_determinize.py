@@ -33,6 +33,7 @@ from tela import (
     safra_determinize,
     sample_lassos,
     simulation_reduce,
+    state_limit,
     time_limit,
     to_dnf,
 )
@@ -291,7 +292,8 @@ def test_safra_steps_match_the_set_based_oracle(monkeypatch):
             nba = complete(nba)
         live_states = oracle_live_states(nba, 1)
         try:
-            safra_determinize(nba, state_cap=300)
+            with state_limit(300):
+                safra_determinize(nba)
         except BudgetExceeded:
             pass
     assert checked > 10000
@@ -344,7 +346,8 @@ def test_safra_root_goes_green_only_when_its_whole_label_is_covered():
     verdicts = [oracle_accepts(a, u, v) for u, v in words]
     assert not verdicts[0] and True in verdicts
     for method in DET_METHODS:
-        d = determinize_by(a, method, state_cap=100)
+        with state_limit(100):
+            d = determinize_by(a, method)
         assert [accepts(d, u, v) for u, v in words] == verdicts, method
 
 
@@ -389,7 +392,8 @@ def test_safra_outputs_are_minimal_and_every_green_occurs(monkeypatch):
         for method in DET_METHODS:
             results.clear()
             try:
-                d = determinize_by(a, method, state_cap=100)
+                with state_limit(100):
+                    d = determinize_by(a, method)
             except BudgetExceeded:
                 continue
             outputs += 1
@@ -426,7 +430,8 @@ def nth_letter_back_nba(n: int) -> Tela:
 
 def test_safra_budget_errors():
     with pytest.raises(BudgetExceeded) as info:
-        safra_determinize(finitely_many_a_nba(), state_cap=1)
+        with state_limit(1):
+            safra_determinize(finitely_many_a_nba())
     assert info.value.kind == "states"
     # Uncapped, n = 16 takes seconds; the limit stops it within its 0.1 s.
     start = time.perf_counter()
@@ -480,22 +485,42 @@ def test_determinize_product_budget():
         determinize_product(a, state_cap=2)
 
 
-def test_union_product_budget_names_both_operands_and_the_cap():
-    """Parts of 4 and 2 states each fit a cap of 5, their product would not,
-    and the error says so before building it; a cap of 8 builds it."""
+def test_union_product_stops_at_the_cap_and_names_its_stage():
+    """FG !a | FG a: each part's explorations fit a cap of 3, and the union
+    product of the two 3-state parts, which reaches 4 pairs, stops at the
+    cap in its own exploration, which the error names; a cap of 4 builds
+    it."""
     a = Tela(
         ap=("a",),
-        n_states=2,
+        n_states=1,
         initial=frozenset({0}),
-        transitions=((0, 0, 1, 4), (0, 1, 1, 5), (1, 0, 0, 4), (1, 1, 0, 6)),
-        acceptance=or_([and_([inf_(1), inf_(4)]), inf_(2)]),
-        n_marks=3,
+        transitions=((0, 0, 0, 2), (0, 1, 0, 1)),
+        acceptance=or_([fin_(1), fin_(2)]),
+        n_marks=2,
     )
-    match = r"^union product of 4 x 2 states would pass the cap 5$"
+    parts = determinize_module.disjunct_determinizations(a)
+    assert [d.n_states for d in parts] == [3, 3]
+    match = r"^union product exceeded 3 states$"
     with pytest.raises(BudgetExceeded, match=match) as info:
-        determinize_product(a, langcover=False, state_cap=5)
+        determinize_product(a, langcover=False, state_cap=3)
     assert info.value.kind == "states"
-    assert determinize_product(a, langcover=False, state_cap=8).n_states <= 8
+    assert determinize_product(a, langcover=False, state_cap=4).n_states == 4
+
+
+def test_a_union_product_whose_reachable_pairs_fit_the_cap_is_built():
+    """Parts of 5 and 22 states, whose 110 pairs would pass a cap of 100:
+    only 32 of them are reachable, so the union product fits, and it keeps
+    the input's verdicts."""
+    a = random_tela(
+        n_states=4, n_marks=3, edge_density=0.3, mark_prob=0.3,
+        acc="random-el", seed=4, n_ap=1,
+    )
+    parts = determinize_module.disjunct_determinizations(a)
+    assert [d.n_states for d in parts] == [5, 22]
+    d = determinize_product(a, langcover=False, state_cap=100)
+    assert d.n_states == 32 and is_deterministic(d) and is_complete(d)
+    for u, v in sample_lassos(a, 20, seed=4):
+        assert accepts(d, u, v) == oracle_accepts(a, u, v)
 
 
 def test_every_gba_is_reduced_once_before_degeneralization(monkeypatch):
@@ -601,7 +626,8 @@ def test_the_universal_automaton_is_safras_one_state_loop():
     )
     a = parse_hoa(text)
     for method in DET_METHODS:
-        assert determinize_by(a, method, state_cap=100) == universal_rabin(a.ap)
+        with state_limit(100):
+            assert determinize_by(a, method) == universal_rabin(a.ap)
 
 
 def test_caught_gbas_are_universal_and_match_the_chain():
@@ -622,7 +648,8 @@ def test_caught_gbas_are_universal_and_match_the_chain():
             assert oracle_accepts(g, u, v)
         out = determinize_module._determinize_gba(g)
         assert out == universal_rabin(g.ap)
-        chain = safra_determinize(degeneralize(simulation_reduce(g)), 2000)
+        with state_limit(2000):
+            chain = safra_determinize(degeneralize(simulation_reduce(g)))
         assert equivalent_deterministic(out, chain)
     assert caught >= 40
 
@@ -678,9 +705,9 @@ def test_the_union_product_stops_once_it_is_universal(monkeypatch):
     determinize = determinize_module._determinize_gba
     calls = []
 
-    def counting(g, state_cap=None):
+    def counting(g):
         calls.append(g.n_states)
-        return determinize(g, state_cap)
+        return determinize(g)
 
     monkeypatch.setattr(determinize_module, "_determinize_gba", counting)
     # Mark 1 is on every transition, so Inf(1) holds of every run.
@@ -710,7 +737,8 @@ def test_universality_verdicts_match_the_oracle():
         a = random_automaton(rng, n_marks=2, density=0.6)
         for method in DET_METHODS:
             try:
-                d = determinize_by(a, method, state_cap=200)
+                with state_limit(200):
+                    d = determinize_by(a, method)
             except BudgetExceeded:
                 continue
             universal = determinize_module._no_rejecting_cycle(d)
@@ -748,7 +776,8 @@ def test_parallel_transitions_through_every_construction():
         a = with_parallel_transitions(rng, a)
         outputs = [(m, to_gba(a, m)) for m in GBA_METHODS]
         try:
-            outputs += [(m, determinize_by(a, m, state_cap=300)) for m in DET_METHODS]
+            with state_limit(300):
+                outputs += [(m, determinize_by(a, m)) for m in DET_METHODS]
         except BudgetExceeded:
             continue
         every_run = a.with_acceptance(TRUE, a.n_marks)

@@ -27,6 +27,7 @@ from tela import (
     limit_det_sum,
     random_tela,
     sample_lassos,
+    state_limit,
     time_limit,
 )
 from tela.acceptance import DnfDisjunct, dnf_structure, to_dnf
@@ -515,7 +516,8 @@ def test_limit_det_sum_stops_at_its_state_cap():
         seed=7, n_ap=1,
     )
     with pytest.raises(BudgetExceeded):
-        limit_det_sum(a, state_cap=100)
+        with state_limit(100):
+            limit_det_sum(a)
 
 
 def test_limit_det_sum_stops_at_a_time_limit():
@@ -581,7 +583,8 @@ def padded(a: Tela, k: int) -> Tela:
 def safra_or_budget(b: Tela):
     """Safra's result on `b` under a 200-state cap, or the cap's message."""
     try:
-        return safra_determinize(b, state_cap=200)
+        with state_limit(200):
+            return safra_determinize(b)
     except BudgetExceeded as exc:
         return str(exc)
 

@@ -163,3 +163,20 @@ def test_benchmark_calls_bind_to_the_library_signatures():
         except (AttributeError, TypeError) as exc:
             broken.append(f"{where}: {exc}")
     assert not broken, "calls that no longer bind:\n" + "\n".join(broken)
+
+
+def test_only_the_benchmark_bound_routes_take_a_state_cap():
+    """A state cap reaches a construction through `state_limit` alone: no
+    library function takes a `state_cap` parameter, except the two routes
+    whose positional calls perfbench/workloads.py binds."""
+    allowed = {"determinize_product", "determinize_via_gba"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            if "state_cap" in names and node.name not in allowed:
+                found.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert not found, "functions taking state_cap:\n" + "\n".join(found)
