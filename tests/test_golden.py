@@ -49,7 +49,7 @@ from tela.transforms import GBA_METHODS
 
 from helpers import mec_decomposition, random_mdp
 
-GOLDEN = "b256b18468e4a476319480529e054589f9abed72bdca8037248b5681186021de"
+GOLDEN = "ceda050a33453120df353cf6b37b8cfa2576973a73813f21123fd58355aa91e0"
 GOLDEN_2AP = "1a84a7cc4f7c37c5658f6c902b6ad3c9740258a05b8e0ff8898ccafc2333cedf"
 GOLDEN_WITNESS = "cc47ce5f7afc78f2ec53c966917ef8b7297b5fd3cada65fdf0247dec6d86c824"
 GOLDEN_PRODUCT = "39c6a81dc05e1574fe512833bf81fc7ebcfae433992b274f9a7aabfc36e6cb5a"
