@@ -51,7 +51,7 @@ from helpers import mec_decomposition, random_mdp
 
 GOLDEN = "ceda050a33453120df353cf6b37b8cfa2576973a73813f21123fd58355aa91e0"
 GOLDEN_2AP = "1a84a7cc4f7c37c5658f6c902b6ad3c9740258a05b8e0ff8898ccafc2333cedf"
-GOLDEN_WITNESS = "cc47ce5f7afc78f2ec53c966917ef8b7297b5fd3cada65fdf0247dec6d86c824"
+GOLDEN_WITNESS = "9e58b7a6fd21296a66207d36d452d538e86034e08b64248a33418e7470dcb165"
 GOLDEN_PRODUCT = "39c6a81dc05e1574fe512833bf81fc7ebcfae433992b274f9a7aabfc36e6cb5a"
 GOLDEN_QUOTIENT_PRODUCT = (
     "f867a376ee18107b9694d8875777ee719eea48c359e50085f18a17c8660988eb"
