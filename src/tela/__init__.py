@@ -58,8 +58,8 @@ from .core import (
     product,
     simulation_reduce,
     split,
-    sum_automata,
     state_limit,
+    sum_automata,
     sum_gba,
     time_limit,
 )
